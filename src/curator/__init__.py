@@ -22,7 +22,7 @@ from .grid import (
     parse_config,
     partition_hypercubes,
 )
-from .clustering import ClusterModel, assign, cluster_distribution, kmeans_fit
+from .clustering import assign, cluster_distribution, kmeans_fit
 from .entropy import (
     EntropyGraph,
     adjacency_matrix,
@@ -31,7 +31,6 @@ from .entropy import (
     weighted_sample,
 )
 from .samplers import (
-    SampleRecord,
     SampleSet,
     rate_to_count,
     run_pipeline,

@@ -150,27 +150,17 @@ def cmd_compare(args) -> int:
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 
-    rows = metrics.compare_methods(config, dataset, methods, seeds)
+    rows, full, first_samples = metrics.compare_methods(config, dataset, methods, seeds)
     # wall-clock lives in the sidecar so the CSV payload stays byte-stable
-    metrics.comparison_to_csv(rows, out_dir / "comparison.csv", include_timing=False)
+    metrics.comparison_to_csv(rows, out_dir / "comparison.csv")
     timing = {
         f"{r['method']}/seed={r['seed']}/{r['variable']}": r["sampling_seconds"]
         for r in rows
     }
     (out_dir / "comparison_timing.json").write_text(json.dumps(timing, indent=2))
 
-    timesteps = (
-        list(range(dataset.dims.nt))
-        if config.timesteps == "all"
-        else [int(t) for t in config.timesteps]
-    )
-    full = dataset.fields[config.cluster_var][timesteps].ravel()
-    for method in methods:
-        run_cfg = replace(config, method=method, seed=seeds[0])
-        sample = run_pipeline(run_cfg, dataset)
-        metrics.histogram_comparison_csv(
-            full, sample.var_values(config.cluster_var), out_dir / f"hist_{method}.csv"
-        )
+    for method, values in first_samples.items():
+        metrics.histogram_comparison_csv(full, values, out_dir / f"hist_{method}.csv")
     print(f"Wrote {out_dir / 'comparison.csv'} ({len(rows)} rows) "
           f"and {len(methods)} histogram CSVs")
     print("KL direction: D(full || sample), natural log (nats)")

@@ -1,163 +1,92 @@
-"""Mini-batch k-means over scalar or small-vector samples.
+"""One-dimensional k-means over the cluster variable.
 
-Centroids are seeded by k-means++ on the first mini-batch and refined
-with per-centroid learning rate 1/(cumulative assignment count), which
-makes each centroid the running mean of the batch points ever assigned
-to it.  Features are min-max normalized to [0, 1] internally; centroids
-are reported in original units.  Everything is deterministic given the
-seed.
+The pipeline clusters one scalar, so every nearest-centroid cell is an
+interval bounded by the midpoints of neighbouring centroids.  After one
+sort, a Lloyd iteration finds each cell boundary with one
+``searchsorted`` and each cell mean as a prefix-sum difference.
+Centroids are seeded by k-means++ on a random subset of the values, so
+the result is deterministic given the seed.
 """
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ClusterModel:
-    centroids: np.ndarray  # (k, d), original units
-    feature_names: tuple[str, ...]
-    seed: int
-    scale_min: np.ndarray
-    scale_range: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.centroids.shape[1]
+_SEED_VALUES = 1024  # k-means++ seeds from at most this many random values
+_MAX_ITERS = 100
 
 
-def _as_matrix(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2:
-        raise ValueError(f"points must be an n x d matrix, got shape {pts.shape}")
-    return pts
-
-
-def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: each new centroid drawn with probability
-    proportional to squared distance from the nearest existing one."""
-    n = pts.shape[0]
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centroids[0]) ** 2, axis=1)
-    for c in range(1, k):
+def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding on a random subset of the sorted values x: each new
+    centroid is drawn with probability proportional to squared distance from
+    the nearest existing one.  x holds at least k distinct values."""
+    pool = x[rng.choice(x.size, size=min(_SEED_VALUES, x.size), replace=False)]
+    centroids = [pool[rng.integers(pool.size)]]
+    d2 = (pool - centroids[0]) ** 2
+    while len(centroids) < k:
         total = d2.sum()
-        if total <= 0.0:
-            centroids[c] = pts[rng.integers(n)]
-            continue
-        idx = rng.choice(n, p=d2 / total)
-        centroids[c] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centroids[c]) ** 2, axis=1))
-    return centroids
+        if total > 0.0:
+            centroids.append(pool[rng.choice(pool.size, p=d2 / total)])
+            d2 = np.minimum(d2, (pool - centroids[-1]) ** 2)
+        else:
+            # the subset holds fewer than k distinct values; all of x holds enough
+            pool = x
+            d2 = functools.reduce(np.minimum, ((x - c) ** 2 for c in centroids))
+    return np.sort(np.array(centroids))
 
 
-def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared distances; argmin breaks ties toward the lowest index
-    d2 = (
-        np.sum(pts**2, axis=1)[:, None]
-        - 2.0 * pts @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+def kmeans_fit(values: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Fit k-means to scalar values; returns the centroids in ascending order.
 
-
-def kmeans_fit(
-    points: np.ndarray,
-    k: int,
-    batch_size: int | None = None,
-    max_iters: int = 100,
-    seed: int = 0,
-    feature_names: tuple[str, ...] | None = None,
-) -> ClusterModel:
-    """Fit mini-batch k-means with k clusters.
-
-    Iteration stops at ``max_iters`` or when the maximum centroid
-    displacement falls below 1e-6 of the (normalized) data range.
-    ``max_iters=0`` returns the k-means++ initialization untouched.
+    k is reduced, with a warning, to the number of distinct values.  Lloyd
+    iterations stop when the centroids repeat exactly, or after 100.  A
+    centroid whose cell empties keeps its place.
     """
-    pts = _as_matrix(points)
-    n, d = pts.shape
-    if not np.all(np.isfinite(pts)):
+    x = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    n = x.size
+    if n == 0:
+        raise ValueError("empty clustering input")
+    if not (np.isfinite(x[0]) and np.isfinite(x[-1])):  # NaN sorts last
         raise ValueError("non-finite values in clustering input")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if n < k:
-        raise ValueError(f"need at least k={k} points, got {n}")
-    if batch_size is None:
-        batch_size = min(1024, n)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    distinct = 1 + int(np.count_nonzero(x[1:] != x[:-1]))
+    if distinct < k:
+        warnings.warn(
+            f"only {distinct} distinct values; reducing cluster count from {k}",
+            stacklevel=2,
+        )
+        k = distinct
 
-    lo = pts.min(axis=0)
-    rng_span = pts.max(axis=0) - lo
-    span = np.where(rng_span > 0.0, rng_span, 1.0)
-    norm = (pts - lo) / span
-
-    rng = np.random.default_rng(seed)
-    first = rng.choice(n, size=min(batch_size, n), replace=False)
-    centroids = _kmeanspp_init(norm[first], k, rng)
-
-    counts = np.zeros(k, dtype=np.int64)
-    tol = 1e-6  # of normalized data range, which is 1 per axis
-    for _ in range(max_iters):
-        batch_idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        batch = norm[batch_idx]
-        labels = _nearest(batch, centroids)
-        prev = centroids.copy()
-        for c in range(k):
-            members = batch[labels == c]
-            if members.shape[0] == 0:
-                if counts[c] == 0:
-                    # never-assigned centroid: re-seed to the batch point
-                    # farthest from its nearest centroid
-                    d2 = np.min(
-                        np.sum((batch[:, None, :] - centroids[None, :, :]) ** 2, axis=2),
-                        axis=1,
-                    )
-                    centroids[c] = batch[int(np.argmax(d2))]
-                continue
-            nb = members.shape[0]
-            counts[c] += nb
-            # running mean over all points ever assigned to this centroid
-            centroids[c] += (nb / counts[c]) * (members.mean(axis=0) - centroids[c])
-        if np.max(np.abs(centroids - prev)) < tol:
+    centroids = _kmeanspp_init(x, k, np.random.default_rng(seed))
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(x, out=prefix[1:])
+    for _ in range(_MAX_ITERS):
+        # cell c holds x[lo[c]:hi[c]]; a value on a midpoint joins the lower cell
+        cuts = np.searchsorted(x, (centroids[:-1] + centroids[1:]) / 2, side="right")
+        lo = np.concatenate(([0], cuts))
+        hi = np.concatenate((cuts, [n]))
+        filled = hi > lo
+        means = (prefix[hi] - prefix[lo]) / np.maximum(hi - lo, 1)
+        # a prefix-sum difference can round past the cell's own values;
+        # clipping keeps the centroids sorted
+        means = np.clip(means, x[np.minimum(lo, n - 1)], x[hi - 1])
+        updated = np.where(filled, means, centroids)
+        if np.array_equal(updated, centroids):
             break
-
-    return ClusterModel(
-        centroids=centroids * span + lo,
-        feature_names=tuple(feature_names or [f"f{i}" for i in range(d)]),
-        seed=seed,
-        scale_min=lo,
-        scale_range=span,
-    )
+        centroids = updated
+    return centroids
 
 
-def assign(model: ClusterModel, points: np.ndarray) -> np.ndarray:
-    """Label each point with the index of its nearest centroid (Euclidean,
-    ties to the lowest index)."""
-    pts = _as_matrix(points)
-    if pts.shape[1] != model.d:
-        raise ValueError(f"points have {pts.shape[1]} features, model expects {model.d}")
-    norm = (pts - model.scale_min) / model.scale_range
-    cnorm = (model.centroids - model.scale_min) / model.scale_range
-    return _nearest(norm, cnorm)
-
-
-def inertia(model: ClusterModel, points: np.ndarray) -> float:
-    """Sum of squared (normalized) distances to assigned centroids."""
-    pts = _as_matrix(points)
-    norm = (pts - model.scale_min) / model.scale_range
-    cnorm = (model.centroids - model.scale_min) / model.scale_range
-    labels = _nearest(norm, cnorm)
-    return float(np.sum((norm - cnorm[labels]) ** 2))
+def assign(centroids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Label each value with the index of its nearest centroid; centroids
+    must be ascending.  A value exactly midway between two centroids gets
+    the lower index."""
+    c = np.asarray(centroids, dtype=np.float64)
+    return np.searchsorted((c[:-1] + c[1:]) / 2, values, side="left")
 
 
 def cluster_distribution(labels: np.ndarray, k: int) -> np.ndarray:
@@ -169,15 +98,3 @@ def cluster_distribution(labels: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"labels must lie in [0, {k})")
     counts = np.bincount(labels, minlength=k)
     return counts / labels.size
-
-
-def effective_k(values: np.ndarray, k: int) -> int:
-    """Reduce k to the number of distinct values, warning when it shrinks."""
-    distinct = np.unique(np.asarray(values).ravel()).size
-    if distinct < k:
-        warnings.warn(
-            f"only {distinct} distinct values; reducing cluster count from {k}",
-            stacklevel=2,
-        )
-        return max(distinct, 1)
-    return k

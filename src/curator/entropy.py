@@ -67,17 +67,13 @@ def adjacency_matrix(dists: list[np.ndarray], epsilon: float = DEFAULT_EPSILON) 
 
 
 def weighted_sample(
-    weights: np.ndarray,
-    n: int,
-    seed: int | np.random.Generator = 0,
-    with_replacement: bool = False,
+    weights: np.ndarray, n: int, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
-    """Draw n indices with probability proportional to weight.
+    """Draw n distinct indices with probability proportional to weight.
 
-    Without replacement, draws are sequential: each chosen index is
-    removed and the remaining weights renormalized.  Indices are
-    returned in draw order.  All-zero weights fall back to uniform
-    with a warning.
+    Draws are sequential: each chosen index is removed and the remaining
+    weights renormalized.  Indices are returned in draw order.  All-zero
+    weights fall back to uniform with a warning.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
     if np.any(w < 0.0):
@@ -85,15 +81,13 @@ def weighted_sample(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     N = w.size
-    if not with_replacement and n > N:
+    if n > N:
         raise ValueError(f"cannot draw {n} of {N} indices without replacement")
     if w.sum() == 0.0:
         warnings.warn("all weights zero; falling back to uniform sampling", stacklevel=2)
         w = np.ones(N)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    if with_replacement:
-        return rng.choice(N, size=n, replace=True, p=w / w.sum())
     out = np.empty(n, dtype=np.int64)
     for draw in range(n):
         total = w.sum()

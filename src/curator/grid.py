@@ -75,7 +75,8 @@ class GridDataset:
                     f"field {name!r} has shape {arr.shape}, expected {self.dims.shape}"
                 )
             if not np.all(np.isfinite(arr)):
-                idx = np.unravel_index(int(np.argmin(np.isfinite(arr))), arr.shape)
+                flat = int(np.argmin(np.isfinite(arr)))
+                idx = tuple(int(i) for i in np.unravel_index(flat, arr.shape))
                 raise IngestionError(f"non-finite value in field {name!r} at index {idx}")
 
     def role_vars(self) -> list[str]:
@@ -277,7 +278,7 @@ def _read_raw_field(path: Path, nx: int, ny: int, nz: int, precision: int) -> np
             f"({nx}x{ny}x{nz} x {dtype.itemsize}), got {actual}"
         )
     raw = np.fromfile(path, dtype=dtype)
-    return raw.reshape((nx, ny, nz), order="F").astype(np.float64)
+    return raw.reshape((nx, ny, nz), order="F").astype(np.float64, copy=False)
 
 
 def _discover_timesteps(path: Path, var: str) -> list[int]:
@@ -294,7 +295,7 @@ def load_dataset(config: RunConfig) -> GridDataset:
     """Load all role variables from disk, applying per-axis skip strides.
 
     Two loads of the same files yield bit-identical arrays.  NaN or Inf
-    values are rejected at ingestion.
+    values are rejected when the GridDataset is built.
     """
     role_vars: dict[str, None] = {}
     for name in [*config.input_vars, *config.output_vars, config.cluster_var]:
@@ -323,11 +324,7 @@ def load_dataset(config: RunConfig) -> GridDataset:
                 path / f"{var}_{ts}.bin", config.nx, config.ny, config.nz, config.precision
             )
             snaps.append(arr[::sx, ::sy, ::sz])
-        stacked = np.stack(snaps, axis=0)
-        if not np.all(np.isfinite(stacked)):
-            idx = np.unravel_index(int(np.argmin(np.isfinite(stacked))), stacked.shape)
-            raise IngestionError(f"non-finite value in {var!r} at index {idx}")
-        fields[var] = stacked
+        fields[var] = np.stack(snaps, axis=0)
 
     first = next(iter(fields.values()))
     dims = GridDims(
@@ -361,11 +358,7 @@ def _load_csv_dataset(config: RunConfig, path: Path, role_vars: list[str]) -> Gr
             raise IngestionError(f"column {var!r} missing from {path}")
         col = data[:, header.index(var)]
         arr = col.reshape((config.nx, config.ny, 1), order="F")[None, ...]
-        arr = arr[:, :: config.nxskip, :: config.nyskip, :]
-        if not np.all(np.isfinite(arr)):
-            idx = np.unravel_index(int(np.argmin(np.isfinite(arr))), arr.shape)
-            raise IngestionError(f"non-finite value in {var!r} at index {idx}")
-        fields[var] = arr
+        fields[var] = arr[:, :: config.nxskip, :: config.nyskip, :]
     first = next(iter(fields.values()))
     dims = GridDims(nx=first.shape[1], ny=first.shape[2], nz=1, nt=1, dims=2)
     return GridDataset(

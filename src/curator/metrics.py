@@ -143,11 +143,14 @@ def compare_methods(
     methods: list[str],
     seeds: list[int],
     bins: int = 100,
-) -> list[dict]:
+) -> tuple[list[dict], np.ndarray, dict[str, np.ndarray]]:
     """Run every (method, seed) cell and tabulate coverage metrics.
 
-    Returns one row per (method, seed, variable) plus per-method mean and
-    standard-deviation summary rows (seed column "mean" / "std").
+    Returns three things.  The rows: one per (method, seed, variable)
+    plus per-method mean and standard-deviation summary rows (seed
+    column "mean" / "std").  The full data's cluster-variable values.
+    And, per method, the cluster-variable values of its sample at
+    ``seeds[0]``.
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -162,6 +165,7 @@ def compare_methods(
         var: dataset.fields[var][timesteps].ravel() for var in dataset.role_vars()
     }
     rows: list[dict] = []
+    first_samples: dict[str, np.ndarray] = {}
     from dataclasses import replace
 
     for method in methods:
@@ -172,6 +176,9 @@ def compare_methods(
             sample = run_pipeline(run_cfg, dataset)
             elapsed = time.perf_counter() - t0
             report = coverage_report(sample, full_values, bins)
+            if method not in first_samples:
+                # a copy, so the sample's table is freed after this cell
+                first_samples[method] = sample.var_values(config.cluster_var).copy()
             for var, m in report.per_variable.items():
                 row = {
                     "method": method,
@@ -205,15 +212,13 @@ def compare_methods(
                         "points": float(fn([r["points"] for r in var_rows])),
                     }
                 )
-    return rows
+    return rows, full_values[config.cluster_var], first_samples
 
 
-def comparison_to_csv(rows: list[dict], path, include_timing: bool = True) -> None:
-    """Write a comparison table; timing columns can be dropped for
-    byte-stable output."""
-    columns = list(COMPARISON_COLUMNS)
-    if not include_timing:
-        columns.remove("sampling_seconds")
+def comparison_to_csv(rows: list[dict], path) -> None:
+    """Write a comparison table without its timing column, so the bytes
+    repeat across runs."""
+    columns = [c for c in COMPARISON_COLUMNS if c != "sampling_seconds"]
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:

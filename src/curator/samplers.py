@@ -1,11 +1,12 @@
 """Point- and hypercube-selection strategies and the two-phase pipeline.
 
 Phase 1 picks hypercubes, either uniformly at random or by entropy
-(cluster the pooled cluster-variable values globally, histogram each
-cube over the shared labels, build the pairwise-KL graph, then draw
-cubes without replacement weighted by node strength).  Phase 2 samples
-points within each selected cube with one of: full, random, stratified,
-lhs, uips, maxent.
+(one-dimensional k-means on the cluster-variable values pooled across
+all cubes, histogram each cube over the shared labels, build the
+pairwise-KL graph, then draw cubes without replacement weighted by node
+strength).  Phase 2 samples points within each selected cube with one
+of: full, random, stratified, lhs, uips, maxent; maxent runs the same
+one-dimensional k-means on the cube's own cluster-variable values.
 
 Every per-cube random stream is seeded from (run seed, timestep, cube
 index), so output is bit-identical regardless of worker count or cube
@@ -27,28 +28,13 @@ from .grid import GridDataset, HypercubeBlock, RunConfig, partition_hypercubes
 _PHASE1_TAG = 0x51C1E
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One curated point: grid location, normalized coordinates, values."""
-
-    timestep: int
-    i: int
-    j: int
-    k: int
-    x: float
-    y: float
-    z: float
-    t: float
-    values: dict[str, float]
-
-
 @dataclass
 class SampleSet:
     """Curated output as a columnar table plus provenance.
 
     ``columns`` is ``["t", "i", "j", "k", "x", "y", "z", <vars...>]`` and
-    ``data`` holds one row per record.  Timings and worker counts live in
-    provenance but are excluded from content comparisons.
+    ``data`` holds one row per curated point.  Timings and worker counts
+    live in provenance but are excluded from content comparisons.
     """
 
     columns: list[str]
@@ -60,19 +46,6 @@ class SampleSet:
 
     def var_values(self, var: str) -> np.ndarray:
         return self.data[:, self.columns.index(var)]
-
-    def record(self, row: int) -> SampleRecord:
-        r = self.data[row]
-        d = self.provenance.get("grid_dims", {})
-        nx = max(d.get("nx", 1) - 1, 1)
-        ny = max(d.get("ny", 1) - 1, 1)
-        nz = max(d.get("nz", 1) - 1, 1)
-        nt = max(d.get("nt", 1) - 1, 1)
-        return SampleRecord(
-            timestep=int(r[0]), i=int(r[1]), j=int(r[2]), k=int(r[3]),
-            x=int(r[1]) / nx, y=int(r[2]) / ny, z=int(r[3]) / nz, t=int(r[0]) / nt,
-            values={v: float(r[self.columns.index(v)]) for v in self.columns[7:]},
-        )
 
     def content_digest(self) -> str:
         """Digest of the payload and stable provenance; timings excluded."""
@@ -95,10 +68,6 @@ class SampleSet:
                 ints = [f"{int(v)}" for v in row[:4]]
                 floats = [f"{v:.17g}" for v in row[4:]]
                 fh.write(",".join(ints + floats) + "\n")
-
-    def to_binary(self, path) -> None:
-        """Headerless little-endian 8-byte reals, one row per record."""
-        np.ascontiguousarray(self.data, dtype="<f8").tofile(path)
 
 
 def rate_to_count(rate: float, volume: int) -> int:
@@ -151,16 +120,13 @@ def select_hypercubes_maxent(
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
     rng = _rng(seed)
     pooled = np.concatenate([b.flat_values(cluster_var) for b in blocks])
-    k = clustering.effective_k(pooled, num_clusters)
-    model = clustering.kmeans_fit(
-        pooled[:, None], k, seed=int(rng.integers(2**63)), feature_names=(cluster_var,)
-    )
+    centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)))
     dists = []
     for b in blocks:
-        labels = clustering.assign(model, b.flat_values(cluster_var)[:, None])
-        dists.append(clustering.cluster_distribution(labels, k))
+        labels = clustering.assign(centroids, b.flat_values(cluster_var))
+        dists.append(clustering.cluster_distribution(labels, centroids.size))
     graph = entropy.adjacency_matrix(dists)
-    return entropy.weighted_sample(graph.strengths, m, seed=rng, with_replacement=False)
+    return entropy.weighted_sample(graph.strengths, m, seed=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +341,9 @@ def sample_maxent_points(
         raise ValueError(f"cannot sample {n} of {block.volume} points")
     rng = _rng(seed)
     values = block.flat_values(cluster_var)
-    k = clustering.effective_k(values, num_clusters)
-    model = clustering.kmeans_fit(
-        values[:, None], k, seed=int(rng.integers(2**63)), feature_names=(cluster_var,)
-    )
-    labels = clustering.assign(model, values[:, None])
+    centroids = clustering.kmeans_fit(values, num_clusters, seed=int(rng.integers(2**63)))
+    labels = clustering.assign(centroids, values)
+    k = centroids.size
 
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:

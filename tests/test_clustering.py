@@ -1,145 +1,146 @@
 import numpy as np
 import pytest
 
-from curator.clustering import (
-    assign,
-    cluster_distribution,
-    effective_k,
-    inertia,
-    kmeans_fit,
-)
+from curator.clustering import _kmeanspp_init, assign, cluster_distribution, kmeans_fit
 
 
 def two_blobs(seed=0, n=1000, sep=10.0, sigma=0.1):
     rng = np.random.default_rng(seed)
-    a = rng.normal(-sep, sigma, size=(n, 1))
-    b = rng.normal(sep, sigma, size=(n, 1))
-    return np.vstack([a, b])
+    return np.concatenate([rng.normal(-sep, sigma, size=n), rng.normal(sep, sigma, size=n)])
 
 
-def lloyd_full_batch(points, init, iters=50):
+def nearest(centroids, values):
+    """Brute-force nearest centroid; argmin breaks ties toward the lowest index."""
+    return np.argmin(np.abs(values[:, None] - centroids[None, :]), axis=1)
+
+
+def lloyd_full_batch(values, init, iters=50):
     """Independent full-batch Lloyd's iteration used as an oracle."""
     centroids = init.copy()
     for _ in range(iters):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        for c in range(centroids.shape[0]):
-            members = points[labels == c]
+        labels = nearest(centroids, values)
+        for c in range(centroids.size):
+            members = values[labels == c]
             if members.size:
-                centroids[c] = members.mean(axis=0)
+                centroids[c] = members.mean()
     return centroids
+
+
+def sse(centroids, values):
+    return float(np.sum((values - centroids[nearest(centroids, values)]) ** 2))
 
 
 class TestKmeansFit:
     def test_k1_is_mean(self):
-        pts = np.random.default_rng(1).normal(size=(500, 2))
-        model = kmeans_fit(pts, k=1, seed=0)
-        np.testing.assert_allclose(model.centroids[0], pts.mean(axis=0), atol=1e-3)
+        values = np.random.default_rng(1).normal(size=500)
+        centroids = kmeans_fit(values, k=1, seed=0)
+        np.testing.assert_allclose(centroids, [values.mean()], rtol=1e-12)
 
     def test_two_blobs_matches_lloyd_oracle(self):
-        pts = two_blobs()
-        model = kmeans_fit(pts, k=2, seed=3)
-        got = np.sort(model.centroids.ravel())
-        oracle = np.sort(
-            lloyd_full_batch(pts, np.array([[-1.0], [1.0]])).ravel()
-        )
-        np.testing.assert_allclose(got, oracle, atol=0.1)
+        values = two_blobs()
+        got = kmeans_fit(values, k=2, seed=3)
+        oracle = lloyd_full_batch(values, np.array([-1.0, 1.0]))
+        np.testing.assert_allclose(got, oracle, rtol=1e-12)
         assert abs(got[0] + 10.0) < 0.1 and abs(got[1] - 10.0) < 0.1
 
+    def test_centroids_are_cell_means(self):
+        # the result is a fixed point of Lloyd's iteration
+        values = np.random.default_rng(4).lognormal(size=5000)
+        centroids = kmeans_fit(values, k=7, seed=1)
+        labels = nearest(centroids, values)
+        means = [values[labels == c].mean() for c in range(centroids.size)]
+        np.testing.assert_allclose(centroids, means, rtol=1e-9)
+
     def test_n_less_than_k(self):
-        with pytest.raises(ValueError, match="at least k"):
-            kmeans_fit(np.zeros((3, 1)), k=5)
+        with pytest.warns(UserWarning, match="distinct"):
+            centroids = kmeans_fit(np.zeros(3), k=5)
+        np.testing.assert_array_equal(centroids, [0.0])
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            kmeans_fit(np.array([[1.0], [np.nan]]), k=1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                kmeans_fit(np.array([1.0, bad]), k=1)
 
     def test_deterministic_given_seed(self):
-        pts = np.random.default_rng(7).normal(size=(400, 3))
-        a = kmeans_fit(pts, k=5, seed=11)
-        b = kmeans_fit(pts, k=5, seed=11)
-        assert a.centroids.tobytes() == b.centroids.tobytes()
+        values = np.random.default_rng(7).normal(size=400)
+        a = kmeans_fit(values, k=5, seed=11)
+        b = kmeans_fit(values, k=5, seed=11)
+        assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_output(self):
-        pts = np.random.default_rng(7).normal(size=(400, 3))
-        a = kmeans_fit(pts, k=5, seed=11)
-        b = kmeans_fit(pts, k=5, seed=12)
-        assert a.centroids.tobytes() != b.centroids.tobytes()
+        values = np.random.default_rng(7).normal(size=400)
+        a = kmeans_fit(values, k=5, seed=11)
+        b = kmeans_fit(values, k=5, seed=12)
+        assert a.tobytes() != b.tobytes()
 
     def test_refinement_never_worse_than_init(self):
-        pts = np.random.default_rng(5).normal(size=(2000, 2))
-        init = kmeans_fit(pts, k=8, seed=2, max_iters=0)
-        fitted = kmeans_fit(pts, k=8, seed=2)
-        assert inertia(fitted, pts) <= inertia(init, pts) + 1e-12
+        values = np.random.default_rng(5).normal(size=2000)
+        # kmeans_fit draws its k-means++ seeds from the same stream first
+        init = _kmeanspp_init(np.sort(values), 8, np.random.default_rng(2))
+        fitted = kmeans_fit(values, k=8, seed=2)
+        assert sse(fitted, values) <= sse(init, values) + 1e-12
 
     def test_separated_blobs_recovered(self):
         # k well-separated blobs: >= 99% label purity across seeds
         rng = np.random.default_rng(0)
         k, per = 4, 300
         centers = np.array([0.0, 30.0, 60.0, 90.0])
-        pts = np.concatenate(
-            [rng.normal(c, 1.0, size=per) for c in centers]
-        )[:, None]
+        values = np.concatenate([rng.normal(c, 1.0, size=per) for c in centers])
         truth = np.repeat(np.arange(k), per)
         ok = 0
         for seed in range(20):
-            model = kmeans_fit(pts, k=k, seed=seed)
-            labels = assign(model, pts)
+            centroids = kmeans_fit(values, k=k, seed=seed)
+            assert np.all(np.diff(centroids) > 0)
+            labels = assign(centroids, values)
             # map each fitted label to its majority truth blob
             agree = 0
             for c in range(k):
                 members = truth[labels == c]
                 if members.size:
                     agree += np.max(np.bincount(members, minlength=k))
-            ok += agree / pts.shape[0] >= 0.99
+            ok += agree / values.size >= 0.99
         assert ok == 20
+
+    def test_rare_values_missing_from_seed_subset(self):
+        # the k-means++ subset almost surely holds only zeros; the other
+        # seeds come from all values, so no centroid is left empty
+        values = np.concatenate([np.zeros(100_000), np.arange(1.0, 20.0)])
+        centroids = kmeans_fit(values, k=20, seed=0)
+        np.testing.assert_array_equal(centroids, np.arange(20.0))
+
+    def test_centroids_stay_in_their_cells(self):
+        # a prefix sum dominated by -1e17 cannot resolve the small cells'
+        # sums; their centroids must still be their own values
+        values = np.array([-1e17, 0.1, 0.1, 0.1, 0.3, 0.3, 0.3])
+        np.testing.assert_array_equal(kmeans_fit(values, k=3, seed=0), [-1e17, 0.1, 0.3])
 
 
 class TestAssign:
-    def make_model(self):
-        pts = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
-        return kmeans_fit(pts, k=5, seed=0, max_iters=0)
-
     def test_exact_centroid(self):
-        model = self.make_model()
-        c3 = model.centroids[3]
-        assert assign(model, c3[None, :])[0] == 3
+        centroids = kmeans_fit(np.arange(5.0), k=5, seed=0)
+        np.testing.assert_array_equal(centroids, np.arange(5.0))
+        assert assign(centroids, centroids[3:4])[0] == 3
 
     def test_tie_breaks_low_index(self):
-        from curator.clustering import ClusterModel
-
-        model = ClusterModel(
-            centroids=np.array([[0.0], [2.0], [9.0], [7.0], [4.0]]),
-            feature_names=("f0",), seed=0,
-            scale_min=np.array([0.0]), scale_range=np.array([1.0]),
-        )
-        # 3.0 is equidistant to centroids 1 and 4; lowest index wins
-        assert assign(model, np.array([[3.0]]))[0] == 1
+        centroids = np.array([0.0, 2.0, 4.0, 7.0, 9.0])
+        # 3.0 is equidistant to centroids 1 and 2; lowest index wins
+        assert assign(centroids, np.array([3.0]))[0] == 1
+        # x - c0 == c1 - x in float64; |x|^2 - 2xc + |c|^2 cancellation
+        # once labelled this value 1
+        c0, c1, x = 0.8406114889348372, 0.8741970642403015, 0.8574042765875693
+        assert x - c0 == c1 - x
+        assert assign(np.array([c0, c1]), np.array([x]))[0] == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
-        pts = rng.normal(size=(300, 2))
-        model = kmeans_fit(pts, k=6, seed=1)
-        labels = assign(model, pts)
-        norm = (pts - model.scale_min) / model.scale_range
-        cnorm = (model.centroids - model.scale_min) / model.scale_range
-        brute = np.array(
-            [int(np.argmin([(p - c) @ (p - c) for c in cnorm])) for p in norm]
-        )
-        np.testing.assert_array_equal(labels, brute)
-
-    def test_dimension_mismatch(self):
-        model = self.make_model()
-        with pytest.raises(ValueError, match="features"):
-            assign(model, np.zeros((2, 3)))
+        values = rng.normal(size=3000)
+        centroids = kmeans_fit(values, k=6, seed=1)
+        np.testing.assert_array_equal(assign(centroids, values), nearest(centroids, values))
 
     def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(100, 1))
-        model = kmeans_fit(pts, k=3, seed=0)
-        a = assign(model, pts)
-        b = assign(model, pts)
-        np.testing.assert_array_equal(a, b)
+        values = np.random.default_rng(3).normal(size=100)
+        centroids = kmeans_fit(values, k=3, seed=0)
+        np.testing.assert_array_equal(assign(centroids, values), assign(centroids, values))
 
 
 class TestClusterDistribution:
@@ -174,5 +175,5 @@ class TestClusterDistribution:
 
 def test_effective_k_reduces_with_warning():
     with pytest.warns(UserWarning, match="distinct"):
-        assert effective_k(np.array([1.0, 1.0, 2.0]), 5) == 2
-    assert effective_k(np.arange(10.0), 5) == 5
+        assert kmeans_fit(np.array([1.0, 1.0, 2.0]), 5).size == 2
+    assert kmeans_fit(np.arange(10.0), 5).size == 5

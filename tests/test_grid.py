@@ -188,6 +188,16 @@ class TestLoadDataset:
         assert ds.dims.nz == 1 and ds.dims.dims == 2
         assert ds.fields["u"][0, 2, 1, 0] == 12.0
 
+    def test_csv_nan_rejected_with_index(self, tmp_path):
+        (tmp_path / "pts.csv").write_text("x,y,u\n0,0,1\n1,0,2\n0,1,3\n1,1,nan\n")
+        cfg = RunConfig(
+            dtype="csv", path=str(tmp_path / "pts.csv"), dims=2, nx=2, ny=2,
+            input_vars=["u"], output_vars=["u"], cluster_var="u",
+            nxsl=1, nysl=1, nzsl=1,
+        )
+        with pytest.raises(IngestionError, match=r"'u' at index \(0, 1, 1, 0\)"):
+            load_dataset(cfg)
+
 
 class TestPartition:
     def test_exact_tiling_64(self):

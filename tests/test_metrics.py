@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,10 @@ class TestCompareMethods:
             nxsl=4, nysl=4, nzsl=4, num_hypercubes=4, num_samples=16,
             strata=[2, 2, 2], seed=0,
         )
-        rows = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
+        rows, full, first_samples = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
+        np.testing.assert_array_equal(full, ds.fields["u"].ravel())
+        first_lhs = run_pipeline(replace(cfg, method="lhs", seed=0), ds)
+        np.testing.assert_array_equal(first_samples["lhs"], first_lhs.var_values("u"))
         # per method: 2 seeds x 1 variable + mean + std rows
         assert len(rows) == 2 * (2 + 2)
         assert set(rows[0]) == set(COMPARISON_COLUMNS)
@@ -169,12 +174,10 @@ class TestCompareMethods:
                 "tail_capture": 0.75, "sampling_seconds": 0.01, "points": 64,
             }
         ]
-        comparison_to_csv(rows, tmp_path / "with.csv", include_timing=True)
-        comparison_to_csv(rows, tmp_path / "without.csv", include_timing=False)
-        with_header = (tmp_path / "with.csv").read_text().splitlines()[0]
-        without_header = (tmp_path / "without.csv").read_text().splitlines()[0]
-        assert "sampling_seconds" in with_header
-        assert "sampling_seconds" not in without_header
+        comparison_to_csv(rows, tmp_path / "c.csv")
+        header, row = (tmp_path / "c.csv").read_text().splitlines()
+        assert "sampling_seconds" not in header
+        assert row == "random,0,u,0.5,0.25,1,0.75,64"
 
 
 class TestHistogramComparisonCsv:
