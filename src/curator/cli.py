@@ -109,11 +109,14 @@ def cmd_subsample(args) -> int:
 
     prefix = config.format_fileprefix()
     csv_path = out_dir / f"{prefix}.csv"
+    t0 = time.perf_counter()
     sample.to_csv(csv_path)
+    write_seconds = time.perf_counter() - t0
     sidecar = {
         "provenance": sample.provenance,
         "effective_config": asdict(config),
         "wall_seconds": elapsed,
+        "write_seconds": write_seconds,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     (out_dir / f"{prefix}.json").write_text(json.dumps(sidecar, indent=2, default=str))

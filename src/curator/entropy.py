@@ -23,8 +23,11 @@ class EntropyGraph:
     strengths: np.ndarray
 
 
-def _smooth(p: np.ndarray, epsilon: float) -> np.ndarray:
-    return (p + epsilon) / (1.0 + p.size * epsilon)
+def smooth(p: np.ndarray, epsilon: float) -> np.ndarray:
+    """Epsilon-smooth and renormalize each distribution along the last axis."""
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return (p + epsilon) / (1.0 + p.shape[-1] * epsilon)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -34,35 +37,33 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = DEFAULT_EPSILON
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ps = _smooth(p, epsilon)
-    qs = _smooth(q, epsilon)
+    ps = smooth(p, epsilon)
+    qs = smooth(q, epsilon)
     # clamp: round-off on near-identical inputs can dip below zero
     return max(float(np.sum(ps * np.log(ps / qs))), 0.0)
 
 
-def shannon_entropy(p: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Shannon entropy in nats of a smoothed discrete distribution."""
-    ps = _smooth(np.asarray(p, dtype=np.float64), epsilon)
-    return float(-np.sum(ps * np.log(ps)))
-
-
 def adjacency_matrix(dists: list[np.ndarray], epsilon: float = DEFAULT_EPSILON) -> EntropyGraph:
     """Pairwise KL divergences A_ij = D(dists[i] || dists[j]), zero diagonal,
-    with node strengths as row sums."""
+    with node strengths as row sums.
+
+    Each entry equals ``kl_divergence(dists[i], dists[j], epsilon)`` bit
+    for bit: row i is summed along the contiguous last axis, which uses
+    the same pairwise summation as the one-dimensional sum.
+    """
     if len(dists) == 0:
         raise ValueError("need at least one distribution")
     length = np.asarray(dists[0]).size
     for i, d in enumerate(dists):
         if np.asarray(d).size != length:
             raise ValueError(f"distribution {i} has length {np.asarray(d).size}, expected {length}")
-    n = len(dists)
-    A = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                A[i, j] = kl_divergence(dists[i], dists[j], epsilon)
+    S = smooth(np.stack([np.asarray(d, dtype=np.float64) for d in dists]), epsilon)
+    A = np.empty((len(dists), len(dists)))
+    # one row at a time keeps the temporaries at n*L, not n*n*L
+    for i, s in enumerate(S):
+        A[i] = np.sum(s * np.log(s / S), axis=1)
+    np.maximum(A, 0.0, out=A)
+    np.fill_diagonal(A, 0.0)
     return EntropyGraph(A=A, strengths=A.sum(axis=1))
 
 

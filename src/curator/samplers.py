@@ -26,6 +26,9 @@ from . import clustering, entropy
 from .grid import GridDataset, HypercubeBlock, RunConfig, partition_hypercubes
 
 _PHASE1_TAG = 0x51C1E
+# rows per formatting call in SampleSet.to_csv; bounds the Python float
+# list and the formatted string held at once
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -62,12 +65,12 @@ class SampleSet:
 
     def to_csv(self, path) -> None:
         """Write the payload with byte-stable formatting."""
+        row = ",".join(["%d"] * 4 + ["%.17g"] * (len(self.columns) - 4)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                ints = [f"{int(v)}" for v in row[:4]]
-                floats = [f"{v:.17g}" for v in row[4:]]
-                fh.write(",".join(ints + floats) + "\n")
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                block = self.data[start:start + _CSV_BLOCK_ROWS]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def rate_to_count(rate: float, volume: int) -> int:
@@ -391,14 +394,15 @@ def temporal_select(
     T = pdfs.shape[0]
     if budget > T:
         raise ValueError(f"budget {budget} exceeds snapshot count {T}")
-    entropies = np.array([entropy.shannon_entropy(p, epsilon) for p in pdfs])
+    S = entropy.smooth(pdfs, epsilon)
+    entropies = -np.sum(S * np.log(S), axis=1)
     selected = [int(np.argmax(entropies))]
     while len(selected) < budget:
-        mixture = pdfs[selected].mean(axis=0)
-        gains = np.full(T, -np.inf)
-        for t in range(T):
-            if t not in selected:
-                gains[t] = entropy.kl_divergence(pdfs[t], mixture, epsilon)
+        mixture = entropy.smooth(pdfs[selected].mean(axis=0), epsilon)
+        # gains[t] equals kl_divergence(pdfs[t], pdfs[selected].mean(axis=0),
+        # epsilon) bit for bit, as adjacency_matrix's rows do
+        gains = np.maximum(np.sum(S * np.log(S / mixture), axis=1), 0.0)
+        gains[selected] = -np.inf
         selected.append(int(np.argmax(gains)))
     return selected
 

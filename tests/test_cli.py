@@ -39,6 +39,9 @@ class TestSubsample:
         body = csvs[0].read_text().splitlines()
         assert body[0].startswith("t,i,j,k,x,y,z,")
         assert len(body) == 1 + 4 * 8
+        sidecar = json.loads(sidecars[0].read_text())
+        assert sidecar["write_seconds"] >= 0.0 and sidecar["wall_seconds"] >= 0.0
+        assert "write_seconds" not in sidecar["provenance"]
         captured = capsys.readouterr().out
         assert "Points emitted: 32" in captured
         assert "proxy units" in captured
@@ -252,9 +255,11 @@ class TestEntryPoint:
         assert "hypercubes" in proc.stdout
 
     def test_console_script_help(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
         proc = subprocess.run(
             [sys.executable, "-m", "curator.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         for cmd in ("subsample", "compare", "bench", "generate", "info"):

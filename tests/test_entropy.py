@@ -100,6 +100,47 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError, match="length"):
             adjacency_matrix([np.array([0.5, 0.5]), np.array([1.0])])
 
+    def test_ragged_input_names_the_distribution(self):
+        # a 2-D entry of the right size would stack; the length check
+        # runs first and names the first entry that is off
+        dists = [np.array([0.5, 0.5]), np.ones((1, 2)) / 2, np.array([0.2, 0.3, 0.5])]
+        with pytest.raises(ValueError, match=r"^distribution 2 has length 3, expected 2$"):
+            adjacency_matrix(dists)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-10])
+    def test_nonpositive_epsilon_rejected(self, n, epsilon):
+        dists = [np.array([0.5, 0.5])] * n
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            adjacency_matrix(dists, epsilon=epsilon)
+
+    @given(
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=1, max_value=120),
+        st.sampled_from([0.0, 0.5, 0.9]),
+        st.sampled_from([0.0, 0.2]),
+        st.sampled_from([1e-10, 1e-3]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_exact_against_pairwise_kl(self, n, length, empty_bins, empty_rows, epsilon, seed):
+        # normalised histograms with empty bins, and all-zero rows as
+        # sample_maxent_points passes for an empty cluster
+        rng = np.random.default_rng(seed)
+        counts = rng.uniform(size=(n, length))
+        counts[rng.uniform(size=(n, length)) < empty_bins] = 0.0
+        counts[rng.uniform(size=n) < empty_rows] = 0.0
+        dists = [c / c.sum() if c.sum() > 0.0 else np.zeros(length) for c in counts]
+        n = len(dists)
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    want[i, j] = kl_divergence(dists[i], dists[j], epsilon)
+        g = adjacency_matrix(dists, epsilon)
+        assert np.array_equal(g.A, want)
+        assert np.array_equal(g.strengths, want.sum(axis=1))
+
 
 class TestWeightedSample:
     def test_one_hot_weight(self):

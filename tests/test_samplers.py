@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curator.entropy import kl_divergence
 from curator.grid import GridDataset, GridDims, RunConfig, extract_block
 from curator.samplers import (
     SampleSet,
@@ -314,6 +315,40 @@ class TestTemporalSelect:
         with pytest.raises(ValueError, match="budget"):
             temporal_select(np.ones((2, 4)) / 4, 3)
 
+    @staticmethod
+    def select_by_pairwise_kl(pdfs, budget, epsilon=1e-10):
+        """Per-snapshot reference: one kl_divergence call per candidate."""
+        smoothed = [(p + epsilon) / (1.0 + p.size * epsilon) for p in pdfs]
+        entropies = [float(-np.sum(ps * np.log(ps))) for ps in smoothed]
+        selected = [int(np.argmax(entropies))]
+        while len(selected) < budget:
+            mixture = pdfs[selected].mean(axis=0)
+            gains = np.full(len(pdfs), -np.inf)
+            for t in range(len(pdfs)):
+                if t not in selected:
+                    gains[t] = kl_divergence(pdfs[t], mixture, epsilon)
+            selected.append(int(np.argmax(gains)))
+        return selected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_kl_loop_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        T, bins = int(rng.integers(2, 30)), int(rng.integers(1, 40))
+        pdfs = rng.uniform(size=(T, bins))
+        pdfs[rng.uniform(size=(T, bins)) < 0.3] = 0.0
+        # repeated snapshots tie on entropy and on every later gain
+        dup = rng.integers(0, T, size=T // 3)
+        pdfs[rng.integers(0, T, size=dup.size)] = pdfs[dup]
+        sums = pdfs.sum(axis=1, keepdims=True)
+        pdfs = np.divide(pdfs, sums, out=np.zeros_like(pdfs), where=sums > 0)
+        for budget in (1, T // 2 + 1, T):
+            assert temporal_select(pdfs, budget) == self.select_by_pairwise_kl(pdfs, budget)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_nonpositive_epsilon_rejected(self, budget):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            temporal_select(np.ones((3, 4)) / 4, budget, epsilon=0.0)
+
 
 class TestResolveSeed:
     def test_int_passthrough(self):
@@ -365,6 +400,49 @@ class TestSampleSet:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header == "t,i,j,k,x,y,z,u"
+
+
+def csv_by_row(columns, data):
+    """Per-row reference formatter for SampleSet.to_csv."""
+    lines = [",".join(columns) + "\n"]
+    for row in data:
+        ints = [f"{int(v)}" for v in row[:4]]
+        floats = [f"{v:.17g}" for v in row[4:]]
+        lines.append(",".join(ints + floats) + "\n")
+    return lines
+
+
+class TestCsvBytes:
+    EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+                1e16, 123456789.123, float("inf"), float("-inf"), float("nan")]
+
+    def table(self, rows, role_vars, seed=0):
+        rng = np.random.default_rng(seed)
+        shape = (rows, 7 + role_vars)
+        data = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        data[:, :4] = rng.integers(0, 2**31 + 1, size=(rows, 4))
+        if rows:
+            data[0, :4] = [0, 2**31, 2**31 - 1, -0.0]
+            n = min(len(self.EXTREMES), data[:, 4:].size)
+            data[:, 4:].flat[:n] = self.EXTREMES[:n]
+        columns = ["t", "i", "j", "k", "x", "y", "z", *("v%d" % c for c in range(role_vars))]
+        return SampleSet(columns=columns, data=data)
+
+    @pytest.mark.parametrize("role_vars", [1, 4])
+    @pytest.mark.parametrize("rows", [0, 1, 5, 4096, 4096 * 2 + 3])
+    def test_matches_per_row_formatting(self, tmp_path, rows, role_vars):
+        s = self.table(rows, role_vars, seed=rows + role_vars)
+        s.to_csv(tmp_path / "s.csv")
+        with open(tmp_path / "s.csv") as fh:
+            got = fh.readlines()
+        # compared as lists of lines: a failure names the first differing row
+        assert got == csv_by_row(s.columns, s.data)
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        s = self.table(0, 1)
+        s.to_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == b"t,i,j,k,x,y,z,v0\n"
 
 
 class TestRunPipeline:
