@@ -22,7 +22,7 @@ from .grid import (
     parse_config,
     partition_hypercubes,
 )
-from .clustering import assign, cluster_distribution, kmeans_fit
+from .clustering import assign, kmeans_fit
 from .entropy import (
     EntropyGraph,
     adjacency_matrix,

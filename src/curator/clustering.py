@@ -88,13 +88,3 @@ def assign(centroids: np.ndarray, values: np.ndarray) -> np.ndarray:
     c = np.asarray(centroids, dtype=np.float64)
     return np.searchsorted((c[:-1] + c[1:]) / 2, values, side="left")
 
-
-def cluster_distribution(labels: np.ndarray, k: int) -> np.ndarray:
-    """Empirical probability vector over k cluster labels."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("empty label list")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
-    counts = np.bincount(labels, minlength=k)
-    return counts / labels.size

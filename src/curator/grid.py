@@ -57,15 +57,21 @@ class GridDims:
 
 @dataclass
 class GridDataset:
-    """Named scalar fields of shape (nt, nx, ny, nz) with variable roles."""
+    """Named scalar fields of shape (nt, nx, ny, nz) with variable roles.
+    ``timestep_ids`` are the file timesteps of the time axis, by default 0..nt-1."""
 
     dims: GridDims
     fields: dict[str, np.ndarray]
     input_vars: list[str]
     output_vars: list[str]
     cluster_var: str
+    timestep_ids: list[int] | None = None
 
     def __post_init__(self):
+        ids = range(self.dims.nt) if self.timestep_ids is None else self.timestep_ids
+        self.timestep_ids = [int(t) for t in ids]
+        if len(ids) != self.dims.nt:
+            raise ValueError(f"{len(ids)} timestep ids for {self.dims.nt} timesteps")
         for name in self.role_vars():
             if name not in self.fields:
                 raise ValueError(f"role variable {name!r} missing from field map")
@@ -86,10 +92,20 @@ class GridDataset:
             seen.setdefault(name)
         return list(seen)
 
+    def positions(self, timesteps: str | list[int]) -> list[int]:
+        """Time-axis positions of timestep ids, in order; "all" gives every position."""
+        if timesteps == "all":
+            return list(range(self.dims.nt))
+        for t in timesteps:
+            if int(t) not in self.timestep_ids:
+                raise ConfigError(f"timestep {t} not in the dataset {self.timestep_ids}")
+        return [self.timestep_ids.index(int(t)) for t in timesteps]
+
 
 @dataclass
 class HypercubeBlock:
-    """A self-contained axis-aligned sub-block of the grid at one timestep."""
+    """An axis-aligned sub-block of the grid at one time-axis position;
+    ``values`` are views into the dataset's fields."""
 
     origin: tuple[int, int, int]
     extents: tuple[int, int, int]
@@ -336,6 +352,7 @@ def load_dataset(config: RunConfig) -> GridDataset:
         input_vars=list(config.input_vars),
         output_vars=list(config.output_vars),
         cluster_var=config.cluster_var,
+        timestep_ids=steps,
     )
 
 
@@ -393,7 +410,7 @@ def extract_block(
     timestep: int,
     index: int = 0,
 ) -> HypercubeBlock:
-    """Copy one sub-block out of the dataset; the result is self-contained."""
+    """View one sub-block of the dataset at a time-axis position."""
     i0, j0, k0 = origin
     sx, sy, sz = extents
     d = dataset.dims
@@ -406,7 +423,7 @@ def extract_block(
     if not 0 <= timestep < d.nt:
         raise ValueError(f"timestep {timestep} out of range [0, {d.nt})")
     values = {
-        var: dataset.fields[var][timestep, i0:i0 + sx, j0:j0 + sy, k0:k0 + sz].copy()
+        var: dataset.fields[var][timestep, i0:i0 + sx, j0:j0 + sy, k0:k0 + sz]
         for var in dataset.role_vars()
     }
     return HypercubeBlock(

@@ -11,7 +11,7 @@ hardware energy counters are involved, and reports label units as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +45,9 @@ class PdfHistogram:
 
 @dataclass
 class CoverageReport:
-    """Per-variable coverage metrics plus sampling timing."""
+    """Per-variable coverage metrics."""
 
     per_variable: dict[str, dict[str, float]]
-    timing: dict[str, float] = field(default_factory=dict)
 
 
 def histogram_pdf(
@@ -93,10 +92,8 @@ def coverage_report(
             raise ValueError(f"variable {var!r} missing from sample")
         full = np.asarray(full, dtype=np.float64).ravel()
         sampled = sample.var_values(var)
-        lo, hi = float(full.min()), float(full.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        h_full = histogram_pdf(full, bins, (lo, hi))
+        h_full = histogram_pdf(full, bins)
+        lo, hi = h_full.edges[[0, -1]].tolist()
         h_sample = histogram_pdf(sampled, bins, (lo, hi))
 
         kl = entropy.kl_divergence(h_full.probabilities, h_sample.probabilities)
@@ -122,13 +119,7 @@ def coverage_report(
             "span_ratio": span_ratio,
             "tail_capture": tail_capture,
         }
-    timing = {
-        "sampling_seconds": float(
-            sum(sample.provenance.get("phase_seconds", {}).values())
-        ),
-        "points_emitted": float(len(sample)),
-    }
-    return CoverageReport(per_variable=per_variable, timing=timing)
+    return CoverageReport(per_variable=per_variable)
 
 
 COMPARISON_COLUMNS = [
@@ -156,13 +147,11 @@ def compare_methods(
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
-    timesteps = (
-        list(range(dataset.dims.nt))
-        if config.timesteps == "all"
-        else [int(t) for t in config.timesteps]
-    )
+    positions = dataset.positions(config.timesteps)
+    # with every snapshot in use, ravel the fields in place instead of copying
+    time_axis = slice(None) if positions == list(range(dataset.dims.nt)) else positions
     full_values = {
-        var: dataset.fields[var][timesteps].ravel() for var in dataset.role_vars()
+        var: dataset.fields[var][time_axis].ravel() for var in dataset.role_vars()
     }
     rows: list[dict] = []
     first_samples: dict[str, np.ndarray] = {}
@@ -233,11 +222,8 @@ def histogram_comparison_csv(
     full_values: np.ndarray, sample_values: np.ndarray, path, bins: int = 100
 ) -> None:
     """Per-method histogram CSV: bin_lo, bin_hi, density_full, density_sample."""
-    full = np.asarray(full_values, dtype=np.float64).ravel()
-    lo, hi = float(full.min()), float(full.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    h_full = histogram_pdf(full, bins, (lo, hi))
+    h_full = histogram_pdf(full_values, bins)
+    lo, hi = h_full.edges[[0, -1]].tolist()
     h_sample = histogram_pdf(sample_values, bins, (lo, hi))
     with open(path, "w") as fh:
         fh.write("bin_lo,bin_hi,density_full,density_sample\n")

@@ -8,9 +8,9 @@ strength).  Phase 2 samples points within each selected cube with one
 of: full, random, stratified, lhs, uips, maxent; maxent runs the same
 one-dimensional k-means on the cube's own cluster-variable values.
 
-Every per-cube random stream is seeded from (run seed, timestep, cube
-index), so output is bit-identical regardless of worker count or cube
-processing order.
+Every per-cube random stream is seeded from (run seed, time-axis
+position, cube index), so output is bit-identical regardless of worker
+count or cube processing order.
 """
 from __future__ import annotations
 
@@ -122,13 +122,16 @@ def select_hypercubes_maxent(
     if m > len(blocks):
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
     rng = _rng(seed)
+    sizes = np.array([b.volume for b in blocks])
     pooled = np.concatenate([b.flat_values(cluster_var) for b in blocks])
     centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)))
-    dists = []
-    for b in blocks:
-        labels = clustering.assign(centroids, b.flat_values(cluster_var))
-        dists.append(clustering.cluster_distribution(labels, centroids.size))
-    graph = entropy.adjacency_matrix(dists)
+    k = centroids.size
+    # label counts of every cube in one pass: cube b's label c lands in bin b * k + c
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    counts = np.bincount(
+        owner * k + clustering.assign(centroids, pooled), minlength=len(blocks) * k
+    )
+    graph = entropy.adjacency_matrix(counts.reshape(len(blocks), k) / sizes[:, None])
     return entropy.weighted_sample(graph.strengths, m, seed=rng)
 
 
@@ -191,11 +194,11 @@ def sample_stratified(
     return np.sort(np.concatenate(chosen)).astype(np.int64)
 
 
-def lhs_design(n: int, rng: np.random.Generator, d: int = 3) -> np.ndarray:
-    """n-point Latin hypercube in [0, 1)^d: each axis is divided into n
+def lhs_design(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n-point Latin hypercube in [0, 1)^3: each axis is divided into n
     intervals holding exactly one coordinate, paired by random permutation."""
-    coords = np.empty((n, d))
-    for axis in range(d):
+    coords = np.empty((n, 3))
+    for axis in range(3):
         perm = rng.permutation(n)
         coords[:, axis] = (perm + rng.uniform(size=n)) / n
     return coords
@@ -443,7 +446,7 @@ def _cube_rows(
     d = dataset.dims
     gidx = block.local_to_global(flat_idx)
     rows = np.empty((flat_idx.size, 7 + len(role_vars)))
-    rows[:, 0] = block.timestep
+    rows[:, 0] = dataset.timestep_ids[block.timestep]
     rows[:, 1:4] = gidx
     rows[:, 4] = gidx[:, 0] / max(d.nx - 1, 1)
     rows[:, 5] = gidx[:, 1] / max(d.ny - 1, 1)
@@ -475,29 +478,21 @@ def run_pipeline(
 ) -> SampleSet:
     """Partition, Phase-1 cube selection, Phase-2 point sampling, merge.
 
-    Output is invariant to worker count and cube processing order; the
-    merge is an ordered concatenation by (timestep, cube index).
+    One pool samples the cubes selected at every timestep.  Output is
+    invariant to worker count and cube processing order; the merge is an
+    ordered concatenation by (timestep, cube index).
     """
     from .bench import parallel_map
 
     workers = config.workers if workers is None else workers
     seed = resolve_seed(config.seed)
     role_vars = dataset.role_vars()
-    timesteps = (
-        list(range(dataset.dims.nt))
-        if config.timesteps == "all"
-        else [int(t) for t in config.timesteps]
-    )
+    m = config.num_hypercubes
 
-    phase1_seconds = 0.0
-    phase2_seconds = 0.0
-    pieces: list[np.ndarray] = []
-    cube_ranges: list[list[int]] = []
-    emitted = 0
-    for ts in timesteps:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    work: list[HypercubeBlock] = []
+    for ts in dataset.positions(config.timesteps):
         blocks = partition_hypercubes(dataset, config.cube_extents, ts)
-        m = config.num_hypercubes
         if m > len(blocks):
             raise ValueError(
                 f"num_hypercubes={m} exceeds available blocks ({len(blocks)})"
@@ -509,24 +504,24 @@ def run_pipeline(
             )
         else:
             selected = select_hypercubes_random(blocks, m, phase1_rng)
-        selected = np.sort(selected)
-        phase1_seconds += time.perf_counter() - t0
+        work.extend(blocks[c] for c in np.sort(selected))
+    phase1_seconds = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
+    def one_cube(item: int) -> np.ndarray:
+        block = work[item]
+        rng = cube_rng(seed, block.timestep, block.index)
+        flat_idx = _dispatch_sampler(config, block, rng)
+        return _cube_rows(block, flat_idx, dataset, role_vars)
 
-        def one_cube(cube_index: int, _ts=ts, _blocks=blocks) -> np.ndarray:
-            block = _blocks[cube_index]
-            rng = cube_rng(seed, _ts, cube_index)
-            flat_idx = _dispatch_sampler(config, block, rng)
-            return _cube_rows(block, flat_idx, dataset, role_vars)
+    t0 = time.perf_counter()
+    pieces = parallel_map(one_cube, list(range(len(work))), workers)
+    phase2_seconds = time.perf_counter() - t0
 
-        results = parallel_map(one_cube, [int(c) for c in selected], workers)
-        for cube_index, rows in zip(selected, results):
-            cube_ranges.append([int(ts), int(cube_index), emitted, emitted + rows.shape[0]])
-            emitted += rows.shape[0]
-            pieces.append(rows)
-        phase2_seconds += time.perf_counter() - t0
-
+    sizes = [rows.shape[0] for rows in pieces]
+    cube_ranges = [
+        [dataset.timestep_ids[b.timestep], b.index, int(end - size), int(end)]
+        for b, size, end in zip(work, sizes, np.cumsum(sizes))
+    ]
     data = np.concatenate(pieces, axis=0) if pieces else np.empty((0, 7 + len(role_vars)))
     columns = ["t", "i", "j", "k", "x", "y", "z", *role_vars]
     provenance = {

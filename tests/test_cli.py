@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curator.cli import main
+from curator.grid import GridDataset, GridDims
 from curator.synthetic import gen_taylor_green, save_dataset, dataset_config
 
 
@@ -152,6 +153,59 @@ class TestCompare:
         ]) == 1
         err = capsys.readouterr().err
         assert "sobol" in err and "maxent" in err  # lists the valid names
+
+
+class TestTimesteps:
+    """Snapshots are named by the timestep in their file names, not by
+    their position in the loaded dataset."""
+
+    @pytest.fixture()
+    def two_steps(self, tmp_path):
+        ds = GridDataset(
+            dims=GridDims(nx=8, ny=8, nz=8, nt=2),
+            fields={"s": np.random.default_rng(0).normal(size=(2, 8, 8, 8))},
+            input_vars=["s"], output_vars=["s"], cluster_var="s",
+        )
+        data_dir = tmp_path / "data"
+        save_dataset(ds, data_dir)
+        cfg = tmp_path / "case.yaml"
+        cfg.write_text(dataset_config(
+            ds, data_dir, num_hypercubes=2, method="random", num_samples=8,
+            nxsl=4, nysl=4, nzsl=4,
+        ))
+        return cfg, data_dir, ds.fields["s"]
+
+    @staticmethod
+    def _rows(out):
+        return np.loadtxt(next(out.glob("*.csv")), delimiter=",", skiprows=1)
+
+    def test_subsample_one_explicit_timestep(self, two_steps, tmp_path):
+        cfg, _, s = two_steps
+        out = tmp_path / "out"
+        assert run_cli(["subsample", cfg, "--output-dir", out, "--timesteps", "1"]) == 0
+        rows = self._rows(out)
+        assert set(rows[:, 0]) == {1.0}
+        i, j, k = rows[:, 1:4].astype(int).T
+        np.testing.assert_array_equal(rows[:, 7], s[1, i, j, k])
+        sidecar = json.loads(next(out.glob("*.json")).read_text())
+        assert {r[0] for r in sidecar["provenance"]["cube_ranges"]} == {1}
+
+    def test_compare_one_explicit_timestep(self, two_steps, tmp_path):
+        cfg, _, _ = two_steps
+        out = tmp_path / "out"
+        assert run_cli([
+            "compare", cfg, "--output-dir", out, "--methods", "random",
+            "--seeds", "0", "--timesteps", "1",
+        ]) == 0
+        assert (out / "comparison.csv").exists()
+
+    def test_t_column_holds_file_timesteps(self, two_steps, tmp_path):
+        cfg, data_dir, _ = two_steps
+        for old, new in ((0, 5), (1, 7)):
+            (data_dir / f"s_{old}.bin").rename(data_dir / f"s_{new}.bin")
+        out = tmp_path / "out"
+        assert run_cli(["subsample", cfg, "--output-dir", out]) == 0
+        assert set(self._rows(out)[:, 0]) == {5.0, 7.0}
 
 
 class TestBench:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curator.clustering import _kmeanspp_init, assign, cluster_distribution, kmeans_fit
+from curator.clustering import _kmeanspp_init, assign, kmeans_fit
 
 
 def two_blobs(seed=0, n=1000, sep=10.0, sigma=0.1):
@@ -141,36 +141,6 @@ class TestAssign:
         values = np.random.default_rng(3).normal(size=100)
         centroids = kmeans_fit(values, k=3, seed=0)
         np.testing.assert_array_equal(assign(centroids, values), assign(centroids, values))
-
-
-class TestClusterDistribution:
-    def test_counting(self):
-        np.testing.assert_allclose(
-            cluster_distribution([0, 0, 0, 1], 2), [0.75, 0.25]
-        )
-
-    def test_one_hot(self):
-        np.testing.assert_allclose(
-            cluster_distribution([2, 2, 2], 4), [0, 0, 1, 0]
-        )
-
-    def test_uniform(self):
-        np.testing.assert_allclose(
-            cluster_distribution(list(range(5)) * 3, 5), [0.2] * 5
-        )
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 7, size=999)
-        assert abs(cluster_distribution(labels, 7).sum() - 1.0) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            cluster_distribution([], 2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            cluster_distribution([0, 5], 3)
 
 
 def test_effective_k_reduces_with_warning():

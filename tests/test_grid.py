@@ -172,6 +172,17 @@ class TestLoadDataset:
         assert ds.dims.nx == 2
         np.testing.assert_array_equal(ds.fields["u"][0], arr[::2])
 
+    def test_timestep_ids_come_from_the_files(self, tmp_path):
+        rng = np.random.default_rng(0)
+        snaps = {t: rng.normal(size=(4, 3, 2)) for t in (5, 7)}
+        for t, arr in snaps.items():
+            self._write_raw(tmp_path / f"u_{t}.bin", arr)
+        ds = load_dataset(self._config(tmp_path))
+        assert ds.timestep_ids == [5, 7]
+        one = load_dataset(self._config(tmp_path, timesteps=[7]))
+        assert one.timestep_ids == [7]
+        np.testing.assert_array_equal(one.fields["u"][0], snaps[7])
+
     def test_csv_point_cloud_2d(self, tmp_path):
         nx, ny = 3, 2
         rows = []
@@ -239,6 +250,34 @@ class TestPartition:
         assert origins == sorted(origins, key=lambda o: (o[2], o[1], o[0]))
 
 
+class TestTimestepPositions:
+    def _dataset(self, timestep_ids=None):
+        return GridDataset(
+            dims=GridDims(nx=2, ny=2, nz=2, nt=3), fields={"f": np.zeros((3, 2, 2, 2))},
+            input_vars=["f"], output_vars=["f"], cluster_var="f",
+            timestep_ids=timestep_ids,
+        )
+
+    def test_ids_default_to_positions(self):
+        ds = self._dataset()
+        assert ds.timestep_ids == [0, 1, 2]
+        assert ds.positions("all") == [0, 1, 2]
+        assert ds.positions([2, 0]) == [2, 0]
+
+    def test_ids_map_to_positions(self):
+        ds = self._dataset([4, 9, 11])
+        assert ds.positions("all") == [0, 1, 2]
+        assert ds.positions([11, 4]) == [2, 0]
+
+    def test_unknown_id_is_named(self):
+        with pytest.raises(ConfigError, match=r"timestep 3 not in the dataset \[4, 9, 11\]"):
+            self._dataset([4, 9, 11]).positions([9, 3])
+
+    def test_id_count_must_match_nt(self):
+        with pytest.raises(ValueError, match="2 timestep ids for 3 timesteps"):
+            self._dataset([0, 1])
+
+
 class TestExtractBlock:
     def test_ramp_values(self):
         ds = ramp_dataset()
@@ -252,11 +291,10 @@ class TestExtractBlock:
         b = extract_block(ds, (4, 0, 0), (4, 4, 4), 0)
         np.testing.assert_array_equal(b.values["f"], ds.fields["f"][0, 4:8, 0:4, 0:4])
 
-    def test_self_contained(self):
+    def test_block_is_a_view(self):
         ds = ramp_dataset()
         b = extract_block(ds, (0, 0, 0), (2, 2, 2), 0)
-        ds.fields["f"][:] = -1.0
-        assert b.flat_values("f")[7] == 3.0
+        assert np.shares_memory(b.values["f"], ds.fields["f"])
 
     def test_out_of_bounds(self):
         ds = ramp_dataset(8, 8, 8)

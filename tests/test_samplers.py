@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from curator.entropy import kl_divergence
+from curator import bench
+from curator.clustering import assign, kmeans_fit
+from curator.entropy import adjacency_matrix, kl_divergence, weighted_sample
 from curator.grid import GridDataset, GridDims, RunConfig, extract_block
 from curator.samplers import (
     SampleSet,
@@ -114,6 +116,28 @@ class TestHypercubeSelection:
             sel = select_hypercubes_maxent(blocks, "u", 8, 1, seed=trial)
             hits += int(sel[0]) == 9
         assert hits / trials > 0.3  # 3x the uniform baseline
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_maxent_matches_per_block_loop(self, seed):
+        # blocks of unequal extents; m = len(blocks) records the whole draw order
+        ds = make_dataset(8, 8, 8, seed=seed)
+        shapes = [((0, 0, 0), (2, 2, 2)), ((2, 0, 0), (4, 2, 2)), ((0, 2, 0), (3, 4, 1)),
+                  ((0, 0, 4), (8, 1, 1)), ((4, 4, 4), (4, 4, 4)), ((1, 6, 2), (5, 2, 3))]
+        blocks = [extract_block(ds, o, e, 0, i) for i, (o, e) in enumerate(shapes)]
+        k, m = 5, len(blocks)
+
+        rng = np.random.default_rng(seed)
+        pooled = np.concatenate([b.flat_values("u") for b in blocks])
+        centroids = kmeans_fit(pooled, k, seed=int(rng.integers(2**63)))
+        dists = [
+            np.bincount(assign(centroids, b.flat_values("u")), minlength=centroids.size)
+            / b.volume
+            for b in blocks
+        ]
+        expected = weighted_sample(adjacency_matrix(dists).strengths, m, seed=rng)
+
+        got = select_hypercubes_maxent(blocks, "u", k, m, np.random.default_rng(seed))
+        assert np.array_equal(got, expected)
 
     def test_maxent_too_many(self):
         blocks = [make_block(2, seed=s) for s in range(2)]
@@ -478,6 +502,27 @@ class TestRunPipeline:
         s = run_pipeline(cfg, ds)
         assert len(s) == 16
         assert set(s.data[:, 0].astype(int)) == {0, 2}
+
+    def test_timesteps_share_one_pool(self, monkeypatch):
+        cfg = base_config(method="maxent", hypercubes="maxent", num_samples=12,
+                          num_hypercubes=3)
+        ds = make_dataset(nt=3)
+        results = [run_pipeline(cfg, ds, workers=w) for w in (1, 2, 3)]
+        assert len({r.content_digest() for r in results}) == 1
+        keys = [tuple(r[:2]) for r in results[0].provenance["cube_ranges"]]
+        assert len(keys) == 9 and keys == sorted(keys)
+        assert {t for t, _ in keys} == {0, 1, 2}
+
+        calls = []
+        real_map = bench.parallel_map
+
+        def counting_map(fn, items, workers):
+            calls.append(len(items))
+            return real_map(fn, items, workers)
+
+        monkeypatch.setattr(bench, "parallel_map", counting_map)
+        run_pipeline(cfg, ds, workers=2)
+        assert calls == [9]
 
     def test_cube_ranges_partition_rows(self):
         cfg = base_config(num_samples=6, num_hypercubes=3)
