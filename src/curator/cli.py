@@ -153,7 +153,7 @@ def cmd_compare(args) -> int:
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 
-    rows, full, first_samples = metrics.compare_methods(config, dataset, methods, seeds)
+    rows, full_ref, first_samples = metrics.compare_methods(config, dataset, methods, seeds)
     # wall-clock lives in the sidecar so the CSV payload stays byte-stable
     metrics.comparison_to_csv(rows, out_dir / "comparison.csv")
     timing = {
@@ -163,7 +163,9 @@ def cmd_compare(args) -> int:
     (out_dir / "comparison_timing.json").write_text(json.dumps(timing, indent=2))
 
     for method, values in first_samples.items():
-        metrics.histogram_comparison_csv(full, values, out_dir / f"hist_{method}.csv")
+        metrics.histogram_comparison_csv(
+            full_ref.histogram, values, out_dir / f"hist_{method}.csv"
+        )
     print(f"Wrote {out_dir / 'comparison.csv'} ({len(rows)} rows) "
           f"and {len(methods)} histogram CSVs")
     print("KL direction: D(full || sample), natural log (nats)")

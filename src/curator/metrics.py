@@ -4,14 +4,16 @@ Coverage is judged against density-normalized histograms anchored to the
 full data's min-max range, so bin occupancy is comparable across
 methods.  The KL direction is D(full || sample): a sample is penalized
 for missing regions where the full data has mass.  All divergences are
-reported in nats.  Costs are wall-clock seconds plus a proxy term; no
-hardware energy counters are involved, and reports label units as
-"proxy units".
+reported in nats.  The full-data side of a variable's scores, its
+histogram and its per-bin tail counts, is a ``FullReference``: built
+once per variable and shared by every sample scored against it.  Costs
+are wall-clock seconds plus a proxy term; no hardware energy counters
+are involved, and reports label units as "proxy units".
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,6 +76,27 @@ def histogram_pdf(
     return PdfHistogram(edges=edges, densities=densities, count=values.size)
 
 
+@dataclass(frozen=True)
+class FullReference:
+    """The full-data side of one variable's coverage scores, built once
+    and shared by every sample scored against that variable."""
+
+    histogram: PdfHistogram  # over the full data's min-max range
+    tail_counts: np.ndarray  # per bin, the full-data points beyond the 1st/99th percentiles
+
+
+def full_reference(full: np.ndarray, bins: int = 100) -> FullReference:
+    """Histogram the full data and count its tail points per bin."""
+    full = np.asarray(full, dtype=np.float64).ravel()
+    h_full = histogram_pdf(full, bins)
+    q01, q99 = np.percentile(full, [1.0, 99.0])
+    tail_points = full[(full < q01) | (full > q99)]
+    tail_bins = np.clip(
+        np.searchsorted(h_full.edges, tail_points, side="right") - 1, 0, bins - 1
+    )
+    return FullReference(histogram=h_full, tail_counts=np.bincount(tail_bins, minlength=bins))
+
+
 def coverage_report(
     sample: SampleSet, full_values: dict[str, np.ndarray], bins: int = 100
 ) -> CoverageReport:
@@ -84,39 +107,34 @@ def coverage_report(
     the fraction of full-data tail points (beyond the 1st/99th
     percentiles) whose bin the sample occupies.
     """
+    return score_sample(
+        sample, {var: full_reference(full, bins) for var, full in full_values.items()}
+    )
+
+
+def score_sample(sample: SampleSet, references: dict[str, FullReference]) -> CoverageReport:
+    """coverage_report's scores of a sample against prebuilt references."""
     if len(sample) == 0:
         raise ValueError("sample is empty")
     per_variable = {}
-    for var, full in full_values.items():
+    for var, ref in references.items():
         if var not in sample.columns:
             raise ValueError(f"variable {var!r} missing from sample")
-        full = np.asarray(full, dtype=np.float64).ravel()
         sampled = sample.var_values(var)
-        h_full = histogram_pdf(full, bins)
+        h_full = ref.histogram
         lo, hi = h_full.edges[[0, -1]].tolist()
-        h_sample = histogram_pdf(sampled, bins, (lo, hi))
-
-        kl = entropy.kl_divergence(h_full.probabilities, h_sample.probabilities)
-        occupied = h_sample.occupied_fraction
-        full_span = hi - lo
-        samp_span = float(sampled.max() - sampled.min())
-        span_ratio = min(samp_span / full_span, 1.0)
-
-        q01, q99 = np.percentile(full, [1.0, 99.0])
-        tail_points = full[(full < q01) | (full > q99)]
-        if tail_points.size:
-            tail_bins = np.clip(
-                np.searchsorted(h_full.edges, tail_points, side="right") - 1, 0, bins - 1
-            )
-            occupied_bins = h_sample.densities > 0.0
-            tail_capture = float(np.mean(occupied_bins[tail_bins]))
-        else:
-            tail_capture = 1.0
-
+        h_sample = histogram_pdf(sampled, h_full.densities.size, (lo, hi))
+        tail_total = int(ref.tail_counts.sum())
+        tail_capture = (
+            float(ref.tail_counts[h_sample.densities > 0.0].sum() / tail_total)
+            if tail_total else 1.0
+        )
         per_variable[var] = {
-            "kl_full_to_sample": kl,
-            "occupied_bin_fraction": occupied,
-            "span_ratio": span_ratio,
+            "kl_full_to_sample": entropy.kl_divergence(
+                h_full.probabilities, h_sample.probabilities
+            ),
+            "occupied_bin_fraction": h_sample.occupied_fraction,
+            "span_ratio": min(float(sampled.max() - sampled.min()) / (hi - lo), 1.0),
             "tail_capture": tail_capture,
         }
     return CoverageReport(per_variable=per_variable)
@@ -134,14 +152,14 @@ def compare_methods(
     methods: list[str],
     seeds: list[int],
     bins: int = 100,
-) -> tuple[list[dict], np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[list[dict], FullReference, dict[str, np.ndarray]]:
     """Run every (method, seed) cell and tabulate coverage metrics.
 
     Returns three things.  The rows: one per (method, seed, variable)
     plus per-method mean and standard-deviation summary rows (seed
-    column "mean" / "std").  The full data's cluster-variable values.
-    And, per method, the cluster-variable values of its sample at
-    ``seeds[0]``.
+    column "mean" / "std").  The full-data reference of the cluster
+    variable.  And, per method, the cluster-variable values of its
+    sample at ``seeds[0]``.
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -150,12 +168,13 @@ def compare_methods(
     positions = dataset.positions(config.timesteps)
     # with every snapshot in use, ravel the fields in place instead of copying
     time_axis = slice(None) if positions == list(range(dataset.dims.nt)) else positions
-    full_values = {
-        var: dataset.fields[var][time_axis].ravel() for var in dataset.role_vars()
+    # every cell is scored against the same full data, so its side is built once
+    references = {
+        var: full_reference(dataset.fields[var][time_axis].ravel(), bins)
+        for var in dataset.role_vars()
     }
     rows: list[dict] = []
     first_samples: dict[str, np.ndarray] = {}
-    from dataclasses import replace
 
     for method in methods:
         cells: dict[str, list[dict]] = {}
@@ -164,7 +183,7 @@ def compare_methods(
             t0 = time.perf_counter()
             sample = run_pipeline(run_cfg, dataset)
             elapsed = time.perf_counter() - t0
-            report = coverage_report(sample, full_values, bins)
+            report = score_sample(sample, references)
             if method not in first_samples:
                 # a copy, so the sample's table is freed after this cell
                 first_samples[method] = sample.var_values(config.cluster_var).copy()
@@ -201,7 +220,7 @@ def compare_methods(
                         "points": float(fn([r["points"] for r in var_rows])),
                     }
                 )
-    return rows, full_values[config.cluster_var], first_samples
+    return rows, references[config.cluster_var], first_samples
 
 
 def comparison_to_csv(rows: list[dict], path) -> None:
@@ -218,11 +237,11 @@ def comparison_to_csv(rows: list[dict], path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def histogram_comparison_csv(
-    full_values: np.ndarray, sample_values: np.ndarray, path, bins: int = 100
-) -> None:
-    """Per-method histogram CSV: bin_lo, bin_hi, density_full, density_sample."""
-    h_full = histogram_pdf(full_values, bins)
+def histogram_comparison_csv(h_full: PdfHistogram, sample_values: np.ndarray, path) -> None:
+    """Per-method histogram CSV: bin_lo, bin_hi, density_full, density_sample.
+
+    The sample is binned on the full-data histogram's bins."""
+    bins = h_full.densities.size
     lo, hi = h_full.edges[[0, -1]].tolist()
     h_sample = histogram_pdf(sample_values, bins, (lo, hi))
     with open(path, "w") as fh:

@@ -15,6 +15,7 @@ count or cube processing order.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import time
 import warnings
@@ -174,24 +175,26 @@ def sample_stratified(
         raise ValueError(f"strata {strata} exceed block extents {block.extents}")
     rng = _rng(seed)
 
-    x_splits = np.array_split(np.arange(sx), gx)
-    y_splits = np.array_split(np.arange(sy), gy)
-    z_splits = np.array_split(np.arange(sz), gz)
-    cells = [
-        (xs, ys, zs) for zs in z_splits for ys in y_splits for xs in x_splits
-    ]
-    volumes = np.array([len(xs) * len(ys) * len(zs) for xs, ys, zs in cells])
+    # each stratum is a box of the block; slicing its box out of the grid
+    # of flat indices and raveling x-fastest lists its points in order
+    flat_grid = np.arange(block.volume, dtype=np.int64).reshape(block.extents, order="F")
+    x_splits, y_splits, z_splits = _splits(sx, gx), _splits(sy, gy), _splits(sz, gz)
+    boxes = [(xs, ys, zs) for zs in z_splits for ys in y_splits for xs in x_splits]
+    volumes = np.array([flat_grid[box].size for box in boxes])
     counts = entropy.allocate_counts(volumes.astype(float), n, capacities=volumes)
 
     chosen = []
-    for (xs, ys, zs), c in zip(cells, counts):
+    for box, c in zip(boxes, counts):
         if c == 0:
             continue
-        # flat indices of the stratum's points, x-fastest
-        ii, jj, kk = np.meshgrid(xs, ys, zs, indexing="ij")
-        flat = (ii + sx * (jj + sy * kk)).ravel(order="F")
+        flat = flat_grid[box].ravel(order="F")
         chosen.append(rng.choice(flat, size=int(c), replace=False))
     return np.sort(np.concatenate(chosen)).astype(np.int64)
+
+
+def _splits(size: int, parts: int) -> list[slice]:
+    """np.array_split's pieces of range(size), as slices."""
+    return [slice(int(p[0]), int(p[-1]) + 1) for p in np.array_split(np.arange(size), parts)]
 
 
 def lhs_design(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,21 +222,63 @@ def sample_lhs(
     coords = lhs_design(n, rng)
 
     sx, sy, sz = block.extents
-    extents = np.array([sx, sy, sz])
-    # nearest grid point to each design coordinate
-    snapped = np.rint(coords * (extents - 1)).astype(np.int64)
-    taken = np.zeros((sx, sy, sz), dtype=bool)
-    out = np.empty(n, dtype=np.int64)
-    for r in range(n):
-        gi, gj, gk = snapped[r]
-        if taken[gi, gj, gk]:
-            gi, gj, gk = _nearest_free(taken, (gi, gj, gk))
-        taken[gi, gj, gk] = True
-        out[r] = gi + sx * (gj + sy * gk)
+    # nearest grid point to each design coordinate, as an x-fastest flat index
+    snapped = np.rint(coords * (np.array(block.extents) - 1)).astype(np.int64)
+    out = snapped[:, 0] + sx * (snapped[:, 1] + sy * snapped[:, 2])
+    rows = np.arange(n)
+    # Rows are placed in row order.  owner[c] is the earliest row placed on
+    # or snapped to cell c (n if none), so at row r cell c is taken iff
+    # owner[c] < r, and only rows that find their snapped cell taken move.
+    owner = np.full(block.volume, n, dtype=np.int64)
+    np.minimum.at(owner, out, rows)
+    pending = np.flatnonzero(owner[out] < rows).tolist()  # sorted, so a heap
+    while pending:
+        r = heapq.heappop(pending)
+        cell = _nearest_free_cell(owner, r, snapped[r].tolist(), block.extents)
+        if owner[cell] < n:
+            # the later row that snapped to this cell now finds it taken
+            heapq.heappush(pending, int(owner[cell]))
+        owner[cell] = r
+        out[r] = cell
     return out
 
 
+# radius-1 neighbour offsets in _nearest_free's order: d^2, then x, y, z
+_NEIGHBOURS = sorted(
+    ((dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+     if (dx, dy, dz) != (0, 0, 0)),
+    key=lambda o: (o[0] ** 2 + o[1] ** 2 + o[2] ** 2, *o),
+)
+
+
+def _nearest_free_cell(
+    owner: np.ndarray, r: int, center: list[int], extents: tuple[int, int, int]
+) -> int:
+    """Flat index of the cell _nearest_free picks for row r, where the
+    cells taken at row r are those with owner < r."""
+    sx, sy, sz = extents
+    ci, cj, ck = center
+    # every radius-1 neighbour has d^2 <= 3 < (1 + 1)^2, so _nearest_free
+    # returns the first free one in its tie order
+    for dx, dy, dz in _NEIGHBOURS:
+        i, j, k = ci + dx, cj + dy, ck + dz
+        if 0 <= i < sx and 0 <= j < sy and 0 <= k < sz:
+            cell = i + sx * (j + sy * k)
+            if owner[cell] >= r:
+                return cell
+    taken = (owner < r).reshape(extents, order="F")
+    i, j, k = _nearest_free(taken, (ci, cj, ck))
+    return i + sx * (j + sy * k)
+
+
 def _nearest_free(taken: np.ndarray, center: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The free grid point nearest to center.
+
+    Ties in squared distance d^2 break to the smallest x, then y, then z.
+    The search scans cubes of growing radius around center and stops at
+    the first radius whose best free point has d^2 <= (radius + 1)^2:
+    anything outside the scanned cube is at least radius + 1 away.
+    """
     sx, sy, sz = taken.shape
     ci, cj, ck = center
     best = None
@@ -252,7 +297,6 @@ def _nearest_free(taken: np.ndarray, center: tuple[int, int, int]) -> tuple[int,
             cand_d2 = d2[order[0]]
             if best is None or cand_d2 < best_d2:
                 best, best_d2 = cand, cand_d2
-            # anything outside the scanned cube is at least radius+1 away
             if best_d2 <= (radius + 1) ** 2:
                 break
     if best is None:
@@ -315,13 +359,13 @@ def sample_uips(
         else:
             c_hi = c
     accept_p = np.minimum(1.0, c / density)
-    u = rng.uniform(size=feats.shape[0])
-    accepted = np.flatnonzero(u < accept_p)
+    accept = rng.uniform(size=feats.shape[0]) < accept_p
+    accepted = np.flatnonzero(accept)
 
     if accepted.size > n:
         accepted = rng.choice(accepted, size=n, replace=False)
     elif accepted.size < n:
-        rejected = np.setdiff1d(np.arange(feats.shape[0]), accepted, assume_unique=False)
+        rejected = np.flatnonzero(~accept)
         topup = rng.choice(rejected, size=n - accepted.size, replace=False)
         accepted = np.concatenate([accepted, topup])
     return np.sort(accepted).astype(np.int64)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,44 @@ def case(tmp_path):
     cfg = tmp_path / "case.yaml"
     cfg.write_text(text)
     return cfg
+
+
+@pytest.fixture()
+def compare_case(tmp_path):
+    """Two timesteps of a normal and a lognormal field on a 12x12x8 grid,
+    3 of 18 cubes of 4^3 per step, 40 of 64 points per cube (so LHS
+    snaps collide often)."""
+    rng = np.random.default_rng(11)
+    ds = GridDataset(
+        dims=GridDims(nx=12, ny=12, nz=8, nt=2),
+        fields={
+            "u": rng.normal(size=(2, 12, 12, 8)),
+            "s": rng.lognormal(size=(2, 12, 12, 8)),
+        },
+        input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
+    )
+    data_dir = tmp_path / "data"
+    save_dataset(ds, data_dir)
+    cfg = tmp_path / "case.yaml"
+    cfg.write_text(dataset_config(
+        ds, data_dir, num_hypercubes=3, method="random", num_samples=40,
+        num_clusters=4, nxsl=4, nysl=4, nzsl=4, strata=[2, 2, 2], uips_bins=5,
+    ))
+    return cfg
+
+
+# sha256 of every payload file of `curator compare` on compare_case with
+# methods random, stratified, lhs, uips, maxent and seeds 3, 4.  A change
+# that alters these bytes updates the digest it moves and says why in
+# CHANGES.md.
+COMPARE_GOLDEN_DIGESTS = {
+    "comparison.csv": "8f5efd0e25695c0435e2c7cf2fed88b8ea8c4dd271986db0e0ae4a4a38cb204b",
+    "hist_random.csv": "c129fb9ac98f9c16ae48ecdeee65664a8ecefdf8f52e1aca77621101d90cd1cc",
+    "hist_stratified.csv": "434c129cf4b8e02f7039f512825ce623cd9e935e9463eb8a31671f6192bf6b5c",
+    "hist_lhs.csv": "6a770328cae9e4bcde80f9c5536c183796d63bbf51068a337ae1d40e9873298d",
+    "hist_uips.csv": "170146437027293470f71c48a83e96db44ce7e0a12e53cabc5aa5401ca50f7b9",
+    "hist_maxent.csv": "796091374a7c47cecfd15bafcb21d884c846bf7874c70a3a16df1efaf4985727",
+}
 
 
 def run_cli(args):
@@ -145,6 +184,19 @@ class TestCompare:
             ])
             outs.append((out / "comparison.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_bytes(self, compare_case, tmp_path, workers):
+        out = tmp_path / "out"
+        assert run_cli([
+            "compare", compare_case, "--output-dir", out, "--workers", workers,
+            "--methods", "random,stratified,lhs,uips,maxent", "--seeds", "3,4",
+        ]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in COMPARE_GOLDEN_DIGESTS
+        }
+        assert digests == COMPARE_GOLDEN_DIGESTS
 
     def test_unknown_method_exits_1(self, case, tmp_path, capsys):
         assert run_cli([

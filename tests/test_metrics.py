@@ -138,8 +138,10 @@ class TestCompareMethods:
             nxsl=4, nysl=4, nzsl=4, num_hypercubes=4, num_samples=16,
             strata=[2, 2, 2], seed=0,
         )
-        rows, full, first_samples = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
-        np.testing.assert_array_equal(full, ds.fields["u"].ravel())
+        rows, full_ref, first_samples = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
+        h_full = histogram_pdf(ds.fields["u"].ravel(), 100)
+        np.testing.assert_array_equal(full_ref.histogram.edges, h_full.edges)
+        np.testing.assert_array_equal(full_ref.histogram.densities, h_full.densities)
         first_lhs = run_pipeline(replace(cfg, method="lhs", seed=0), ds)
         np.testing.assert_array_equal(first_samples["lhs"], first_lhs.var_values("u"))
         # per method: 2 seeds x 1 variable + mean + std rows
@@ -183,7 +185,7 @@ class TestHistogramComparisonCsv:
     def test_schema_and_lengths(self, tmp_path):
         rng = np.random.default_rng(0)
         full = rng.normal(size=2000)
-        histogram_comparison_csv(full, full[:100], tmp_path / "h.csv", bins=25)
+        histogram_comparison_csv(histogram_pdf(full, 25), full[:100], tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,density_full,density_sample"
         assert len(lines) == 26

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curator import bench
 from curator.clustering import assign, kmeans_fit
-from curator.entropy import adjacency_matrix, kl_divergence, weighted_sample
+from curator.entropy import adjacency_matrix, allocate_counts, kl_divergence, weighted_sample
 from curator.grid import GridDataset, GridDims, RunConfig, extract_block
 from curator.samplers import (
     SampleSet,
@@ -279,6 +283,168 @@ class TestSampleUips:
             sample_uips(block, 5, 20, ["u"] * 5, seed=0)
 
 
+# ---------------------------------------------------------------------------
+# Reference samplers: the per-point implementations that sample_lhs,
+# sample_stratified and sample_uips replaced.  The fast ones must return
+# the same indices bit for bit.
+
+
+def ref_nearest_free(taken, center):
+    sx, sy, sz = taken.shape
+    ci, cj, ck = center
+    best = None
+    best_d2 = None
+    for radius in range(1, max(sx, sy, sz)):
+        ilo, ihi = max(ci - radius, 0), min(ci + radius, sx - 1)
+        jlo, jhi = max(cj - radius, 0), min(cj + radius, sy - 1)
+        klo, khi = max(ck - radius, 0), min(ck + radius, sz - 1)
+        sub = taken[ilo:ihi + 1, jlo:jhi + 1, klo:khi + 1]
+        free = np.argwhere(~sub)
+        if free.size:
+            pts = free + np.array([ilo, jlo, klo])
+            d2 = np.sum((pts - np.array(center)) ** 2, axis=1)
+            order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], d2))
+            cand = pts[order[0]]
+            cand_d2 = d2[order[0]]
+            if best is None or cand_d2 < best_d2:
+                best, best_d2 = cand, cand_d2
+            if best_d2 <= (radius + 1) ** 2:
+                break
+    return int(best[0]), int(best[1]), int(best[2])
+
+
+def ref_sample_lhs(block, n, seed):
+    """One row at a time: snap, and move to the nearest free cell if taken."""
+    rng = np.random.default_rng(seed)
+    coords = lhs_design(n, rng)
+    sx, sy, sz = block.extents
+    snapped = np.rint(coords * (np.array([sx, sy, sz]) - 1)).astype(np.int64)
+    taken = np.zeros((sx, sy, sz), dtype=bool)
+    out = np.empty(n, dtype=np.int64)
+    for r in range(n):
+        gi, gj, gk = snapped[r]
+        if taken[gi, gj, gk]:
+            gi, gj, gk = ref_nearest_free(taken, (gi, gj, gk))
+        taken[gi, gj, gk] = True
+        out[r] = gi + sx * (gj + sy * gk)
+    return out
+
+
+def ref_sample_stratified(block, n, strata, seed):
+    """Each stratum's flat indices built from a meshgrid of its axis ranges."""
+    rng = np.random.default_rng(seed)
+    gx, gy, gz = strata
+    sx, sy, sz = block.extents
+    x_splits = np.array_split(np.arange(sx), gx)
+    y_splits = np.array_split(np.arange(sy), gy)
+    z_splits = np.array_split(np.arange(sz), gz)
+    cells = [(xs, ys, zs) for zs in z_splits for ys in y_splits for xs in x_splits]
+    volumes = np.array([len(xs) * len(ys) * len(zs) for xs, ys, zs in cells])
+    counts = allocate_counts(volumes.astype(float), n, capacities=volumes)
+    chosen = []
+    for (xs, ys, zs), c in zip(cells, counts):
+        if c == 0:
+            continue
+        ii, jj, kk = np.meshgrid(xs, ys, zs, indexing="ij")
+        flat = (ii + sx * (jj + sy * kk)).ravel(order="F")
+        chosen.append(rng.choice(flat, size=int(c), replace=False))
+    return np.sort(np.concatenate(chosen)).astype(np.int64)
+
+
+def ref_sample_uips(block, n, bins_per_dim, feature_vars, seed):
+    """Tops up from the rejected pool found by setdiff1d."""
+    rng = np.random.default_rng(seed)
+    feats = np.stack([block.flat_values(v) for v in feature_vars], axis=1)
+    lo = feats.min(axis=0)
+    hi = feats.max(axis=0)
+    if np.any(hi <= lo):
+        return sample_random(block, n, rng)
+    edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(feats.shape[1])]
+    hist, _ = np.histogramdd(feats, bins=edges)
+    bin_idx = np.stack(
+        [
+            np.clip(np.searchsorted(edges[d], feats[:, d], side="right") - 1, 0, bins_per_dim - 1)
+            for d in range(feats.shape[1])
+        ],
+        axis=1,
+    )
+    bin_volume = np.prod((hi - lo) / bins_per_dim)
+    density = hist[tuple(bin_idx.T)] / (feats.shape[0] * bin_volume)
+    c_lo, c_hi = 0.0, float(density.max())
+    for _ in range(30):
+        c = 0.5 * (c_lo + c_hi)
+        expected = float(np.sum(np.minimum(1.0, c / density)))
+        if abs(expected - n) <= 0.01 * n:
+            break
+        if expected < n:
+            c_lo = c
+        else:
+            c_hi = c
+    accept_p = np.minimum(1.0, c / density)
+    u = rng.uniform(size=feats.shape[0])
+    accepted = np.flatnonzero(u < accept_p)
+    if accepted.size > n:
+        accepted = rng.choice(accepted, size=n, replace=False)
+    elif accepted.size < n:
+        rejected = np.setdiff1d(np.arange(feats.shape[0]), accepted, assume_unique=False)
+        topup = rng.choice(rejected, size=n - accepted.size, replace=False)
+        accepted = np.concatenate([accepted, topup])
+    return np.sort(accepted).astype(np.int64)
+
+
+@st.composite
+def blocks(draw):
+    """A block of 1 to 12 points per axis; its values are normal draws or,
+    to crowd the phase-space bins, a few repeated levels."""
+    extents = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.normal(size=extents)
+    else:
+        values = rng.integers(0, draw(st.integers(1, 4)), size=extents).astype(float)
+    ds = GridDataset(
+        dims=GridDims(*extents, nt=1, dims=3), fields={"u": values[None]},
+        input_vars=["u"], output_vars=["u"], cluster_var="u",
+    )
+    return extract_block(ds, (0, 0, 0), extents, 0)
+
+
+class TestSamplersMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(), st.data(), st.integers(0, 2**32 - 1))
+    def test_lhs(self, block, data, seed):
+        n = data.draw(st.integers(1, block.volume))
+        assert np.array_equal(sample_lhs(block, n, seed), ref_sample_lhs(block, n, seed))
+
+    def test_lhs_displaced_row(self):
+        # row 12 moves onto a cell that a later row snapped to; that row
+        # must then move too, or the sample holds cell 41 twice
+        block = make_block(4)
+        idx = sample_lhs(block, 18, seed=0)
+        assert np.array_equal(idx, ref_sample_lhs(block, 18, 0))
+        assert np.unique(idx).size == 18
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(), st.data(), st.integers(0, 2**32 - 1))
+    def test_stratified(self, block, data, seed):
+        strata = tuple(data.draw(st.integers(1, e)) for e in block.extents)
+        n = data.draw(st.integers(strata[0] * strata[1] * strata[2], block.volume))
+        assert np.array_equal(
+            sample_stratified(block, n, strata, seed),
+            ref_sample_stratified(block, n, strata, seed),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(), st.data(), st.integers(0, 2**32 - 1))
+    def test_uips(self, block, data, seed):
+        n = data.draw(st.integers(1, block.volume))
+        bins = data.draw(st.integers(1, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the constant-field fallback warns
+            fast = sample_uips(block, n, bins, ["u"], seed)
+        assert np.array_equal(fast, ref_sample_uips(block, n, bins, ["u"], seed))
+
+
 class TestSampleMaxentPoints:
     def test_exact_unique_sorted(self):
         block = make_block(8)
@@ -543,6 +709,68 @@ class TestRunPipeline:
         s = run_pipeline(cfg, make_dataset())
         coords = s.data[:, :4].astype(int)
         assert len({tuple(r) for r in coords}) == len(s)
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A small grid, not always a whole number of cubes per axis, with a
+    normal field u and a cluster field s that is lognormal or constant."""
+    grid = [draw(st.integers(2, 9)) for _ in range(3)]
+    cube = [draw(st.integers(2, min(g, 4))) for g in grid]
+    nt = draw(st.integers(1, 2))
+    per_step = (grid[0] // cube[0]) * (grid[1] // cube[1]) * (grid[2] // cube[2])
+    volume = cube[0] * cube[1] * cube[2]
+    return dict(
+        grid=grid, cube=cube, nt=nt,
+        num_hypercubes=draw(st.integers(1, per_step)),
+        num_samples=draw(st.integers(8, volume)),  # 8 = the 2x2x2 strata
+        constant=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("hypercubes", ["random", "maxent"])
+@pytest.mark.parametrize("method", ["full", "random", "stratified", "lhs", "uips", "maxent"])
+@settings(max_examples=6, deadline=None)
+@given(case=pipeline_cases())
+@example(case=dict(
+    grid=[7, 5, 6], cube=[3, 2, 3], nt=2, num_hypercubes=3, num_samples=10,
+    constant=True, seed=1,
+))
+def test_pipeline_properties(method, hypercubes, case):
+    nx, ny, nz = case["grid"]
+    sx, sy, sz = case["cube"]
+    nt = case["nt"]
+    rng = np.random.default_rng(case["seed"])
+    shape = (nt, nx, ny, nz)
+    s_field = np.full(shape, 2.5) if case["constant"] else rng.lognormal(size=shape)
+    ds = GridDataset(
+        dims=GridDims(nx=nx, ny=ny, nz=nz, nt=nt, dims=3),
+        fields={"u": rng.normal(size=shape), "s": s_field},
+        input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
+    )
+    cfg = RunConfig(
+        nx=nx, ny=ny, nz=nz, input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
+        nxsl=sx, nysl=sy, nzsl=sz, num_hypercubes=case["num_hypercubes"],
+        method=method, hypercubes=hypercubes, num_samples=case["num_samples"],
+        num_clusters=3, strata=[2, 2, 2], uips_bins=4, seed=case["seed"],
+    )
+    sample = run_pipeline(cfg, ds, workers=1)
+
+    per_cube = sx * sy * sz if method == "full" else case["num_samples"]
+    assert len(sample) == nt * case["num_hypercubes"] * per_cube
+    tijk = sample.data[:, :4].astype(np.int64)
+    assert np.unique(tijk, axis=0).shape[0] == len(sample)
+    ranges = sample.provenance["cube_ranges"]
+    assert ranges[0][2] == 0 and ranges[-1][3] == len(sample)
+    bx, by = nx // sx, ny // sy
+    for t, index, start, end in ranges:
+        lo = np.array([index % bx * sx, index // bx % by * sy, index // (bx * by) * sz])
+        rows = tijk[start:end]
+        assert np.all(rows[:, 0] == t)
+        assert np.all((rows[:, 1:] >= lo) & (rows[:, 1:] < lo + [sx, sy, sz]))
+    assert run_pipeline(cfg, ds, workers=2).content_digest() == sample.content_digest()
 
 
 # content_digest of one small seeded run per (method, hypercube mode):
