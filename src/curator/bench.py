@@ -1,10 +1,12 @@
 """Worker-pool execution and the strong-scaling harness.
 
-The pool is a fixed-size set of forked processes consuming cube-level
-work units; the Phase-1 model fit and the final merge stay
-single-threaded.  Correctness precedes performance: scaling timings are
-only reported after the outputs at every worker count are verified
-identical to the single-worker run.
+The pool is a fixed-size set of forked processes consuming work units:
+the selected cubes of one pipeline run, or the (method, seed) cells of a
+method comparison, each of which runs its pipeline whole in one worker.
+The Phase-1 model fit and the final merge stay single-threaded.
+Correctness precedes performance: scaling timings are only reported
+after the outputs at every worker count are verified identical to the
+single-worker run.
 """
 from __future__ import annotations
 

@@ -66,6 +66,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """Parse a comma-separated integer flag; a bad entry is a ConfigError
+    that names the flag (argparse's own errors exit 2, which is reserved
+    for invariant violations)."""
+    values = []
+    for entry in str(text).split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"{flag}: {entry!r} is not an integer") from None
+    return values
+
+
 def _load_config(args) -> RunConfig:
     path = Path(args.config)
     if not path.exists():
@@ -86,9 +99,12 @@ def _load_config(args) -> RunConfig:
     if args.num_samples is not None:
         config = replace(config, num_samples=args.num_samples)
     if args.timesteps is not None:
-        config = replace(config, timesteps=[int(t) for t in args.timesteps.split(",")])
+        config = replace(config, timesteps=_int_list("--timesteps", args.timesteps))
     if args.workers is not None and args.command != "bench":
-        config = replace(config, workers=int(args.workers))
+        workers = _int_list("--workers", args.workers)
+        if len(workers) != 1:
+            raise ConfigError(f"--workers takes one count here, got {args.workers!r}")
+        config = replace(config, workers=workers[0])
     return config
 
 
@@ -145,11 +161,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(
                 f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}"
             )
-    seeds = (
-        [int(s) for s in args.seeds.split(",")]
-        if args.seeds
-        else [resolve_seed(config.seed)]
-    )
+    seeds = _int_list("--seeds", args.seeds) if args.seeds else [resolve_seed(config.seed)]
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 
@@ -174,7 +186,10 @@ def cmd_compare(args) -> int:
 
 def _bench_worker_counts(args) -> list[int]:
     if args.workers:
-        return sorted({int(w) for w in str(args.workers).split(",")} | {1})
+        counts = _int_list("--workers", args.workers)
+        if min(counts) < 1:
+            raise ConfigError(f"--workers counts must be >= 1, got {args.workers!r}")
+        return sorted(set(counts) | {1})
     counts, w = [], 1
     host = os.cpu_count() or 1
     while w <= host:

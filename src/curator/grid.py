@@ -182,7 +182,7 @@ class RunConfig:
                 f"unknown hypercubes method {self.hypercubes!r}; "
                 f"valid: {', '.join(VALID_HYPERCUBE_METHODS)}"
             )
-        for name in ("nx", "ny", "nz", "nxsl", "nysl", "nzsl", "num_hypercubes"):
+        for name in ("nx", "ny", "nz", "nxsl", "nysl", "nzsl", "num_hypercubes", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.num_clusters < 1:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import entropy
+from .bench import parallel_map
 from .grid import GridDataset, RunConfig
 from .samplers import SampleSet, run_pipeline
 
@@ -155,6 +156,10 @@ def compare_methods(
 ) -> tuple[list[dict], FullReference, dict[str, np.ndarray]]:
     """Run every (method, seed) cell and tabulate coverage metrics.
 
+    The cells share one pool of at most ``config.workers`` processes, and
+    each cell's pipeline runs whole in one worker, so a cell's
+    ``sampling_seconds`` is its wall time there.
+
     Returns three things.  The rows: one per (method, seed, variable)
     plus per-method mean and standard-deviation summary rows (seed
     column "mean" / "std").  The full-data reference of the cluster
@@ -173,21 +178,34 @@ def compare_methods(
         var: full_reference(dataset.fields[var][time_axis].ravel(), bins)
         for var in dataset.role_vars()
     }
+    # A lone cell runs in-process and keeps run_pipeline's cube pool;
+    # otherwise one pool runs whole cells, and a pool worker cannot fork
+    # a pool of its own.
+    cells = [(method, i) for method in methods for i in range(len(seeds))]
+    pipeline_workers = config.workers if len(cells) == 1 else 1
+
+    def one_cell(cell: tuple[str, int]):
+        method, i = cell
+        run_cfg = replace(config, method=method, seed=int(seeds[i]))
+        t0 = time.perf_counter()
+        sample = run_pipeline(run_cfg, dataset, workers=pipeline_workers)
+        elapsed = time.perf_counter() - t0
+        report = score_sample(sample, references)
+        # only scores and seeds[0]'s cluster values cross the pipe, no row table
+        first = sample.var_values(config.cluster_var).copy() if i == 0 else None
+        return report.per_variable, len(sample), elapsed, first
+
+    results = parallel_map(one_cell, cells, min(len(cells), config.workers))
     rows: list[dict] = []
     first_samples: dict[str, np.ndarray] = {}
-
+    by_cell = dict(zip(cells, results))
     for method in methods:
-        cells: dict[str, list[dict]] = {}
-        for seed in seeds:
-            run_cfg = replace(config, method=method, seed=int(seed))
-            t0 = time.perf_counter()
-            sample = run_pipeline(run_cfg, dataset)
-            elapsed = time.perf_counter() - t0
-            report = score_sample(sample, references)
-            if method not in first_samples:
-                # a copy, so the sample's table is freed after this cell
-                first_samples[method] = sample.var_values(config.cluster_var).copy()
-            for var, m in report.per_variable.items():
+        cells_by_var: dict[str, list[dict]] = {}
+        for i, seed in enumerate(seeds):
+            per_variable, points, elapsed, first = by_cell[method, i]
+            if first is not None:
+                first_samples[method] = first
+            for var, m in per_variable.items():
                 row = {
                     "method": method,
                     "seed": seed,
@@ -197,11 +215,11 @@ def compare_methods(
                     "span_ratio": m["span_ratio"],
                     "tail_capture": m["tail_capture"],
                     "sampling_seconds": elapsed,
-                    "points": len(sample),
+                    "points": points,
                 }
                 rows.append(row)
-                cells.setdefault(var, []).append(row)
-        for var, var_rows in cells.items():
+                cells_by_var.setdefault(var, []).append(row)
+        for var, var_rows in cells_by_var.items():
             for stat, fn in (("mean", np.mean), ("std", np.std)):
                 rows.append(
                     {

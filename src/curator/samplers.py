@@ -399,14 +399,11 @@ def sample_maxent_points(
     if hi <= lo:
         hi = lo + 1.0  # constant field; all mass lands in one bin
     edges = np.linspace(lo, hi, num_bins + 1)
-    dists = []
-    sizes = np.empty(k, dtype=np.int64)
-    for c in range(k):
-        members = values[labels == c]
-        sizes[c] = members.size
-        counts, _ = np.histogram(members, bins=edges)
-        dists.append(counts / counts.sum() if counts.sum() else np.zeros(num_bins))
-    graph = entropy.adjacency_matrix(dists)
+    # np.histogram's bin rule: half-open bins, the last one closed
+    bins = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, num_bins - 1)
+    hist = np.bincount(labels * num_bins + bins, minlength=k * num_bins).reshape(k, num_bins)
+    sizes = hist.sum(axis=1)
+    graph = entropy.adjacency_matrix(hist / np.maximum(sizes, 1)[:, None])
 
     strengths = graph.strengths
     if strengths.sum() == 0.0:
@@ -414,12 +411,12 @@ def sample_maxent_points(
             "all node strengths zero; allocating samples uniformly", stacklevel=2
         )
     counts = entropy.allocate_counts(strengths, n, capacities=sizes)
-    chosen = []
-    for c in range(k):
-        if counts[c] == 0:
-            continue
-        members = np.flatnonzero(labels == c)
-        chosen.append(rng.choice(members, size=int(counts[c]), replace=False))
+    # each cluster's members in ascending index order
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    chosen = [
+        rng.choice(members[c], size=int(counts[c]), replace=False)
+        for c in range(k) if counts[c]
+    ]
     return np.sort(np.concatenate(chosen)).astype(np.int64)
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from curator import bench
 from curator.cli import main
 from curator.grid import GridDataset, GridDims
 from curator.synthetic import gen_taylor_green, save_dataset, dataset_config
@@ -67,6 +68,20 @@ COMPARE_GOLDEN_DIGESTS = {
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The start method of every worker pool forked in the parent process."""
+    started = []
+    get_context = bench.mp.get_context
+
+    def counting(method=None):
+        started.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(bench.mp, "get_context", counting)
+    return started
 
 
 class TestSubsample:
@@ -186,7 +201,7 @@ class TestCompare:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_golden_bytes(self, compare_case, tmp_path, workers):
+    def test_golden_bytes(self, compare_case, tmp_path, workers, pools):
         out = tmp_path / "out"
         assert run_cli([
             "compare", compare_case, "--output-dir", out, "--workers", workers,
@@ -197,6 +212,33 @@ class TestCompare:
             for name in COMPARE_GOLDEN_DIGESTS
         }
         assert digests == COMPARE_GOLDEN_DIGESTS
+        # one pool over the 10 (method, seed) cells, none at 1 worker
+        assert len(pools) == (1 if workers > 1 else 0)
+
+    def test_lone_cell_keeps_the_cube_pool(self, compare_case, tmp_path, pools):
+        payloads = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert run_cli([
+                "compare", compare_case, "--output-dir", out, "--workers", workers,
+                "--methods", "maxent", "--seeds", "3",
+            ]) == 0
+            payloads.append([
+                (out / n).read_bytes() for n in ("comparison.csv", "hist_maxent.csv")
+            ])
+        assert len(pools) == 1  # run_pipeline's cube pool, at 2 workers only
+        assert payloads[0] == payloads[1]
+
+    def test_error_in_a_pool_worker_exits_1(self, compare_case, tmp_path, pools, capsys):
+        # 19 cubes per step of a 12x12x8 grid cut into 18 cubes of 4^3
+        cfg = tmp_path / "too_many.yaml"
+        cfg.write_text(compare_case.read_text().replace("num_hypercubes: 3", "num_hypercubes: 19"))
+        assert run_cli([
+            "compare", cfg, "--output-dir", tmp_path / "o", "--workers", 2,
+            "--methods", "random,lhs", "--seeds", "3",
+        ]) == 1
+        assert len(pools) == 1
+        assert "num_hypercubes" in capsys.readouterr().err
 
     def test_unknown_method_exits_1(self, case, tmp_path, capsys):
         assert run_cli([
@@ -282,6 +324,34 @@ class TestBench:
         ]) == 0
         lines = (out / "scaling.csv").read_text().splitlines()
         assert lines[1].startswith("1,")
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("command, flag, value, bad", [
+        ("subsample", "--workers", "abc", "abc"),
+        ("compare", "--seeds", "1,x", "x"),
+        ("subsample", "--timesteps", "0,z", "z"),
+        ("subsample", "--workers", "1,2", "1,2"),  # one count outside bench
+    ])
+    def test_bad_integer_names_the_flag(self, case, tmp_path, capsys, command, flag, value, bad):
+        assert run_cli([command, case, "--output-dir", tmp_path / "o", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and repr(bad) in err
+
+    @pytest.mark.parametrize("command, workers, named", [
+        ("bench", "0", "--workers"),
+        ("bench", "2,-1", "--workers"),
+        ("subsample", "-2", "workers"),
+    ])
+    def test_worker_count_below_one_exits_1(self, case, tmp_path, capsys, command, workers, named):
+        assert run_cli([command, case, "--output-dir", tmp_path / "o", "--workers", workers]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_yaml_workers_below_one_exits_1(self, case, tmp_path, capsys):
+        cfg = tmp_path / "zero.yaml"
+        cfg.write_text(case.read_text().replace("workers: 1", "workers: 0"))
+        assert run_cli(["subsample", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert "workers" in capsys.readouterr().err
 
 
 class TestGenerate:

@@ -284,9 +284,9 @@ class TestSampleUips:
 
 
 # ---------------------------------------------------------------------------
-# Reference samplers: the per-point implementations that sample_lhs,
-# sample_stratified and sample_uips replaced.  The fast ones must return
-# the same indices bit for bit.
+# Reference samplers: the per-point and per-cluster implementations that
+# sample_lhs, sample_stratified, sample_uips and sample_maxent_points
+# replaced.  The fast ones must return the same indices bit for bit.
 
 
 def ref_nearest_free(taken, center):
@@ -392,6 +392,35 @@ def ref_sample_uips(block, n, bins_per_dim, feature_vars, seed):
     return np.sort(accepted).astype(np.int64)
 
 
+def ref_sample_maxent_points(block, cluster_var, num_clusters, n, seed, num_bins=100):
+    """One np.histogram and one boolean pass over the cube per cluster."""
+    rng = np.random.default_rng(seed)
+    values = block.flat_values(cluster_var)
+    centroids = kmeans_fit(values, num_clusters, seed=int(rng.integers(2**63)))
+    labels = assign(centroids, values)
+    k = centroids.size
+    lo, hi = float(values.min()), float(values.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, num_bins + 1)
+    dists = []
+    sizes = np.empty(k, dtype=np.int64)
+    for c in range(k):
+        members = values[labels == c]
+        sizes[c] = members.size
+        counts, _ = np.histogram(members, bins=edges)
+        dists.append(counts / counts.sum() if counts.sum() else np.zeros(num_bins))
+    graph = adjacency_matrix(dists)
+    counts = allocate_counts(graph.strengths, n, capacities=sizes)
+    chosen = []
+    for c in range(k):
+        if counts[c] == 0:
+            continue
+        members = np.flatnonzero(labels == c)
+        chosen.append(rng.choice(members, size=int(counts[c]), replace=False))
+    return np.sort(np.concatenate(chosen)).astype(np.int64)
+
+
 @st.composite
 def blocks(draw):
     """A block of 1 to 12 points per axis; its values are normal draws or,
@@ -443,6 +472,36 @@ class TestSamplersMatchReference:
             warnings.simplefilter("ignore")  # the constant-field fallback warns
             fast = sample_uips(block, n, bins, ["u"], seed)
         assert np.array_equal(fast, ref_sample_uips(block, n, bins, ["u"], seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks(), st.data(), st.integers(0, 2**32 - 1))
+    def test_maxent_points(self, block, data, seed):
+        n = data.draw(st.integers(1, block.volume))
+        k = data.draw(st.integers(1, 8))
+        bins = data.draw(st.integers(1, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # all-zero strengths warn
+            fast = sample_maxent_points(block, "u", k, n, seed, num_bins=bins)
+            ref = ref_sample_maxent_points(block, "u", k, n, seed, num_bins=bins)
+        assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize("case", ["constant", "ties", "bin_edges"])
+    def test_maxent_points_degenerate(self, case):
+        rng = np.random.default_rng(4)
+        if case == "constant":
+            values = np.full((8, 8, 8), -1.25)
+        elif case == "ties":
+            values = rng.choice([0.0, 0.0, 0.0, 1.0, 7.5], size=(8, 8, 8))
+        else:  # every value sits exactly on one of the 10 bins' edges
+            values = rng.choice(np.linspace(-2.0, 3.0, 11), size=(8, 8, 8))
+            values.ravel()[[0, 1]] = -2.0, 3.0
+        block = make_block(8, values=values)
+        for seed in range(5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fast = sample_maxent_points(block, "u", 6, 100, seed, num_bins=10)
+                ref = ref_sample_maxent_points(block, "u", 6, 100, seed, num_bins=10)
+            assert np.array_equal(fast, ref)
 
 
 class TestSampleMaxentPoints:
