@@ -79,6 +79,14 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
+def _one_int(flag: str, text: str) -> int:
+    """Parse a single-integer flag or variable; errors name it."""
+    values = _int_list(flag, text)
+    if len(values) != 1:
+        raise ConfigError(f"{flag} takes one integer, got {text!r}")
+    return values[0]
+
+
 def _load_config(args) -> RunConfig:
     path = Path(args.config)
     if not path.exists():
@@ -86,14 +94,15 @@ def _load_config(args) -> RunConfig:
     text = path.read_text()
     config = parse_config(text)
 
-    doc = yaml.safe_load(text) or {}
+    # only the sections parse_config reads a seed from make it explicit
+    doc = yaml.safe_load(text)
     explicit_seed = any(
-        isinstance(sec, dict) and "seed" in sec for sec in doc.values()
+        isinstance(doc.get(sec), dict) and "seed" in doc[sec] for sec in ("shared", "subsample")
     )
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     elif not explicit_seed and os.environ.get("CURATOR_SEED"):
-        config = replace(config, seed=int(os.environ["CURATOR_SEED"]))
+        config = replace(config, seed=_one_int("CURATOR_SEED", os.environ["CURATOR_SEED"]))
     if args.method is not None:
         config = replace(config, method=args.method)
     if args.num_samples is not None:
@@ -101,10 +110,7 @@ def _load_config(args) -> RunConfig:
     if args.timesteps is not None:
         config = replace(config, timesteps=_int_list("--timesteps", args.timesteps))
     if args.workers is not None and args.command != "bench":
-        workers = _int_list("--workers", args.workers)
-        if len(workers) != 1:
-            raise ConfigError(f"--workers takes one count here, got {args.workers!r}")
-        config = replace(config, workers=workers[0])
+        config = replace(config, workers=_one_int("--workers", args.workers))
     return config
 
 

@@ -1,5 +1,5 @@
-"""Information-theoretic kernel: KL divergence, pairwise adjacency graph,
-node strengths, entropy-weighted selection, and proportional allocation.
+"""Information-theoretic kernel: histogram bins, KL divergence, pairwise
+KL graph, node strengths, entropy-weighted selection, proportional allocation.
 
 All divergences use the natural logarithm (nats).  Zero bins are handled
 by epsilon-smoothing with renormalization, (v + eps) / (1 + k*eps), so
@@ -23,6 +23,21 @@ class EntropyGraph:
     strengths: np.ndarray
 
 
+def bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
+    """bins + 1 equal-width edges over the min-max range of values;
+    constant data spans [v, v + 1], so one bin holds all of it."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    return np.linspace(lo, hi, bins + 1)
+
+
+def bin_index(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's bin under np.histogram's rule: half-open bins, the last
+    one closed.  Values outside the edges clip to the end bins."""
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 2)
+
+
 def smooth(p: np.ndarray, epsilon: float) -> np.ndarray:
     """Epsilon-smooth and renormalize each distribution along the last axis."""
     if epsilon <= 0.0:
@@ -37,10 +52,13 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = DEFAULT_EPSILON
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    ps = smooth(p, epsilon)
-    qs = smooth(q, epsilon)
-    # clamp: round-off on near-identical inputs can dip below zero
-    return max(float(np.sum(ps * np.log(ps / qs))), 0.0)
+    return float(kl_rows(smooth(p, epsilon), smooth(q, epsilon)))
+
+
+def kl_rows(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """D(p || q) of smoothed distributions, summed along the last axis and
+    clamped at zero: round-off on near-identical inputs can dip below it."""
+    return np.maximum(np.sum(ps * np.log(ps / qs), axis=-1), 0.0)
 
 
 def adjacency_matrix(dists: list[np.ndarray], epsilon: float = DEFAULT_EPSILON) -> EntropyGraph:
@@ -48,8 +66,7 @@ def adjacency_matrix(dists: list[np.ndarray], epsilon: float = DEFAULT_EPSILON) 
     with node strengths as row sums.
 
     Each entry equals ``kl_divergence(dists[i], dists[j], epsilon)`` bit
-    for bit: row i is summed along the contiguous last axis, which uses
-    the same pairwise summation as the one-dimensional sum.
+    for bit: both sum along the contiguous last axis in ``kl_rows``.
     """
     if len(dists) == 0:
         raise ValueError("need at least one distribution")
@@ -61,8 +78,7 @@ def adjacency_matrix(dists: list[np.ndarray], epsilon: float = DEFAULT_EPSILON) 
     A = np.empty((len(dists), len(dists)))
     # one row at a time keeps the temporaries at n*L, not n*n*L
     for i, s in enumerate(S):
-        A[i] = np.sum(s * np.log(s / S), axis=1)
-    np.maximum(A, 0.0, out=A)
+        A[i] = kl_rows(s, S)
     np.fill_diagonal(A, 0.0)
     return EntropyGraph(A=A, strengths=A.sum(axis=1))
 

@@ -182,9 +182,17 @@ class RunConfig:
                 f"unknown hypercubes method {self.hypercubes!r}; "
                 f"valid: {', '.join(VALID_HYPERCUBE_METHODS)}"
             )
-        for name in ("nx", "ny", "nz", "nxsl", "nysl", "nzsl", "num_hypercubes", "workers"):
+        for name in ("nx", "ny", "nz", "nxskip", "nyskip", "nzskip", "nxsl", "nysl", "nzsl",
+                     "num_hypercubes", "uips_bins", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not (isinstance(self.strata, (list, tuple)) and len(self.strata) == 3
+                and all(isinstance(s, int) and s >= 1 for s in self.strata)):
+            raise ConfigError(f"strata must be three positive integers, got {self.strata}")
+        if self.seed != "unseeded" and not str(self.seed).isdecimal():
+            raise ConfigError(f"seed must be an integer >= 0 or 'unseeded', got {self.seed!r}")
+        if self.timesteps != "all" and len(set(self.timesteps)) != len(self.timesteps):
+            raise ConfigError(f"timesteps must not repeat, got {self.timesteps}")
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
         if self.precision not in (4, 8):

@@ -60,17 +60,13 @@ def histogram_pdf(
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     values = np.asarray(values, dtype=np.float64).ravel()
-    if value_range is not None:
+    if value_range is None:
+        edges = entropy.bin_edges(values if values.size else np.array([0.0, 1.0]), bins)
+    else:
         lo, hi = value_range
         if hi <= lo:
             raise ValueError(f"histogram range must have hi > lo, got ({lo}, {hi})")
-    elif values.size:
-        lo, hi = float(values.min()), float(values.max())
-        if hi <= lo:
-            hi = lo + 1.0  # constant data: one bin holds all mass
-    else:
-        lo, hi = 0.0, 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, bins + 1)
     if values.size == 0:
         return PdfHistogram(edges=edges, densities=np.zeros(bins), count=0)
     densities, _ = np.histogram(values, bins=edges, density=True)
@@ -92,9 +88,7 @@ def full_reference(full: np.ndarray, bins: int = 100) -> FullReference:
     h_full = histogram_pdf(full, bins)
     q01, q99 = np.percentile(full, [1.0, 99.0])
     tail_points = full[(full < q01) | (full > q99)]
-    tail_bins = np.clip(
-        np.searchsorted(h_full.edges, tail_points, side="right") - 1, 0, bins - 1
-    )
+    tail_bins = entropy.bin_index(h_full.edges, tail_points)
     return FullReference(histogram=h_full, tail_counts=np.bincount(tail_bins, minlength=bins))
 
 
@@ -207,37 +201,19 @@ def compare_methods(
                 first_samples[method] = first
             for var, m in per_variable.items():
                 row = {
-                    "method": method,
-                    "seed": seed,
-                    "variable": var,
+                    "method": method, "seed": seed, "variable": var,
                     "kl_nats": m["kl_full_to_sample"],
-                    "occupied_bin_fraction": m["occupied_bin_fraction"],
-                    "span_ratio": m["span_ratio"],
-                    "tail_capture": m["tail_capture"],
-                    "sampling_seconds": elapsed,
-                    "points": points,
+                    **{c: m[c] for c in ("occupied_bin_fraction", "span_ratio", "tail_capture")},
+                    "sampling_seconds": elapsed, "points": points,
                 }
                 rows.append(row)
                 cells_by_var.setdefault(var, []).append(row)
         for var, var_rows in cells_by_var.items():
             for stat, fn in (("mean", np.mean), ("std", np.std)):
-                rows.append(
-                    {
-                        "method": method,
-                        "seed": stat,
-                        "variable": var,
-                        "kl_nats": float(fn([r["kl_nats"] for r in var_rows])),
-                        "occupied_bin_fraction": float(
-                            fn([r["occupied_bin_fraction"] for r in var_rows])
-                        ),
-                        "span_ratio": float(fn([r["span_ratio"] for r in var_rows])),
-                        "tail_capture": float(fn([r["tail_capture"] for r in var_rows])),
-                        "sampling_seconds": float(
-                            fn([r["sampling_seconds"] for r in var_rows])
-                        ),
-                        "points": float(fn([r["points"] for r in var_rows])),
-                    }
-                )
+                rows.append({
+                    "method": method, "seed": stat, "variable": var,
+                    **{c: float(fn([r[c] for r in var_rows])) for c in COMPARISON_COLUMNS[3:]},
+                })
     return rows, references[config.cluster_var], first_samples
 
 

@@ -123,16 +123,16 @@ def select_hypercubes_maxent(
     if m > len(blocks):
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
     rng = _rng(seed)
-    sizes = np.array([b.volume for b in blocks])
-    pooled = np.concatenate([b.flat_values(cluster_var) for b in blocks])
+    # The fit sorts its input and label counts ignore order, so each cube's
+    # view is read in memory order, not x-fastest.
+    views = [b.values[cluster_var] for b in blocks]
+    pooled = np.concatenate([v.ravel() for v in views])
     centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)))
-    k = centroids.size
-    # label counts of every cube in one pass: cube b's label c lands in bin b * k + c
-    owner = np.repeat(np.arange(len(blocks)), sizes)
-    counts = np.bincount(
-        owner * k + clustering.assign(centroids, pooled), minlength=len(blocks) * k
-    )
-    graph = entropy.adjacency_matrix(counts.reshape(len(blocks), k) / sizes[:, None])
+    counts = np.array([
+        np.bincount(clustering.assign(centroids, v).ravel(), minlength=centroids.size)
+        for v in views
+    ])
+    graph = entropy.adjacency_matrix(counts / counts.sum(axis=1, keepdims=True))
     return entropy.weighted_sample(graph.strengths, m, seed=rng)
 
 
@@ -324,9 +324,9 @@ def sample_uips(
     if not 1 <= len(feature_vars) <= 4:
         raise ValueError("uips supports 1 to 4 feature variables")
     rng = _rng(seed)
-    feats = np.stack([block.flat_values(v) for v in feature_vars], axis=1)
-    lo = feats.min(axis=0)
-    hi = feats.max(axis=0)
+    feats = [block.flat_values(v) for v in feature_vars]
+    lo = np.array([f.min() for f in feats])
+    hi = np.array([f.max() for f in feats])
     if np.any(hi <= lo):
         degenerate = [v for v, l, h in zip(feature_vars, lo, hi) if h <= l]
         warnings.warn(
@@ -335,17 +335,13 @@ def sample_uips(
         )
         return sample_random(block, n, rng)
 
-    edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(feats.shape[1])]
-    hist, _ = np.histogramdd(feats, bins=edges)
-    bin_idx = np.stack(
-        [
-            np.clip(np.searchsorted(edges[d], feats[:, d], side="right") - 1, 0, bins_per_dim - 1)
-            for d in range(feats.shape[1])
-        ],
-        axis=1,
+    # each point's phase-space cell: its per-axis bins, raveled into one index
+    cell = np.ravel_multi_index(
+        [entropy.bin_index(entropy.bin_edges(f, bins_per_dim), f) for f in feats],
+        (bins_per_dim,) * len(feats),
     )
     bin_volume = np.prod((hi - lo) / bins_per_dim)
-    density = hist[tuple(bin_idx.T)] / (feats.shape[0] * bin_volume)
+    density = np.bincount(cell)[cell] / (block.volume * bin_volume)
 
     # bisect the acceptance constant so that E[accepted] = n
     c_lo, c_hi = 0.0, float(density.max())
@@ -359,7 +355,7 @@ def sample_uips(
         else:
             c_hi = c
     accept_p = np.minimum(1.0, c / density)
-    accept = rng.uniform(size=feats.shape[0]) < accept_p
+    accept = rng.uniform(size=block.volume) < accept_p
     accepted = np.flatnonzero(accept)
 
     if accepted.size > n:
@@ -395,12 +391,7 @@ def sample_maxent_points(
     labels = clustering.assign(centroids, values)
     k = centroids.size
 
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        hi = lo + 1.0  # constant field; all mass lands in one bin
-    edges = np.linspace(lo, hi, num_bins + 1)
-    # np.histogram's bin rule: half-open bins, the last one closed
-    bins = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, num_bins - 1)
+    bins = entropy.bin_index(entropy.bin_edges(values, num_bins), values)
     hist = np.bincount(labels * num_bins + bins, minlength=k * num_bins).reshape(k, num_bins)
     sizes = hist.sum(axis=1)
     graph = entropy.adjacency_matrix(hist / np.maximum(sizes, 1)[:, None])
@@ -436,6 +427,8 @@ def temporal_select(
     """
     pdfs = np.asarray(snapshot_pdfs, dtype=np.float64)
     T = pdfs.shape[0]
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if budget > T:
         raise ValueError(f"budget {budget} exceeds snapshot count {T}")
     S = entropy.smooth(pdfs, epsilon)
@@ -445,7 +438,7 @@ def temporal_select(
         mixture = entropy.smooth(pdfs[selected].mean(axis=0), epsilon)
         # gains[t] equals kl_divergence(pdfs[t], pdfs[selected].mean(axis=0),
         # epsilon) bit for bit, as adjacency_matrix's rows do
-        gains = np.maximum(np.sum(S * np.log(S / mixture), axis=1), 0.0)
+        gains = entropy.kl_rows(S, mixture)
         gains[selected] = -np.inf
         selected.append(int(np.argmax(gains)))
     return selected

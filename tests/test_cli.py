@@ -146,6 +146,41 @@ class TestSubsample:
         (csv_b,) = b.glob("*.csv")
         assert csv_a.read_bytes() != csv_b.read_bytes()
 
+    def test_train_seed_is_not_explicit(self, case, tmp_path, monkeypatch):
+        # parse_config ignores a seed under train, so CURATOR_SEED still applies
+        with_train = tmp_path / "train_seed.yaml"
+        with_train.write_text(
+            "\n".join(
+                line for line in case.read_text().splitlines()
+                if not line.strip().startswith("seed:")
+            ) + "\ntrain:\n  seed: 5\n"
+        )
+        a, b = tmp_path / "a", tmp_path / "b"
+        monkeypatch.setenv("CURATOR_SEED", "9")
+        run_cli(["subsample", with_train, "--output-dir", a])
+        monkeypatch.delenv("CURATOR_SEED")
+        run_cli(["subsample", with_train, "--output-dir", b, "--seed", "9"])
+        (csv_a,) = a.glob("*.csv")
+        (csv_b,) = b.glob("*.csv")
+        assert csv_a.read_bytes() == csv_b.read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "1,2"])
+    def test_bad_env_seed_names_the_variable(self, case, tmp_path, monkeypatch, capsys, value):
+        unseeded = tmp_path / "unseeded.yaml"
+        unseeded.write_text(case.read_text().replace("  seed: 0\n", ""))
+        monkeypatch.setenv("CURATOR_SEED", value)
+        assert run_cli(["subsample", unseeded, "--output-dir", tmp_path / "o"]) == 1
+        assert "CURATOR_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "-1", "seed"), ("--timesteps", "0,0", "timesteps"),
+    ])
+    def test_bad_override_names_its_key(self, case, tmp_path, capsys, flag, value, key):
+        assert run_cli([
+            "subsample", case, "--output-dir", tmp_path / "o", flag, value,
+        ]) == 1
+        assert f"error: {key}" in capsys.readouterr().err
+
     def test_flag_beats_env_seed(self, case, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("CURATOR_SEED", "7")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from curator.entropy import (
     adjacency_matrix,
     allocate_counts,
+    bin_edges,
+    bin_index,
     kl_divergence,
     weighted_sample,
 )
@@ -24,6 +26,34 @@ def kl_oracle(p, q, eps=1e-10):
 def random_distribution(rng, k):
     v = rng.uniform(size=k)
     return v / v.sum()
+
+
+class TestBinning:
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-20, 20).map(float),
+                st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            ),
+            min_size=1, max_size=60,
+        ),
+        st.integers(min_value=1, max_value=40),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_np_histogram(self, values, bins, constant):
+        values = np.array(values[:1] * len(values) if constant else values)
+        edges = bin_edges(values, bins)
+        # every edge is also a value, so each bin boundary and both ends are hit
+        values = np.concatenate([values, edges])
+        counts = np.bincount(bin_index(edges, values), minlength=bins)
+        assert np.array_equal(counts, np.histogram(values, edges)[0])
+
+    def test_constant_data_spans_one_unit(self):
+        assert np.array_equal(bin_edges(np.full(5, 2.0), 4), np.linspace(2.0, 3.0, 5))
+
+    def test_out_of_range_values_clip_to_the_end_bins(self):
+        assert bin_index(np.linspace(0.0, 1.0, 5), np.array([-1.0, 2.0])).tolist() == [0, 3]
 
 
 class TestKlDivergence:

@@ -111,6 +111,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="shared"):
             parse_config("subsample:\n  method: random\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("nxskip", -1), ("nyskip", 0), ("nzskip", 0), ("uips_bins", 0),
+        ("strata", [2, 2]), ("strata", [2, 0, 2]), ("strata", 4),
+        ("seed", -1), ("seed", "-1"), ("seed", "abc"), ("timesteps", [0, 0]),
+    ])
+    def test_bad_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(nx=8, ny=8, nz=8, **{key: value})
+
     def test_roundtrip(self):
         cfg = parse_config(SST_YAML)
         assert parse_config(emit_config(cfg)) == cfg

@@ -560,6 +560,11 @@ class TestTemporalSelect:
         ])
         assert temporal_select(pdfs, 2) == [0, 2]
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            temporal_select(np.ones((2, 4)) / 4, budget)
+
     def test_budget_exceeds_count(self):
         with pytest.raises(ValueError, match="budget"):
             temporal_select(np.ones((2, 4)) / 4, 3)
