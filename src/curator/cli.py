@@ -24,7 +24,6 @@ from .grid import (
     GridDims,
     IngestionError,
     RunConfig,
-    VALID_METHODS,
     load_dataset,
     num_blocks,
     parse_config,
@@ -99,19 +98,22 @@ def _load_config(args) -> RunConfig:
     explicit_seed = any(
         isinstance(doc.get(sec), dict) and "seed" in doc[sec] for sec in ("shared", "subsample")
     )
+    # one replace, so the config is checked with every override at once
+    # (e.g. --method stratified with the --num-samples its strata need)
+    overrides = {}
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        overrides["seed"] = args.seed
     elif not explicit_seed and os.environ.get("CURATOR_SEED"):
-        config = replace(config, seed=_one_int("CURATOR_SEED", os.environ["CURATOR_SEED"]))
+        overrides["seed"] = _one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
     if args.method is not None:
-        config = replace(config, method=args.method)
+        overrides["method"] = args.method
     if args.num_samples is not None:
-        config = replace(config, num_samples=args.num_samples)
+        overrides["num_samples"] = args.num_samples
     if args.timesteps is not None:
-        config = replace(config, timesteps=_int_list("--timesteps", args.timesteps))
+        overrides["timesteps"] = _int_list("--timesteps", args.timesteps)
     if args.workers is not None and args.command != "bench":
-        config = replace(config, workers=_one_int("--workers", args.workers))
-    return config
+        overrides["workers"] = _one_int("--workers", args.workers)
+    return replace(config, **overrides)
 
 
 def _output_dir(args) -> Path:
@@ -162,12 +164,9 @@ def cmd_subsample(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args)
     methods = args.methods.split(",") if args.methods else list(DEFAULT_COMPARE_METHODS)
-    for m in methods:
-        if m not in VALID_METHODS:
-            raise ConfigError(
-                f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}"
-            )
     seeds = _int_list("--seeds", args.seeds) if args.seeds else [resolve_seed(config.seed)]
+    for m in methods:
+        replace(config, method=m)  # checks each method's keys before loading
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 

@@ -204,6 +204,18 @@ class RunConfig:
                     f"num_samples must be in [1, {cube_volume}] "
                     f"(cube volume), got {self.num_samples}"
                 )
+        if self.method == "stratified":
+            # every cube has exactly the cube extents: partitioning drops residual points
+            if any(s > e for s, e in zip(self.strata, self.cube_extents)):
+                raise ConfigError(
+                    f"strata {self.strata} exceed the cube extents {list(self.cube_extents)}"
+                )
+            n_strata = int(np.prod(self.strata))
+            if self.num_samples is not None and self.num_samples < n_strata:
+                raise ConfigError(
+                    f"strata {self.strata} make {n_strata} strata, above "
+                    f"num_samples {self.num_samples}"
+                )
 
     @property
     def cube_extents(self) -> tuple[int, int, int]:

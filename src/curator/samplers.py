@@ -27,9 +27,12 @@ from . import clustering, entropy
 from .grid import GridDataset, HypercubeBlock, RunConfig, partition_hypercubes
 
 _PHASE1_TAG = 0x51C1E
-# rows per formatting call in SampleSet.to_csv; bounds the Python float
-# list and the formatted string held at once
+# rows per formatting call in SampleSet.to_csv; bounds the Python cell
+# list and the formatted string held at once, and each block builds its
+# own coordinate string tables, so the writer's extra memory is O(block)
 _CSV_BLOCK_ROWS = 4096
+# format of the coordinate columns t, i, j, k, x, y, z
+_COORD_SPECS = ("%d",) * 4 + ("%.17g",) * 3
 
 
 @dataclass
@@ -65,13 +68,26 @@ class SampleSet:
         return h.hexdigest()
 
     def to_csv(self, path) -> None:
-        """Write the payload with byte-stable formatting."""
-        row = ",".join(["%d"] * 4 + ["%.17g"] * (len(self.columns) - 4)) + "\n"
+        """Write the payload with byte-stable formatting: ``%d`` for
+        t,i,j,k and ``%.17g`` for every other column.
+
+        The coordinate columns t..z repeat few values, so each block
+        formats each distinct bit pattern of a column once (bits, not
+        values, so -0.0 and 0.0 stay apart) and fills its ``%s`` slots
+        from that table."""
+        n_coord = len(_COORD_SPECS)
+        row = ",".join(["%s"] * n_coord + ["%.17g"] * (len(self.columns) - n_coord)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
             for start in range(0, len(self), _CSV_BLOCK_ROWS):
                 block = self.data[start:start + _CSV_BLOCK_ROWS]
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+                cells = np.empty(block.shape, dtype=object)
+                for c, spec in enumerate(_COORD_SPECS):
+                    bits, inverse = np.unique(block[:, c].view(np.uint64), return_inverse=True)
+                    table = np.array([spec % v for v in bits.view(np.float64).tolist()], dtype=object)
+                    cells[:, c] = table[inverse]
+                cells[:, n_coord:] = block[:, n_coord:]
+                fh.write((row * len(block)) % tuple(cells.ravel().tolist()))
 
 
 def rate_to_count(rate: float, volume: int) -> int:

@@ -66,6 +66,11 @@ COMPARE_GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of the CSV that `curator subsample` writes for `case` with
+# --num-samples 48 (192 rows), at any worker count.
+SUBSAMPLE_GOLDEN_CSV = "0d97434bbfde079a06b11c719d85b31283cc5a05c628a05d0f389a880572f1c0"
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -191,6 +196,34 @@ class TestSubsample:
         (csv_b,) = b.glob("*.csv")
         assert csv_a.read_bytes() == csv_b.read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_csv_bytes(self, case, tmp_path, workers):
+        # 4 cubes of 4^3 at 48 points each: coordinate values repeat across rows
+        out = tmp_path / "out"
+        assert run_cli([
+            "subsample", case, "--output-dir", out, "--workers", workers,
+            "--num-samples", "48",
+        ]) == 0
+        (csv_path,) = out.glob("*.csv")
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SUBSAMPLE_GOLDEN_CSV
+
+    def test_bad_strata_fail_before_loading(self, case, tmp_path, capsys):
+        # case has 4^3 cubes and the default strata [4, 4, 4]: 64 strata for 8 samples
+        assert run_cli([
+            "subsample", case, "--output-dir", tmp_path / "o", "--method", "stratified",
+        ]) == 1
+        assert "error: strata" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overrides_are_checked_together(self, case, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli([
+            "subsample", case, "--output-dir", out,
+            "--method", "stratified", "--num-samples", "64",
+        ]) == 0
+        (csv_path,) = out.glob("*.csv")
+        assert len(csv_path.read_text().splitlines()) == 1 + 4 * 64
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert run_cli(["subsample", tmp_path / "nope.yaml"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -223,6 +256,14 @@ class TestCompare:
         timing = json.loads((out / "comparison_timing.json").read_text())
         assert timing  # wall-clock lives in the sidecar
         assert "nats" in capsys.readouterr().out
+
+    def test_bad_strata_fail_before_loading(self, case, tmp_path, capsys):
+        # the default strata [4, 4, 4] make 64 strata for case's 8 samples
+        assert run_cli([
+            "compare", case, "--output-dir", tmp_path / "o", "--methods", "random,stratified",
+        ]) == 1
+        assert "error: strata" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_comparison_csv_byte_stable(self, case, tmp_path):
         outs = []

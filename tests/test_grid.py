@@ -75,6 +75,9 @@ class TestGridDims:
             GridDims(**kwargs)
 
 
+STRATIFIED_4CUBES = dict(method="stratified", nxsl=4, nysl=4, nzsl=4)
+
+
 class TestParseConfig:
     def test_sst_style_document(self):
         cfg = parse_config(SST_YAML)
@@ -115,10 +118,18 @@ class TestParseConfig:
         ("nxskip", -1), ("nyskip", 0), ("nzskip", 0), ("uips_bins", 0),
         ("strata", [2, 2]), ("strata", [2, 0, 2]), ("strata", 4),
         ("seed", -1), ("seed", "-1"), ("seed", "abc"), ("timesteps", [0, 0]),
+        # a dict value holds every override, for checks that read other keys
+        ("strata", dict(STRATIFIED_4CUBES, num_samples=8, strata=[1, 1, 9])),
+        ("strata", dict(STRATIFIED_4CUBES, num_samples=8, strata=[2, 2, 3])),
+        ("strata", dict(STRATIFIED_4CUBES, num_samples=64, strata=[1, 5, 1])),
     ])
     def test_bad_value_names_its_key(self, key, value):
+        overrides = value if isinstance(value, dict) else {key: value}
         with pytest.raises(ConfigError, match=key):
-            RunConfig(nx=8, ny=8, nz=8, **{key: value})
+            RunConfig(nx=8, ny=8, nz=8, **overrides)
+
+    def test_strata_checked_only_for_stratified(self):
+        RunConfig(nx=8, ny=8, nz=8, nxsl=4, nysl=4, nzsl=4, num_samples=8, strata=[1, 1, 9])
 
     def test_roundtrip(self):
         cfg = parse_config(SST_YAML)

@@ -693,6 +693,38 @@ class TestCsvBytes:
         # compared as lists of lines: a failure names the first differing row
         assert got == csv_by_row(s.columns, s.data)
 
+    # coordinate values as float64 bit patterns; every column gets both
+    # zeros, and the %.17g columns (x, y, z) also get two NaN payloads
+    ZEROS = [0x0000000000000000, 0x8000000000000000]
+    NANS = [0x7FF8000000000000, 0x7FF8000000000001]
+    INTS = np.array([1.0, 7.0, 127.0, 2.0**31, 2.0**53]).view(np.uint64).tolist()
+    FLOATS = np.array([1.0, 0.1, 1 / 3, 5e-324, 1e16, 1.7976931348623157e308,
+                       float("inf"), -float("inf")]).view(np.uint64).tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.integers(4093, 4100) | st.integers(1, 5),
+        role_vars=st.sampled_from([1, 4]),
+        ints=st.lists(st.lists(st.sampled_from(INTS), max_size=3), min_size=4, max_size=4),
+        floats=st.lists(st.lists(st.sampled_from(FLOATS), max_size=3), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_coordinate_bits(self, tmp_path_factory, rows, role_vars, ints, floats, seed):
+        rng = np.random.default_rng(seed)
+        pools = [self.ZEROS + p for p in ints] + [self.ZEROS + self.NANS + p for p in floats]
+        data = np.empty((rows, 7 + role_vars))
+        for c, pool in enumerate(pools):
+            bits = np.array(pool, dtype=np.uint64)
+            data[:, c] = bits[rng.integers(0, len(bits), size=rows)].view(np.float64)
+        data[:, 7:] = rng.normal(size=(rows, role_vars))
+        columns = ["t", "i", "j", "k", "x", "y", "z", *("v%d" % c for c in range(role_vars))]
+        s = SampleSet(columns=columns, data=data)
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        s.to_csv(path)
+        with open(path) as fh:
+            got = fh.readlines()
+        assert got == csv_by_row(s.columns, s.data)
+
     def test_zero_rows_write_the_header_only(self, tmp_path):
         s = self.table(0, 1)
         s.to_csv(tmp_path / "s.csv")
