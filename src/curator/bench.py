@@ -1,8 +1,9 @@
 """Worker-pool execution and the strong-scaling harness.
 
-The pool is a fixed-size set of forked processes consuming work units:
-the selected cubes of one pipeline run, or the (method, seed) cells of a
-method comparison, each of which runs its pipeline whole in one worker.
+`parallel_map` owns every pool rule, and its initializer hands each
+worker the work function, so no start method needs fork's inherited
+memory.  A work unit is a selected cube of a pipeline run or a (method,
+seed) cell of a comparison, whose pipeline runs whole in one worker.
 The Phase-1 model fit and the final merge stay single-threaded.
 Correctness precedes performance: scaling timings are only reported
 after the outputs at every worker count are verified identical to the
@@ -21,28 +22,29 @@ from .grid import GridDataset, RunConfig
 _work_fn = None
 
 
+def _install(fn) -> None:
+    """Pool initializer: each worker receives its work function once."""
+    global _work_fn
+    _work_fn = fn
+
+
 def _trampoline(item):
     return _work_fn(item)
 
 
 def parallel_map(fn, items: list, workers: int) -> list:
-    """Ordered map over items using a pool of forked worker processes.
+    """Ordered map over items on a pool of at most one forked process per item.
 
-    With one worker (or one item) the map runs in-process.  Results are
-    identical either way because each work unit derives its own random
-    stream and touches no shared mutable state.
+    It runs in-process for one process or inside a pool worker (a daemon
+    has no children).  Results are identical either way because each work
+    unit derives its own random stream and touches no shared mutable state.
     """
-    global _work_fn
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1 or mp.current_process().daemon:
         return [fn(item) for item in items]
-    _work_fn = fn
-    try:
-        ctx = mp.get_context("fork")
-        chunksize = max(1, len(items) // (4 * workers))
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(_trampoline, items, chunksize=chunksize)
-    finally:
-        _work_fn = None
+    chunksize = max(1, len(items) // (4 * workers))
+    with mp.get_context("fork").Pool(workers, initializer=_install, initargs=(fn,)) as pool:
+        return pool.map(_trampoline, items, chunksize=chunksize)
 
 
 class OutputMismatchError(RuntimeError):

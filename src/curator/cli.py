@@ -2,7 +2,7 @@
 
 The YAML config file is the source of truth; command-line flags
 override it and the effective config is echoed into run provenance.
-Exit codes: 0 success, 1 user/config error, 2 internal invariant
+Exit codes: 0 success, 1 usage or config error, 2 internal invariant
 violation.
 """
 from __future__ import annotations
@@ -20,6 +20,7 @@ import yaml
 from . import bench, metrics, synthetic
 from .bench import OutputMismatchError
 from .grid import (
+    SUBSAMPLE_KEYS,
     ConfigError,
     GridDims,
     IngestionError,
@@ -33,42 +34,9 @@ from .samplers import config_digest, resolve_seed, run_pipeline
 DEFAULT_COMPARE_METHODS = ["random", "stratified", "lhs", "uips", "maxent"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="curator",
-        description="Curate sparse, information-rich subsets of gridded datasets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("config", help="YAML config file")
-        p.add_argument("--method", help="point sampling method override")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--workers", help="worker count (bench: comma list)")
-        p.add_argument("--output-dir", default=None, help="output directory (default ./snapshots)")
-        p.add_argument("--num-samples", type=int, help="samples per cube override")
-        p.add_argument("--timesteps", help="comma-separated timestep list override")
-
-    p = sub.add_parser("subsample", help="run the sampling pipeline and write a sample set")
-    add_common(p)
-    p = sub.add_parser("compare", help="compare sampling methods on coverage metrics")
-    add_common(p)
-    p.add_argument("--methods", help="comma-separated method list")
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p = sub.add_parser("bench", help="strong-scaling study over worker counts")
-    add_common(p)
-    p.add_argument("--repeats", type=int, default=3)
-    p = sub.add_parser("generate", help="write a synthetic raw-binary dataset and config")
-    add_common(p)
-    p = sub.add_parser("info", help="print the effective config and expected output size")
-    add_common(p)
-    return parser
-
-
 def _int_list(flag: str, text: str) -> list[int]:
     """Parse a comma-separated integer flag; a bad entry is a ConfigError
-    that names the flag (argparse's own errors exit 2, which is reserved
-    for invariant violations)."""
+    that names the flag."""
     values = []
     for entry in str(text).split(","):
         try:
@@ -105,7 +73,7 @@ def _load_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     elif not explicit_seed and os.environ.get("CURATOR_SEED"):
         overrides["seed"] = _one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
-    if args.method is not None:
+    if getattr(args, "method", None) is not None:  # compare takes --methods instead
         overrides["method"] = args.method
     if args.num_samples is not None:
         overrides["num_samples"] = args.num_samples
@@ -116,6 +84,13 @@ def _load_config(args) -> RunConfig:
     return replace(config, **overrides)
 
 
+def _require_num_samples(config: RunConfig) -> RunConfig:
+    """Every method but full needs num_samples; checked before any file is read."""
+    if config.method != "full" and config.num_samples is None:
+        raise ConfigError(f"num_samples is required for method {config.method!r}")
+    return config
+
+
 def _output_dir(args) -> Path:
     out = Path(args.output_dir) if args.output_dir else Path("./snapshots")
     out.mkdir(parents=True, exist_ok=True)
@@ -123,7 +98,8 @@ def _output_dir(args) -> Path:
 
 
 def cmd_subsample(args) -> int:
-    config = _load_config(args)
+    """Run the sampling pipeline and write a sample set."""
+    config = _require_num_samples(_load_config(args))
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 
@@ -162,11 +138,12 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Compare sampling methods on coverage metrics."""
     config = _load_config(args)
     methods = args.methods.split(",") if args.methods else list(DEFAULT_COMPARE_METHODS)
     seeds = _int_list("--seeds", args.seeds) if args.seeds else [resolve_seed(config.seed)]
     for m in methods:
-        replace(config, method=m)  # checks each method's keys before loading
+        _require_num_samples(replace(config, method=m))  # checks each method before loading
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 
@@ -204,7 +181,8 @@ def _bench_worker_counts(args) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args)
+    """Strong-scaling study over worker counts."""
+    config = _require_num_samples(_load_config(args))
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
     worker_counts = _bench_worker_counts(args)
@@ -223,6 +201,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    """Write a synthetic raw-binary dataset and config."""
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -233,29 +212,23 @@ def cmd_generate(args) -> int:
     for req in ("kind", "nx", "ny"):
         if req not in spec:
             raise ConfigError(f"missing required key: {req}")
+    # generate sets the data path and the seed itself
+    subsample = {
+        k: v for k, v in (doc.get("subsample") or {}).items() if k not in ("path", "seed")
+    }
+    unknown = [str(k) for k in subsample if k not in SUBSAMPLE_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown subsample key(s): {', '.join(unknown)}")
     kind = spec["kind"]
-    if kind not in synthetic.GENERATOR_KINDS:
-        raise ConfigError(
-            f"unknown kind {kind!r}; valid: {', '.join(synthetic.GENERATOR_KINDS)}"
-        )
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    if kind == "cylinder_wake":
-        dims = GridDims(nx=spec["nx"], ny=spec["ny"], nz=1, nt=1, dims=2)
-    else:
-        dims = GridDims(nx=spec["nx"], ny=spec["ny"], nz=spec.get("nz", 1), nt=1, dims=3)
     dataset = synthetic.generate(
-        kind, dims, seed=seed, t=float(spec.get("t", 0.0)), params=spec.get("params")
+        kind, (spec["nx"], spec["ny"], spec.get("nz", 1)), seed=seed,
+        t=float(spec.get("t", 0.0)), params=spec.get("params"),
     )
 
-    out_dir = _output_dir(args)
-    data_dir = out_dir / spec.get("name", kind)
-    written = synthetic.save_dataset(dataset, data_dir)
-    subsample = {
-        k: v for k, v in (doc.get("subsample") or {}).items()
-        if k in ("hypercubes", "method", "num_hypercubes", "num_samples",
-                 "num_clusters", "nxsl", "nysl", "nzsl")
-    }
+    data_dir = _output_dir(args) / spec.get("name", kind)
     cfg_text = synthetic.dataset_config(dataset, data_dir, seed=seed, **subsample)
+    written = synthetic.save_dataset(dataset, data_dir)
     cfg_path = data_dir / "case.yaml"
     cfg_path.write_text(cfg_text)
     print(f"Wrote {len(written)} field files under {data_dir}")
@@ -264,6 +237,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_info(args) -> int:
+    """Print the effective config and expected output size."""
     config = _load_config(args)
     nx = len(range(0, config.nx, config.nxskip))
     ny = len(range(0, config.ny, config.nyskip))
@@ -293,19 +267,47 @@ def cmd_info(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "subsample": cmd_subsample,
-    "compare": cmd_compare,
-    "bench": cmd_bench,
-    "generate": cmd_generate,
-    "info": cmd_info,
+_COMMANDS = {  # each command and the flags it reads; it takes no others
+    "subsample": (cmd_subsample, "method seed workers num-samples timesteps output-dir"),
+    "compare": (cmd_compare, "seed workers num-samples timesteps output-dir methods seeds"),
+    "bench": (cmd_bench, "method seed workers num-samples timesteps output-dir repeats"),
+    "generate": (cmd_generate, "seed output-dir"),
+    "info": (cmd_info, "method seed workers num-samples timesteps"),
+}
+_FLAGS = {
+    "method": dict(help="point sampling method override"),
+    "seed": dict(type=int, help="random seed override"),
+    "workers": dict(help="worker count (bench: comma list)"),
+    "num-samples": dict(type=int, help="samples per cube override"),
+    "timesteps": dict(help="comma-separated timestep list override"),
+    "output-dir": dict(help="output directory (default ./snapshots)"),
+    "methods": dict(help="comma-separated method list"),
+    "seeds": dict(help="comma-separated seed list"),
+    "repeats": dict(type=int, default=3, help="timed runs per worker count"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as a bad config value does
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="curator", description="Curate sparse, information-rich "
+                     "subsets of gridded datasets.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=fn.__doc__, allow_abbrev=False)
+        p.add_argument("config", help="YAML config file")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, IngestionError, FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

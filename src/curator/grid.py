@@ -236,7 +236,7 @@ _SHARED_KEYS = (
     "dtype path dims nx ny nz input_vars output_vars cluster_var gravity "
     "timesteps nxskip nyskip nzskip precision fileprefix seed workers"
 ).split()
-_SUBSAMPLE_KEYS = (
+SUBSAMPLE_KEYS = (
     "hypercubes method num_hypercubes num_samples num_clusters "
     "nxsl nysl nzsl strata uips_bins seed workers"
 ).split()
@@ -264,7 +264,7 @@ def parse_config(text: str) -> RunConfig:
     for key in _SHARED_KEYS:
         if key in shared:
             kwargs[key] = shared[key]
-    for key in _SUBSAMPLE_KEYS:
+    for key in SUBSAMPLE_KEYS:
         if key in subsample:
             kwargs[key] = subsample[key]
     if "path" in subsample:
@@ -291,7 +291,7 @@ def emit_config(config: RunConfig) -> str:
     """Serialize a RunConfig back to YAML; inverse of parse_config."""
     d = asdict(config)
     shared = {k: d[k] for k in _SHARED_KEYS if k not in ("seed", "workers")}
-    subsample = {k: d[k] for k in _SUBSAMPLE_KEYS}
+    subsample = {k: d[k] for k in SUBSAMPLE_KEYS}
     doc = {"shared": shared, "subsample": subsample}
     if d["train"]:
         doc["train"] = d["train"]

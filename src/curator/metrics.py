@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -141,6 +142,20 @@ COMPARISON_COLUMNS = [
 ]
 
 
+def _score_cell(config: RunConfig, dataset: GridDataset, seeds: list[int],
+                references: dict[str, FullReference], cell: tuple[str, int]):
+    """Comparison work unit: the scores of one (method, seed index) pipeline."""
+    method, i = cell
+    run_cfg = replace(config, method=method, seed=int(seeds[i]))
+    t0 = time.perf_counter()
+    sample = run_pipeline(run_cfg, dataset)
+    elapsed = time.perf_counter() - t0
+    report = score_sample(sample, references)
+    # only scores and seeds[0]'s cluster values cross the pipe, no row table
+    first = sample.var_values(config.cluster_var).copy() if i == 0 else None
+    return report.per_variable, len(sample), elapsed, first
+
+
 def compare_methods(
     config: RunConfig,
     dataset: GridDataset,
@@ -152,7 +167,8 @@ def compare_methods(
 
     The cells share one pool of at most ``config.workers`` processes, and
     each cell's pipeline runs whole in one worker, so a cell's
-    ``sampling_seconds`` is its wall time there.
+    ``sampling_seconds`` is its wall time there; a lone cell runs in
+    this process and keeps its pipeline's cube pool.
 
     Returns three things.  The rows: one per (method, seed, variable)
     plus per-method mean and standard-deviation summary rows (seed
@@ -172,24 +188,9 @@ def compare_methods(
         var: full_reference(dataset.fields[var][time_axis].ravel(), bins)
         for var in dataset.role_vars()
     }
-    # A lone cell runs in-process and keeps run_pipeline's cube pool;
-    # otherwise one pool runs whole cells, and a pool worker cannot fork
-    # a pool of its own.
     cells = [(method, i) for method in methods for i in range(len(seeds))]
-    pipeline_workers = config.workers if len(cells) == 1 else 1
-
-    def one_cell(cell: tuple[str, int]):
-        method, i = cell
-        run_cfg = replace(config, method=method, seed=int(seeds[i]))
-        t0 = time.perf_counter()
-        sample = run_pipeline(run_cfg, dataset, workers=pipeline_workers)
-        elapsed = time.perf_counter() - t0
-        report = score_sample(sample, references)
-        # only scores and seeds[0]'s cluster values cross the pipe, no row table
-        first = sample.var_values(config.cluster_var).copy() if i == 0 else None
-        return report.per_variable, len(sample), elapsed, first
-
-    results = parallel_map(one_cell, cells, min(len(cells), config.workers))
+    score_cell = partial(_score_cell, config, dataset, seeds, references)
+    results = parallel_map(score_cell, cells, config.workers)
     rows: list[dict] = []
     first_samples: dict[str, np.ndarray] = {}
     by_cell = dict(zip(cells, results))

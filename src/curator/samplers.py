@@ -19,7 +19,8 @@ import heapq
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -490,10 +491,13 @@ def _dispatch_sampler(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _cube_rows(
-    block: HypercubeBlock, flat_idx: np.ndarray, dataset: GridDataset, role_vars: list[str]
-) -> np.ndarray:
+def _sample_cube(config: RunConfig, dataset: GridDataset, seed: int,
+                 work: list[HypercubeBlock], item: int) -> np.ndarray:
+    """Phase 2 work unit: the rows sampled from the item-th selected cube."""
+    block = work[item]
+    flat_idx = _dispatch_sampler(config, block, cube_rng(seed, block.timestep, block.index))
     d = dataset.dims
+    role_vars = dataset.role_vars()
     gidx = block.local_to_global(flat_idx)
     rows = np.empty((flat_idx.size, 7 + len(role_vars)))
     rows[:, 0] = dataset.timestep_ids[block.timestep]
@@ -508,16 +512,12 @@ def _cube_rows(
 
 def resolve_seed(seed: int | str) -> int:
     """Config seed to integer; "unseeded" draws fresh OS entropy."""
-    if isinstance(seed, str):
-        if seed == "unseeded":
-            return int(np.random.SeedSequence().entropy % (2**63))
-        return int(seed)
+    if seed == "unseeded":
+        return int(np.random.SeedSequence().entropy % (2**63))
     return int(seed)
 
 
 def config_digest(config: RunConfig) -> str:
-    from dataclasses import asdict
-
     return hashlib.sha256(
         json.dumps(asdict(config), sort_keys=True, default=str).encode()
     ).hexdigest()
@@ -557,14 +557,9 @@ def run_pipeline(
         work.extend(blocks[c] for c in np.sort(selected))
     phase1_seconds = time.perf_counter() - t0
 
-    def one_cube(item: int) -> np.ndarray:
-        block = work[item]
-        rng = cube_rng(seed, block.timestep, block.index)
-        flat_idx = _dispatch_sampler(config, block, rng)
-        return _cube_rows(block, flat_idx, dataset, role_vars)
-
     t0 = time.perf_counter()
-    pieces = parallel_map(one_cube, list(range(len(work))), workers)
+    sample_cube = partial(_sample_cube, config, dataset, seed, work)
+    pieces = parallel_map(sample_cube, list(range(len(work))), workers)
     phase2_seconds = time.perf_counter() - t0
 
     sizes = [rows.shape[0] for rows in pieces]

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from curator import bench
 from curator.cli import main
@@ -215,6 +217,14 @@ class TestSubsample:
         assert "error: strata" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["subsample", "compare", "bench"])
+    def test_missing_num_samples_fails_before_loading(self, case, tmp_path, capsys, command):
+        cfg = tmp_path / "no_budget.yaml"
+        cfg.write_text(case.read_text().replace("  num_samples: 8\n", ""))
+        assert run_cli([command, cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert "num_samples" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_overrides_are_checked_together(self, case, tmp_path):
         out = tmp_path / "out"
         assert run_cli([
@@ -325,6 +335,48 @@ class TestCompare:
         assert "sobol" in err and "maxent" in err  # lists the valid names
 
 
+class TestStartMethod:
+    """Workers get their work from the pool itself, so the outputs hold
+    under every start method, not only fork's inherited memory."""
+
+    @pytest.fixture(params=["spawn", "forkserver"])
+    def started(self, request, monkeypatch):
+        """Substitute a start method for fork; record each pool started."""
+        method = request.param
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} is not available on this platform")
+        started = []
+        get_context = bench.mp.get_context
+
+        def substitute(_fork=None):
+            started.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(bench.mp, "get_context", substitute)
+        return started
+
+    def test_subsample_golden_csv(self, case, tmp_path, started):
+        out = tmp_path / "out"
+        assert run_cli([
+            "subsample", case, "--output-dir", out, "--workers", 2, "--num-samples", "48",
+        ]) == 0
+        (csv_path,) = out.glob("*.csv")
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SUBSAMPLE_GOLDEN_CSV
+        assert len(started) == 1
+
+    def test_compare_golden_bytes(self, compare_case, tmp_path, started):
+        out = tmp_path / "out"
+        assert run_cli([
+            "compare", compare_case, "--output-dir", out, "--workers", 2,
+            "--methods", "random,stratified,lhs,uips,maxent", "--seeds", "3,4",
+        ]) == 0
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in COMPARE_GOLDEN_DIGESTS
+        } == COMPARE_GOLDEN_DIGESTS
+        assert len(started) == 1
+
+
 class TestTimesteps:
     """Snapshots are named by the timestep in their file names, not by
     their position in the loaded dataset."""
@@ -423,6 +475,26 @@ class TestFlagErrors:
         assert run_cli([command, case, "--output-dir", tmp_path / "o", "--workers", workers]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("subsample", "--seed", "abc"),
+        ("subsample", "--num-samples", "x"),
+        ("bench", "--repeats", "x"),
+        ("subsample", "--bogus", "1"),
+        ("compare", "--method", "random"),  # compare reads --methods
+        ("info", "--output-dir", "o"),  # info writes nothing
+        ("generate", "--workers", "2"),
+    ])
+    def test_usage_error_exits_1(self, case, tmp_path, monkeypatch, capsys, command, flag, value):
+        monkeypatch.chdir(tmp_path)  # so a run that wrongly succeeds writes nothing here
+        assert run_cli([command, case, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["subsample", "--help"])
+        assert exc.value.code == 0
+        assert "--num-samples" in capsys.readouterr().out
+
     def test_yaml_workers_below_one_exits_1(self, case, tmp_path, capsys):
         cfg = tmp_path / "zero.yaml"
         cfg.write_text(case.read_text().replace("workers: 1", "workers: 0"))
@@ -468,6 +540,31 @@ class TestGenerate:
             tmp_path / "b" / "cylinder_wake" / "wz_0.bin"
         ).read_bytes()
 
+    def test_subsample_section_is_copied_whole(self, tmp_path):
+        # strata and uips_bins are not among the keys generate once copied
+        gen_cfg = tmp_path / "gen.yaml"
+        gen_cfg.write_text(
+            "generate:\n  kind: gaussian_field\n  name: blob\n  nx: 8\n  ny: 8\n  nz: 8\n"
+            "subsample:\n  method: stratified\n  num_hypercubes: 4\n  num_samples: 8\n"
+            "  nxsl: 4\n  nysl: 4\n  nzsl: 4\n  strata: [2, 2, 2]\n  uips_bins: 7\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli(["generate", gen_cfg, "--output-dir", out]) == 0
+        case_yaml = out / "blob" / "case.yaml"
+        subsample = yaml.safe_load(case_yaml.read_text())["subsample"]
+        assert subsample["strata"] == [2, 2, 2] and subsample["uips_bins"] == 7
+        assert run_cli(["subsample", case_yaml, "--output-dir", tmp_path / "sub"]) == 0
+
+    def test_unknown_subsample_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(
+            "generate:\n  kind: gaussian_field\n  nx: 4\n  ny: 4\n  nz: 4\n"
+            "subsample:\n  num_samples: 8\n  colour: red\n"
+        )
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert "colour" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_section_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "g.yaml"
         cfg.write_text("shared:\n  nx: 4\n")
@@ -488,6 +585,12 @@ class TestInfo:
         assert "8 hypercubes" in out
         assert "Config digest:" in out
         assert "8 x 8 x 8" in out
+
+    def test_missing_num_samples_is_reported(self, case, tmp_path, capsys):
+        cfg = tmp_path / "no_budget.yaml"
+        cfg.write_text(case.read_text().replace("  num_samples: 8\n", ""))
+        assert run_cli(["info", cfg]) == 0
+        assert "num_samples not set" in capsys.readouterr().out
 
     def test_info_touches_no_files(self, case, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
