@@ -20,11 +20,11 @@ import yaml
 from . import bench, metrics, synthetic
 from .bench import OutputMismatchError
 from .grid import (
-    SUBSAMPLE_KEYS,
     ConfigError,
     GridDims,
     IngestionError,
     RunConfig,
+    check_section,
     load_dataset,
     num_blocks,
     parse_config,
@@ -183,9 +183,9 @@ def _bench_worker_counts(args) -> list[int]:
 def cmd_bench(args) -> int:
     """Strong-scaling study over worker counts."""
     config = _require_num_samples(_load_config(args))
+    worker_counts = _bench_worker_counts(args)
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
-    worker_counts = _bench_worker_counts(args)
 
     result = bench.run_scaling_study(
         config, dataset, worker_counts, repeats=max(args.repeats, 1)
@@ -212,13 +212,10 @@ def cmd_generate(args) -> int:
     for req in ("kind", "nx", "ny"):
         if req not in spec:
             raise ConfigError(f"missing required key: {req}")
+    subsample = doc.get("subsample") or {}
+    check_section("subsample", subsample)
     # generate sets the data path and the seed itself
-    subsample = {
-        k: v for k, v in (doc.get("subsample") or {}).items() if k not in ("path", "seed")
-    }
-    unknown = [str(k) for k in subsample if k not in SUBSAMPLE_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown subsample key(s): {', '.join(unknown)}")
+    subsample = {k: v for k, v in subsample.items() if k not in ("path", "seed")}
     kind = spec["kind"]
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     dataset = synthetic.generate(

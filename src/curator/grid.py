@@ -240,14 +240,26 @@ SUBSAMPLE_KEYS = (
     "hypercubes method num_hypercubes num_samples num_clusters "
     "nxsl nysl nzsl strata uips_bins seed workers"
 ).split()
+_SECTION_KEYS = {"shared": _SHARED_KEYS, "subsample": [*SUBSAMPLE_KEYS, "path"]}
+
+
+def check_section(name: str, section) -> None:
+    """Reject a ``shared`` or ``subsample`` section that is not a mapping or
+    holds a key no reader takes, naming the key and the section."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {name} must be a mapping")
+    unknown = [str(k) for k in section if k not in _SECTION_KEYS[name]]
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML run configuration into a RunConfig.
 
     The document must contain a ``shared`` section and at least one of
-    ``subsample`` / ``train``.  Unknown keys under ``train`` are retained
-    but ignored.
+    ``subsample`` / ``train``.  An unknown key under ``shared`` or
+    ``subsample`` is an error; keys under ``train`` are retained but
+    ignored.
     """
     doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
@@ -259,17 +271,11 @@ def parse_config(text: str) -> RunConfig:
     shared = doc.get("shared") or {}
     subsample = doc.get("subsample") or {}
     train = doc.get("train") or {}
+    check_section("shared", shared)
+    check_section("subsample", subsample)
 
-    kwargs: dict = {}
-    for key in _SHARED_KEYS:
-        if key in shared:
-            kwargs[key] = shared[key]
-    for key in SUBSAMPLE_KEYS:
-        if key in subsample:
-            kwargs[key] = subsample[key]
-    if "path" in subsample:
-        kwargs["path"] = subsample["path"]
-    kwargs["train"] = dict(train)
+    # a key set in both sections takes its subsample value
+    kwargs: dict = {**shared, **subsample, "train": dict(train)}
 
     for req in ("dims", "nx", "ny"):
         if req not in kwargs:

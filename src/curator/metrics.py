@@ -84,12 +84,25 @@ class FullReference:
 
 
 def full_reference(full: np.ndarray, bins: int = 100) -> FullReference:
-    """Histogram the full data and count its tail points per bin."""
-    full = np.asarray(full, dtype=np.float64).ravel()
-    h_full = histogram_pdf(full, bins)
-    q01, q99 = np.percentile(full, [1.0, 99.0])
-    tail_points = full[(full < q01) | (full > q99)]
-    tail_bins = entropy.bin_index(h_full.edges, tail_points)
+    """Histogram the full data and count its tail points per bin.
+
+    Everything comes from one sorted copy, read in memory order.  The
+    counts follow np.histogram's rule (half-open bins, the last closed)
+    and the densities repeat its ``density=True`` arithmetic, so the
+    result equals ``histogram_pdf(full, bins)`` bit for bit; the
+    percentiles are order statistics of the same values, whatever their
+    order.
+    """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    x = np.sort(np.asarray(full, dtype=np.float64).ravel(order="K"))
+    edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
+    counts = np.diff(x.searchsorted(edges[1:-1], side="left"), prepend=0, append=x.size)
+    h_full = PdfHistogram(edges=edges, densities=counts / np.diff(edges) / counts.sum(),
+                          count=x.size)
+    # partitioning the copy in place spares a second one; x is unsorted after
+    q01, q99 = np.percentile(x, [1.0, 99.0], overwrite_input=True)
+    tail_bins = entropy.bin_index(edges, x[(x < q01) | (x > q99)])
     return FullReference(histogram=h_full, tail_counts=np.bincount(tail_bins, minlength=bins))
 
 
@@ -181,11 +194,12 @@ def compare_methods(
     if not seeds:
         raise ValueError("need at least one seed")
     positions = dataset.positions(config.timesteps)
-    # with every snapshot in use, ravel the fields in place instead of copying
+    # with every snapshot in use the field stays a view, so the sorted copy
+    # in full_reference is the only one; a subset is gathered first
     time_axis = slice(None) if positions == list(range(dataset.dims.nt)) else positions
     # every cell is scored against the same full data, so its side is built once
     references = {
-        var: full_reference(dataset.fields[var][time_axis].ravel(), bins)
+        var: full_reference(dataset.fields[var][time_axis], bins)
         for var in dataset.role_vars()
     }
     cells = [(method, i) for method in methods for i in range(len(seeds))]

@@ -141,12 +141,12 @@ def select_hypercubes_maxent(
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
     rng = _rng(seed)
     # The fit sorts its input and label counts ignore order, so each cube's
-    # view is read in memory order, not x-fastest.
+    # view is read in memory order (order="K"), never through a strided gather.
     views = [b.values[cluster_var] for b in blocks]
-    pooled = np.concatenate([v.ravel() for v in views])
+    pooled = np.concatenate([v.ravel(order="K") for v in views])
     centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)))
     counts = np.array([
-        np.bincount(clustering.assign(centroids, v).ravel(), minlength=centroids.size)
+        np.bincount(clustering.assign(centroids, v.ravel(order="K")), minlength=centroids.size)
         for v in views
     ])
     graph = entropy.adjacency_matrix(counts / counts.sum(axis=1, keepdims=True))
@@ -358,13 +358,21 @@ def sample_uips(
         (bins_per_dim,) * len(feats),
     )
     bin_volume = np.prod((hi - lo) / bins_per_dim)
-    density = np.bincount(cell)[cell] / (block.volume * bin_volume)
+    bin_counts = np.bincount(cell)
+    bin_density = bin_counts / (block.volume * bin_volume)
+    density = bin_density[cell]
+    used = bin_counts > 0
+    counts_used, density_used = bin_counts[used].astype(np.float64), bin_density[used]
 
     # bisect the acceptance constant so that E[accepted] = n
-    c_lo, c_hi = 0.0, float(density.max())
+    c_lo, c_hi = 0.0, float(bin_density.max())
     for _ in range(30):
         c = 0.5 * (c_lo + c_hi)
-        expected = float(np.sum(np.minimum(1.0, c / density)))
+        # E[accepted] summed per bin, not per point: it rounds differently, so
+        # near the stopping threshold the per-point sum decides the branch
+        expected = float(counts_used @ np.minimum(1.0, c / density_used))
+        if abs(abs(expected - n) - 0.01 * n) <= 1e-9 * n:
+            expected = float(np.sum(np.minimum(1.0, c / density)))
         if abs(expected - n) <= 0.01 * n:
             break
         if expected < n:

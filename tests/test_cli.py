@@ -444,6 +444,12 @@ class TestBench:
         assert knee["threshold"] == 0.5
         assert "Knee:" in capsys.readouterr().out
 
+    def test_bad_workers_fail_before_loading(self, case, tmp_path, capsys):
+        (case.parent / "data" / "u_0.bin").unlink()
+        assert run_cli(["bench", case, "--output-dir", tmp_path / "o", "--workers", "0"]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_worker_one_always_included(self, case, tmp_path):
         out = tmp_path / "out"
         assert run_cli([
@@ -591,6 +597,13 @@ class TestInfo:
         cfg.write_text(case.read_text().replace("  num_samples: 8\n", ""))
         assert run_cli(["info", cfg]) == 0
         assert "num_samples not set" in capsys.readouterr().out
+
+    def test_unknown_key_exits_1(self, case, tmp_path, capsys):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(case.read_text().replace("  num_clusters: 20\n", "  num_cluster: 5\n"))
+        assert run_cli(["info", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "num_cluster" in err and "subsample" in err
 
     def test_info_touches_no_files(self, case, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -128,6 +128,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             RunConfig(nx=8, ny=8, nz=8, **overrides)
 
+    @pytest.mark.parametrize("section, key", [("shared", "nxx"), ("subsample", "num_cluster")])
+    def test_unknown_key_names_key_and_section(self, section, key):
+        text = SST_YAML.replace(f"{section}:\n", f"{section}:\n  {key}: 5\n")
+        with pytest.raises(ConfigError, match=f"unknown {section} key.*{key}"):
+            parse_config(text)
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="shared must be a mapping"):
+            parse_config("shared: [dims, nx]\nsubsample:\n  method: random\n")
+
+    def test_subsample_path_and_train_keys_accepted(self):
+        cfg = parse_config(SST_YAML)
+        assert cfg.path == "/path/to/raw_data/" and cfg.train["arch"] == "MLP_transformer"
+
     def test_strata_checked_only_for_stratified(self):
         RunConfig(nx=8, ny=8, nz=8, nxsl=4, nysl=4, nzsl=4, num_samples=8, strata=[1, 1, 9])
 

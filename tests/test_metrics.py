@@ -2,7 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from curator.entropy import bin_edges
 from curator.grid import GridDataset, GridDims, RunConfig
 from curator.metrics import (
     COMPARISON_COLUMNS,
@@ -10,6 +13,7 @@ from curator.metrics import (
     comparison_to_csv,
     cost_estimate,
     coverage_report,
+    full_reference,
     histogram_comparison_csv,
     histogram_pdf,
 )
@@ -74,6 +78,57 @@ class TestHistogramPdf:
             histogram_pdf(np.ones(3), bins=0)
         with pytest.raises(ValueError, match="hi > lo"):
             histogram_pdf(np.ones(3), bins=4, value_range=(1.0, 1.0))
+
+
+def ref_full_reference(full, bins):
+    """Histograms a raveled copy and masks the tails beyond np.percentile's
+    1st and 99th percentiles."""
+    full = np.asarray(full, dtype=np.float64).ravel()
+    h_full = histogram_pdf(full, bins)
+    q01, q99 = np.percentile(full, [1.0, 99.0])
+    tail_points = full[(full < q01) | (full > q99)]
+    tail_bins = np.clip(np.searchsorted(h_full.edges, tail_points, side="right") - 1, 0, bins - 1)
+    return h_full, np.bincount(tail_bins, minlength=bins)
+
+
+class TestFullReference:
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-5, 5).map(float),  # ties
+                st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            ),
+            min_size=1, max_size=80,
+        ),
+        st.integers(1, 40),
+        st.booleans(),
+        st.sampled_from(["contiguous", "strided", "fortran"]),
+    )
+    @example([2.5], 3, False, "contiguous")
+    @example([1.0, -1.0], 1, False, "strided")
+    @example([0.0, 4.0, 4.0], 4, False, "fortran")
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_unsorted_reference(self, values, bins, constant, layout):
+        values = np.array(values[:1] * len(values) if constant else values)
+        if values.min() < values.max():
+            # each interior edge is also a value, so the bin boundaries are hit
+            values = np.concatenate([values, bin_edges(values, bins)[1:-1]])
+        pair = np.stack([values, values[::-1]])
+        full = {
+            "contiguous": values,
+            "strided": pair.T[:, 0],  # a view with a stride of two values
+            "fortran": np.asfortranarray(pair),  # memory order is not C order
+        }[layout]
+        ref = full_reference(full, bins)
+        h_ref, tails_ref = ref_full_reference(full, bins)
+        assert np.array_equal(ref.histogram.edges, h_ref.edges)
+        assert np.array_equal(ref.histogram.densities, h_ref.densities)
+        assert ref.histogram.count == h_ref.count
+        assert np.array_equal(ref.tail_counts, tails_ref)
+
+    def test_invalid_bins(self):
+        with pytest.raises(ValueError, match="bins"):
+            full_reference(np.ones(3), bins=0)
 
 
 class TestCoverageReport:

@@ -473,6 +473,22 @@ class TestSamplersMatchReference:
             fast = sample_uips(block, n, bins, ["u"], seed)
         assert np.array_equal(fast, ref_sample_uips(block, n, bins, ["u"], seed))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uips_sum_on_the_stopping_threshold(self, seed):
+        # 101 zeros then 61 ones in 2 bins, n = 100: the first bisection step
+        # accepts the zeros with p = 1/2 and the ones with p = 101/122, an
+        # exact total of 101 = n + 0.01 n.  Summed per bin it rounds to 101
+        # and would stop there; summed per point it rounds above and goes on.
+        values = np.concatenate([np.zeros(101), np.ones(61)]).reshape(162, 1, 1)
+        ds = GridDataset(
+            dims=GridDims(162, 1, 1, nt=1, dims=3), fields={"u": values[None]},
+            input_vars=["u"], output_vars=["u"], cluster_var="u",
+        )
+        block = extract_block(ds, (0, 0, 0), (162, 1, 1), 0)
+        assert np.array_equal(
+            sample_uips(block, 100, 2, ["u"], seed), ref_sample_uips(block, 100, 2, ["u"], seed)
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(blocks(), st.data(), st.integers(0, 2**32 - 1))
     def test_maxent_points(self, block, data, seed):
