@@ -377,6 +377,68 @@ class TestStartMethod:
         assert len(started) == 1
 
 
+@pytest.fixture()
+def f32_case(tmp_path):
+    """compare_case's fields written as precision-4 (float32) files, with
+    maxent cube selection."""
+    rng = np.random.default_rng(11)
+    fields = {"u": rng.normal(size=(2, 12, 12, 8)), "s": rng.lognormal(size=(2, 12, 12, 8))}
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for var, arr in fields.items():
+        for ts in range(2):
+            arr[ts].astype("<f4").reshape(-1, order="F").tofile(data_dir / f"{var}_{ts}.bin")
+    ds = GridDataset(
+        dims=GridDims(nx=12, ny=12, nz=8, nt=2), fields=fields,
+        input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
+    )
+    cfg = tmp_path / "case.yaml"
+    cfg.write_text(dataset_config(
+        ds, data_dir, precision=4, hypercubes="maxent", num_hypercubes=3,
+        method="maxent", num_samples=40, num_clusters=4, nxsl=4, nysl=4, nzsl=4,
+        strata=[2, 2, 2], uips_bins=5,
+    ))
+    return cfg
+
+
+# sha256 of the CSV of `curator subsample` on f32_case (both timesteps)
+F32_SUBSAMPLE_GOLDEN_CSV = "12125eb398be0bf6cd6bbe17fddedd651984a2f0c5587c328d707c2173fadd5e"
+# sha256 of every payload file of `curator compare` on f32_case with
+# methods random, stratified, lhs, uips, maxent and seeds 3, 4
+F32_COMPARE_GOLDEN_DIGESTS = {
+    "comparison.csv": "40fdb305e62bbb0829392a4d7950a24ed73c1fb38d3e99d19b5990ccaeb4f643",
+    "hist_random.csv": "e64636e471012ca727005896bc9abec22c8186efcf8b577ff2ea11d60fa0da67",
+    "hist_stratified.csv": "1e84322d69d59db9a84cc9121504dbed71e3d98d823e6c3485b83e4bede0ec7f",
+    "hist_lhs.csv": "2206caa8805ad23a15637c44c8891ddf7d696329dff6738ad3a265ea12469525",
+    "hist_uips.csv": "25a0935a95c22624d704fc093639d6d2e3cf60250d6139cde453769f1031ea00",
+    "hist_maxent.csv": "2f320d629bfc9e32b0dd719ced38743e8509b66d1c870d9dd7fc7bb139a4bb36",
+}
+
+
+class TestPrecision4:
+    """float32 files give fixed bytes at any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_subsample_golden_csv(self, f32_case, tmp_path, workers):
+        out = tmp_path / "out"
+        assert run_cli(["subsample", f32_case, "--output-dir", out, "--workers", workers]) == 0
+        (csv_path,) = out.glob("*.csv")
+        assert len(csv_path.read_text().splitlines()) == 1 + 2 * 3 * 40
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == F32_SUBSAMPLE_GOLDEN_CSV
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compare_golden_bytes(self, f32_case, tmp_path, workers):
+        out = tmp_path / "out"
+        assert run_cli([
+            "compare", f32_case, "--output-dir", out, "--workers", workers,
+            "--methods", "random,stratified,lhs,uips,maxent", "--seeds", "3,4",
+        ]) == 0
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in F32_COMPARE_GOLDEN_DIGESTS
+        } == F32_COMPARE_GOLDEN_DIGESTS
+
+
 class TestTimesteps:
     """Snapshots are named by the timestep in their file names, not by
     their position in the loaded dataset."""
