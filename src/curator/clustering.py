@@ -30,21 +30,33 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         if total > 0.0:
             centroids.append(pool[rng.choice(pool.size, p=d2 / total)])
             d2 = np.minimum(d2, (pool - centroids[-1]) ** 2)
-        else:
+        elif pool is not x:
             # the subset holds fewer than k distinct values; all of x holds enough
             pool = x
             d2 = functools.reduce(np.minimum, ((x - c) ** 2 for c in centroids))
+        else:
+            # the values left are so close to the centroids that their squared
+            # distances underflow to 0: take the smallest one not yet drawn
+            centroids.append(x[np.isin(x, centroids, invert=True)][0])
     return np.sort(np.array(centroids))
 
 
-def kmeans_fit(values: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+def kmeans_fit(
+    values: np.ndarray, k: int, seed: int = 0, overwrite_input: bool = False
+) -> np.ndarray:
     """Fit k-means to scalar values; returns the centroids in ascending order.
 
     k is reduced, with a warning, to the number of distinct values.  Lloyd
     iterations stop when the centroids repeat exactly, or after 100.  A
-    centroid whose cell empties keeps its place.
+    centroid whose cell empties keeps its place.  With ``overwrite_input``
+    a contiguous float64 ``values`` is sorted in place instead of copied,
+    as ``np.percentile``'s flag allows.
     """
-    x = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if overwrite_input:
+        x.sort()  # the algorithm np.sort runs on its copy
+    else:
+        x = np.sort(x)
     n = x.size
     if n == 0:
         raise ValueError("empty clustering input")

@@ -130,8 +130,8 @@ class HypercubeBlock:
         )
 
     def flat_values(self, var: str) -> np.ndarray:
-        """Block values of one variable in x-fastest order."""
-        return self.values[var].reshape(-1, order="F")
+        """Block values of one variable in x-fastest order, as a float64 copy."""
+        return self.values[var].astype(np.float64, order="F").reshape(-1, order="F")
 
 
 @dataclass
@@ -193,6 +193,10 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer >= 0 or 'unseeded', got {self.seed!r}")
         if self.timesteps != "all" and len(set(self.timesteps)) != len(self.timesteps):
             raise ConfigError(f"timesteps must not repeat, got {self.timesteps}")
+        if self.method == "uips" and len(self.input_vars) > 4:
+            raise ConfigError(
+                f"input_vars: uips bins at most 4 variables, got {len(self.input_vars)}"
+            )
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
         if self.precision not in (4, 8):
@@ -319,8 +323,8 @@ def _read_raw_field(path: Path, nx: int, ny: int, nz: int, precision: int) -> np
             f"{path}: size mismatch, expected {expected} bytes "
             f"({nx}x{ny}x{nz} x {dtype.itemsize}), got {actual}"
         )
-    raw = np.fromfile(path, dtype=dtype)
-    return raw.reshape((nx, ny, nz), order="F").astype(np.float64, copy=False)
+    # mapped read-only in the file's dtype: a kernel widens what it computes on
+    return np.memmap(path, dtype, mode="r", shape=(nx, ny, nz), order="F").view(np.ndarray)
 
 
 def _discover_timesteps(path: Path, var: str) -> list[int]:
@@ -336,8 +340,11 @@ def _discover_timesteps(path: Path, var: str) -> list[int]:
 def load_dataset(config: RunConfig) -> GridDataset:
     """Load all role variables from disk, applying per-axis skip strides.
 
-    Two loads of the same files yield bit-identical arrays.  NaN or Inf
-    values are rejected when the GridDataset is built.
+    Raw files are mapped read-only and keep their on-disk dtype, so the
+    fields are read-only; one timestep stays a view of its file.  Two
+    loads of the same files yield bit-identical arrays.  NaN or Inf
+    values at the strided points are rejected when the GridDataset is
+    built.
     """
     role_vars: dict[str, None] = {}
     for name in [*config.input_vars, *config.output_vars, config.cluster_var]:
@@ -360,13 +367,17 @@ def load_dataset(config: RunConfig) -> GridDataset:
     sx, sy, sz = config.nxskip, config.nyskip, config.nzskip
     fields: dict[str, np.ndarray] = {}
     for var in role_vars:
-        snaps = []
-        for ts in steps:
-            arr = _read_raw_field(
+        snaps = [
+            _read_raw_field(
                 path / f"{var}_{ts}.bin", config.nx, config.ny, config.nz, config.precision
-            )
-            snaps.append(arr[::sx, ::sy, ::sz])
-        fields[var] = np.stack(snaps, axis=0)
+            )[::sx, ::sy, ::sz]
+            for ts in steps
+        ]
+        if len(snaps) == 1:
+            fields[var] = snaps[0][None]  # a view of the mapped file
+        else:
+            fields[var] = np.stack(snaps, axis=0)  # one copy, in the file dtype
+            fields[var].flags.writeable = False
 
     first = next(iter(fields.values()))
     dims = GridDims(

@@ -95,7 +95,9 @@ def full_reference(full: np.ndarray, bins: int = 100) -> FullReference:
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    x = np.sort(np.asarray(full, dtype=np.float64).ravel(order="K"))
+    # sorting in the data's own dtype, then widening, is bit-equal to
+    # sorting the float64 widening, and faster for float32 data
+    x = np.sort(np.asarray(full).ravel(order="K")).astype(np.float64, copy=False)
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
     counts = np.diff(x.searchsorted(edges[1:-1], side="left"), prepend=0, append=x.size)
     h_full = PdfHistogram(edges=edges, densities=counts / np.diff(edges) / counts.sum(),

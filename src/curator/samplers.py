@@ -141,10 +141,17 @@ def select_hypercubes_maxent(
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
     rng = _rng(seed)
     # The fit sorts its input and label counts ignore order, so each cube's
-    # view is read in memory order (order="K"), never through a strided gather.
+    # view is copied into one float64 buffer, which the fit sorts in place,
+    # and its labels are counted in memory order (order="K").
     views = [b.values[cluster_var] for b in blocks]
-    pooled = np.concatenate([v.ravel(order="K") for v in views])
-    centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)))
+    pooled = np.empty(sum(v.size for v in views))
+    offset = 0
+    for v in views:
+        np.copyto(pooled[offset:offset + v.size].reshape(v.shape, order="F"), v)
+        offset += v.size
+    centroids = clustering.kmeans_fit(
+        pooled, num_clusters, seed=int(rng.integers(2**63)), overwrite_input=True
+    )
     counts = np.array([
         np.bincount(clustering.assign(centroids, v.ravel(order="K")), minlength=centroids.size)
         for v in views
@@ -489,9 +496,7 @@ def _dispatch_sampler(
     if method == "lhs":
         return sample_lhs(block, n, rng)
     if method == "uips":
-        return sample_uips(
-            block, n, config.uips_bins, list(config.input_vars)[:4], rng
-        )
+        return sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
     if method == "maxent":
         return sample_maxent_points(
             block, config.cluster_var, config.num_clusters, n, rng

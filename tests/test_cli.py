@@ -326,6 +326,26 @@ class TestCompare:
         assert len(pools) == 1
         assert "num_hypercubes" in capsys.readouterr().err
 
+    def test_uips_with_five_input_vars_fails_before_loading(self, tmp_path, capsys):
+        names = ["a", "b", "c", "d", "e"]
+        rng = np.random.default_rng(0)
+        ds = GridDataset(
+            dims=GridDims(nx=8, ny=8, nz=8), fields={v: rng.normal(size=(1, 8, 8, 8)) for v in names},
+            input_vars=names, output_vars=["a"], cluster_var="a",
+        )
+        save_dataset(ds, tmp_path / "data")
+        cfg = tmp_path / "five.yaml"
+        cfg.write_text(dataset_config(
+            ds, tmp_path / "data", num_hypercubes=2, method="random", num_samples=8,
+            nxsl=4, nysl=4, nzsl=4,
+        ))
+        # uips binned only the first four of them
+        assert run_cli([
+            "compare", cfg, "--output-dir", tmp_path / "o", "--methods", "random,uips",
+        ]) == 1
+        assert "error: input_vars" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_method_exits_1(self, case, tmp_path, capsys):
         assert run_cli([
             "compare", case, "--output-dir", tmp_path / "o",

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curator.clustering import _kmeanspp_init, assign, kmeans_fit
 
@@ -108,6 +112,11 @@ class TestKmeansFit:
         centroids = kmeans_fit(values, k=20, seed=0)
         np.testing.assert_array_equal(centroids, np.arange(20.0))
 
+    def test_underflowing_distances_still_seed_k(self):
+        # every squared distance between these values underflows to 0
+        centroids = kmeans_fit(np.array([0.0, 1e-200, 2e-200, 2e-200]), k=3)
+        np.testing.assert_array_equal(centroids, [0.0, 1e-200, 2e-200])
+
     def test_centroids_stay_in_their_cells(self):
         # a prefix sum dominated by -1e17 cannot resolve the small cells'
         # sums; their centroids must still be their own values
@@ -147,3 +156,27 @@ def test_effective_k_reduces_with_warning():
     with pytest.warns(UserWarning, match="distinct"):
         assert kmeans_fit(np.array([1.0, 1.0, 2.0]), 5).size == 2
     assert kmeans_fit(np.arange(10.0), 5).size == 5
+
+
+# a few values, ±0 among them, so draws tie often and may hold fewer than k
+_TIED = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.75])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(_TIED | st.floats(-1e6, 1e6), min_size=1, max_size=300),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(values=[2.0] * 7, k=3, seed=0)  # constant data
+@example(values=[0.0, -0.0, -0.0, 0.0, -0.0], k=2, seed=1)  # only ±0
+def test_overwrite_input_sorts_the_buffer_to_the_same_fit(values, k, seed):
+    x = np.array(values)
+    before = x.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer distinct values than k
+        copied = kmeans_fit(x, k, seed)
+        assert x.tobytes() == before  # the default leaves its input untouched
+        in_place = kmeans_fit(x, k, seed, overwrite_input=True)
+    assert np.array_equal(in_place, copied)
+    assert np.array_equal(x, np.sort(np.frombuffer(before)))

@@ -142,6 +142,13 @@ class TestParseConfig:
         cfg = parse_config(SST_YAML)
         assert cfg.path == "/path/to/raw_data/" and cfg.train["arch"] == "MLP_transformer"
 
+    def test_uips_takes_at_most_four_input_vars(self):
+        names = ["a", "b", "c", "d", "e"]
+        with pytest.raises(ConfigError, match="input_vars.*got 5"):
+            RunConfig(nx=8, ny=8, nz=8, input_vars=names, method="uips")
+        RunConfig(nx=8, ny=8, nz=8, input_vars=names[:4], method="uips")
+        RunConfig(nx=8, ny=8, nz=8, input_vars=names, method="random")
+
     def test_strata_checked_only_for_stratified(self):
         RunConfig(nx=8, ny=8, nz=8, nxsl=4, nysl=4, nzsl=4, num_samples=8, strata=[1, 1, 9])
 
@@ -188,8 +195,31 @@ class TestLoadDataset:
         arr = np.zeros((4, 3, 2))
         arr[1, 2, 0] = np.nan
         self._write_raw(tmp_path / "u_0.bin", arr)
-        with pytest.raises(IngestionError, match="non-finite"):
+        with pytest.raises(IngestionError, match=r"non-finite .*'u' at index \(0, 1, 2, 0\)"):
             load_dataset(self._config(tmp_path))
+
+    def test_nan_on_a_skipped_point_loads(self, tmp_path):
+        # only the points the strides keep are checked
+        arr = np.zeros((4, 3, 2))
+        arr[1, 2, 0] = np.nan
+        self._write_raw(tmp_path / "u_0.bin", arr)
+        ds = load_dataset(self._config(tmp_path, nxskip=2))
+        np.testing.assert_array_equal(ds.fields["u"][0], arr[::2])
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_fields_keep_the_file_dtype_read_only(self, tmp_path, steps):
+        rng = np.random.default_rng(0)
+        snaps = [rng.normal(size=(4, 3, 2)).astype("<f4") for _ in range(steps)]
+        for t, arr in enumerate(snaps):
+            arr.reshape(-1, order="F").tofile(tmp_path / f"u_{t}.bin")
+        ds = load_dataset(self._config(tmp_path, precision=4))
+        field = ds.fields["u"]
+        assert field.dtype == np.float32 and not field.flags.writeable
+        np.testing.assert_array_equal(field, np.stack(snaps))
+        block = extract_block(ds, (1, 0, 0), (2, 3, 2), steps - 1)
+        flat = block.flat_values("u")
+        assert flat.dtype == np.float64
+        np.testing.assert_array_equal(flat, snaps[-1][1:3].astype(np.float64).ravel(order="F"))
 
     def test_loads_are_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
