@@ -330,7 +330,8 @@ class TestCompare:
         names = ["a", "b", "c", "d", "e"]
         rng = np.random.default_rng(0)
         ds = GridDataset(
-            dims=GridDims(nx=8, ny=8, nz=8), fields={v: rng.normal(size=(1, 8, 8, 8)) for v in names},
+            dims=GridDims(nx=8, ny=8, nz=8),
+            fields={v: rng.normal(size=(1, 8, 8, 8)) for v in names},
             input_vars=names, output_vars=["a"], cluster_var="a",
         )
         save_dataset(ds, tmp_path / "data")
