@@ -142,6 +142,9 @@ def cmd_compare(args) -> int:
     config = _load_config(args)
     methods = args.methods.split(",") if args.methods else list(DEFAULT_COMPARE_METHODS)
     seeds = _int_list("--seeds", args.seeds) if args.seeds else [resolve_seed(config.seed)]
+    for flag, values in (("--methods", methods), ("--seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{flag} must not repeat, got {values}")
     for m in methods:
         _require_num_samples(replace(config, method=m))  # checks each method before loading
     dataset = load_dataset(config)

@@ -80,10 +80,6 @@ class GridDataset:
                 raise ValueError(
                     f"field {name!r} has shape {arr.shape}, expected {self.dims.shape}"
                 )
-            if not np.all(np.isfinite(arr)):
-                flat = int(np.argmin(np.isfinite(arr)))
-                idx = tuple(int(i) for i in np.unravel_index(flat, arr.shape))
-                raise IngestionError(f"non-finite value in field {name!r} at index {idx}")
 
     def role_vars(self) -> list[str]:
         """Input, output, and cluster variables, deduplicated in order."""
@@ -327,6 +323,30 @@ def _read_raw_field(path: Path, nx: int, ny: int, nz: int, precision: int) -> np
     return np.memmap(path, dtype, mode="r", shape=(nx, ny, nz), order="F").view(np.ndarray)
 
 
+# points per slab of the finite scan, which bounds its bool temporary
+_SCAN_POINTS = 1 << 20
+
+
+def _check_finite(var: str, t: int, snap: np.ndarray) -> None:
+    """Reject a non-finite value in one timestep's (nx, ny, nz) field of
+    ``var``, naming the first such point in index order.
+
+    The scan walks the last axis in slabs of about ``_SCAN_POINTS``
+    points.  In an x-fastest file that axis is the slowest, so each slab
+    reads one run of the file.
+    """
+    step = max(1, _SCAN_POINTS // (snap.shape[0] * snap.shape[1]))
+    first = None
+    for k0 in range(0, snap.shape[2], step):
+        ok = np.isfinite(snap[:, :, k0:k0 + step])
+        if not ok.all():
+            i, j, k = (int(c) for c in np.argwhere(~ok)[0])  # the slab's first, in C order
+            idx = (t, i, j, k0 + k)
+            first = idx if first is None else min(first, idx)
+    if first is not None:
+        raise IngestionError(f"non-finite value in field {var!r} at index {first}")
+
+
 def _discover_timesteps(path: Path, var: str) -> list[int]:
     pattern = re.compile(rf"^{re.escape(var)}_(\d+)\.bin$")
     steps = sorted(
@@ -341,10 +361,12 @@ def load_dataset(config: RunConfig) -> GridDataset:
     """Load all role variables from disk, applying per-axis skip strides.
 
     Raw files are mapped read-only and keep their on-disk dtype, so the
-    fields are read-only; one timestep stays a view of its file.  Two
-    loads of the same files yield bit-identical arrays.  NaN or Inf
-    values at the strided points are rejected when the GridDataset is
-    built.
+    fields are read-only.  Each file is first scanned for NaN or Inf at
+    the strided points through a mapping of its own, which is dropped
+    with the pages the scan read.  One timestep's field is then a fresh
+    mapping of its file; several are copied into one stack, a file at a
+    time, from the scanned mapping.  Two loads of the same files yield
+    bit-identical arrays.
     """
     role_vars: dict[str, None] = {}
     for name in [*config.input_vars, *config.output_vars, config.cluster_var]:
@@ -364,20 +386,28 @@ def load_dataset(config: RunConfig) -> GridDataset:
     else:
         steps = [int(t) for t in config.timesteps]
 
-    sx, sy, sz = config.nxskip, config.nyskip, config.nzskip
+    def strided(file: Path) -> np.ndarray:
+        field = _read_raw_field(file, config.nx, config.ny, config.nz, config.precision)
+        return field[::config.nxskip, ::config.nyskip, ::config.nzskip]
+
     fields: dict[str, np.ndarray] = {}
     for var in role_vars:
-        snaps = [
-            _read_raw_field(
-                path / f"{var}_{ts}.bin", config.nx, config.ny, config.nz, config.precision
-            )[::sx, ::sy, ::sz]
-            for ts in steps
-        ]
-        if len(snaps) == 1:
-            fields[var] = snaps[0][None]  # a view of the mapped file
+        files = [path / f"{var}_{ts}.bin" for ts in steps]
+        stack = None
+        for t, file in enumerate(files):
+            snap = strided(file)
+            _check_finite(var, t, snap)
+            if len(files) > 1:
+                if stack is None:  # time slowest, each timestep x-fastest, as np.stack lays it
+                    stack = np.empty((len(files), *snap.shape[::-1]), snap.dtype)
+                    stack = stack.transpose(0, 3, 2, 1)
+                stack[t] = snap
+            del snap  # unmaps the file, and the pages the scan read leave the process
+        if stack is None:
+            fields[var] = strided(files[0])[None]  # a fresh mapping: no page read yet
         else:
-            fields[var] = np.stack(snaps, axis=0)  # one copy, in the file dtype
-            fields[var].flags.writeable = False
+            stack.flags.writeable = False
+            fields[var] = stack
 
     first = next(iter(fields.values()))
     dims = GridDims(
@@ -413,6 +443,8 @@ def _load_csv_dataset(config: RunConfig, path: Path, role_vars: list[str]) -> Gr
         col = data[:, header.index(var)]
         arr = col.reshape((config.nx, config.ny, 1), order="F")[None, ...]
         fields[var] = arr[:, :: config.nxskip, :: config.nyskip, :]
+    for var, arr in fields.items():
+        _check_finite(var, 0, arr[0])
     first = next(iter(fields.values()))
     dims = GridDims(nx=first.shape[1], ny=first.shape[2], nz=1, nt=1, dims=2)
     return GridDataset(

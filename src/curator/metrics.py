@@ -83,29 +83,61 @@ class FullReference:
     tail_counts: np.ndarray  # per bin, the full-data points beyond the 1st/99th percentiles
 
 
+def _search(x: np.ndarray, keys, side: str) -> np.ndarray:
+    """``x.searchsorted(keys, side)`` of float64 keys, as if x were widened
+    to float64.  Each key is rounded into x's dtype toward the side that
+    keeps ``x < key`` (side "left") or ``x <= key`` (side "right") true of
+    exactly the same values, so x is searched in its own dtype."""
+    keys = np.asarray(keys, dtype=np.float64)
+    k = keys.astype(x.dtype)
+    if side == "left":  # the least value of x's dtype that is >= key
+        k = np.where(k < keys, np.nextafter(k, np.inf), k)
+    else:  # the greatest value of x's dtype that is <= key
+        k = np.where(k > keys, np.nextafter(k, -np.inf), k)
+    return x.searchsorted(k, side=side)
+
+
+def _percentile(x: np.ndarray, q: float) -> float:
+    """``np.percentile(x.astype(np.float64), q)`` of sorted x, from the two
+    order statistics around its linear-rule virtual index, with numpy's
+    float64 arithmetic and its interpolation branch at t >= 0.5."""
+    v = (x.size - 1) * (q / 100)
+    if v >= x.size - 1:
+        return float(x[-1])
+    i = int(v)  # v >= 0, so this is its floor
+    a, b, t = float(x[i]), float(x[i + 1]), v - i
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def full_reference(full: np.ndarray, bins: int = 100) -> FullReference:
     """Histogram the full data and count its tail points per bin.
 
-    Everything comes from one sorted copy, read in memory order.  The
-    counts follow np.histogram's rule (half-open bins, the last closed)
-    and the densities repeat its ``density=True`` arithmetic, so the
-    result equals ``histogram_pdf(full, bins)`` bit for bit; the
-    percentiles are order statistics of the same values, whatever their
-    order.
+    Everything comes from one sorted copy in the data's own floating
+    dtype, the only allocation the size of the data.  The counts follow
+    np.histogram's rule (half-open bins, the last closed) and the
+    densities repeat its ``density=True`` arithmetic, so the result
+    equals ``histogram_pdf(full, bins)`` bit for bit.  The 1st and 99th
+    percentiles equal np.percentile's of the float64 data, and the tail
+    points beyond them are a prefix and a suffix of the sorted copy.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    # sorting in the data's own dtype, then widening, is bit-equal to
-    # sorting the float64 widening, and faster for float32 data
-    x = np.sort(np.asarray(full).ravel(order="K")).astype(np.float64, copy=False)
+    full = np.asarray(full)
+    # sorting in the data's own dtype gives the float64 widening's order;
+    # np.array with order "K" copies in memory order, so ravel is a view
+    x = np.array(full, dtype=np.result_type(full, np.float32), order="K").ravel(order="K")
+    x.sort()
+    n = x.size
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
-    counts = np.diff(x.searchsorted(edges[1:-1], side="left"), prepend=0, append=x.size)
+    bounds = np.concatenate([[0], _search(x, edges[1:-1], "left"), [n]])
+    counts = np.diff(bounds)
     h_full = PdfHistogram(edges=edges, densities=counts / np.diff(edges) / counts.sum(),
-                          count=x.size)
-    # partitioning the copy in place spares a second one; x is unsorted after
-    q01, q99 = np.percentile(x, [1.0, 99.0], overwrite_input=True)
-    tail_bins = entropy.bin_index(edges, x[(x < q01) | (x > q99)])
-    return FullReference(histogram=h_full, tail_counts=np.bincount(tail_bins, minlength=bins))
+                          count=n)
+    lo = _search(x, _percentile(x, 1.0), "left")  # the points below the 1st percentile
+    hi = _search(x, _percentile(x, 99.0), "right")  # from here on, above the 99th
+    # bin b holds x[bounds[b]:bounds[b + 1]], so it holds this many of x[:lo] and x[hi:]
+    tail_counts = np.diff(np.minimum(bounds, lo)) + np.diff(np.maximum(bounds, hi))
+    return FullReference(histogram=h_full, tail_counts=tail_counts)
 
 
 def coverage_report(

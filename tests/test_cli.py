@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from curator import bench
+from curator import bench, cli
 from curator.cli import main
 from curator.grid import GridDataset, GridDims
 from curator.synthetic import gen_taylor_green, save_dataset, dataset_config
@@ -345,6 +345,20 @@ class TestCompare:
             "compare", cfg, "--output-dir", tmp_path / "o", "--methods", "random,uips",
         ]) == 1
         assert "error: input_vars" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, methods, seeds", [
+        ("--methods", "random,random", "5"), ("--seeds", "random", "5,5"),
+    ])
+    def test_repeated_entries_fail_before_loading(self, case, tmp_path, capsys, monkeypatch,
+                                                  flag, methods, seeds):
+        # a repeat wrote each of its rows twice and a std of 0 for one seed
+        monkeypatch.setattr(cli, "load_dataset", lambda config: pytest.fail("data loaded"))
+        assert run_cli([
+            "compare", case, "--output-dir", tmp_path / "o",
+            "--methods", methods, "--seeds", seeds,
+        ]) == 1
+        assert f"error: {flag} must not repeat" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_method_exits_1(self, case, tmp_path, capsys):

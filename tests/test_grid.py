@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from curator import grid
 from curator.grid import (
     ConfigError,
     GridDataset,
@@ -206,6 +210,37 @@ class TestLoadDataset:
         ds = load_dataset(self._config(tmp_path, nxskip=2))
         np.testing.assert_array_equal(ds.fields["u"][0], arr[::2])
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_nan_first_in_index_order_is_named(self, tmp_path, monkeypatch, steps):
+        monkeypatch.setattr(grid, "_SCAN_POINTS", 1)  # one z plane per slab
+        arr = np.zeros((4, 3, 2))
+        arr[3, 0, 0] = np.nan  # the scan's first slab meets this one
+        arr[0, 0, 1] = np.nan  # index order puts this one first
+        for t in range(steps):
+            self._write_raw(tmp_path / f"u_{t}.bin", arr if t == steps - 1 else np.zeros_like(arr))
+        message = f"non-finite value in field 'u' at index ({steps - 1}, 0, 0, 1)"
+        with pytest.raises(IngestionError, match=re.escape(message) + r"\Z"):
+            load_dataset(self._config(tmp_path))
+
+    def test_load_leaves_the_scanned_pages(self, tmp_path):
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("no /proc/self/status")
+
+        def rss_bytes():
+            line = next(ln for ln in status.read_text().splitlines() if ln.startswith("VmRSS:"))
+            return int(line.split()[1]) * 1024
+
+        shape = (256, 128, 128)  # 32 MiB of float64
+        np.full(shape, 1.5).tofile(tmp_path / "u_0.bin")
+        size = (tmp_path / "u_0.bin").stat().st_size
+        before = rss_bytes()
+        ds = load_dataset(self._config(tmp_path, *shape))
+        grown = rss_bytes() - before
+        assert ds.fields["u"].shape == (1, *shape)
+        # the scan read every page; the field is a fresh mapping that has read none
+        assert grown < size / 4
+
     @pytest.mark.parametrize("steps", [1, 3])
     def test_fields_keep_the_file_dtype_read_only(self, tmp_path, steps):
         rng = np.random.default_rng(0)
@@ -216,6 +251,8 @@ class TestLoadDataset:
         field = ds.fields["u"]
         assert field.dtype == np.float32 and not field.flags.writeable
         np.testing.assert_array_equal(field, np.stack(snaps))
+        if steps > 1:  # time slowest and each timestep x-fastest, as np.stack lays them out
+            assert field.strides == np.stack([np.asfortranarray(a) for a in snaps]).strides
         block = extract_block(ds, (1, 0, 0), (2, 3, 2), steps - 1)
         flat = block.flat_values("u")
         assert flat.dtype == np.float64

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from curator.metrics import (
     histogram_comparison_csv,
     histogram_pdf,
 )
+from curator.metrics import _percentile, _search
 from curator.samplers import run_pipeline
 
 
@@ -103,16 +105,19 @@ class TestFullReference:
         st.integers(1, 40),
         st.booleans(),
         st.sampled_from(["contiguous", "strided", "fortran"]),
+        st.sampled_from([np.float64, np.float32]),
     )
-    @example([2.5], 3, False, "contiguous")
-    @example([1.0, -1.0], 1, False, "strided")
-    @example([0.0, 4.0, 4.0], 4, False, "fortran")
-    @settings(max_examples=200, deadline=None)
-    def test_matches_the_unsorted_reference(self, values, bins, constant, layout):
-        values = np.array(values[:1] * len(values) if constant else values)
+    @example([2.5], 3, False, "contiguous", np.float64)
+    @example([1.0, -1.0], 1, False, "strided", np.float64)
+    @example([0.0, 4.0, 4.0], 4, False, "fortran", np.float64)
+    @example([0.1, 0.7, 0.3], 7, False, "contiguous", np.float32)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_unsorted_reference(self, values, bins, constant, layout, dtype):
+        values = np.array(values[:1] * len(values) if constant else values, dtype=dtype)
         if values.min() < values.max():
-            # each interior edge is also a value, so the bin boundaries are hit
-            values = np.concatenate([values, bin_edges(values, bins)[1:-1]])
+            # each interior edge is also a value, so the bin boundaries are hit;
+            # in float32 the edges round to values just beside them
+            values = np.concatenate([values, bin_edges(values, bins)[1:-1].astype(dtype)])
         pair = np.stack([values, values[::-1]])
         full = {
             "contiguous": values,
@@ -129,6 +134,65 @@ class TestFullReference:
     def test_invalid_bins(self):
         with pytest.raises(ValueError, match="bins"):
             full_reference(np.ones(3), bins=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_allocates_one_copy_of_the_field(self, dtype, layout):
+        field = np.random.default_rng(0).lognormal(size=(2, 64, 48, 64)).astype(dtype)
+        full = np.asfortranarray(field) if layout == "fortran" else field[:, ::2]
+        tracemalloc.start()
+        try:
+            full_reference(full)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * full.nbytes
+
+
+def _data(kind, n, dtype, rng):
+    """n values of one kind: spread, ties, constant, or near 1e30 and 1e-30."""
+    if kind == "ties":
+        return rng.integers(-3, 4, n).astype(dtype)
+    if kind == "constant":
+        return np.full(n, 0.3, dtype)
+    scale = {"spread": 1.0, "huge": 1e30, "tiny": 1e-30}[kind]
+    return (rng.lognormal(size=n) * rng.choice([-scale, scale], n)).astype(dtype)
+
+
+class TestOrderStatistics:
+    """full_reference's percentiles and counts, taken from the sorted copy in
+    the data's dtype, against np.percentile and searchsorted on the widened
+    copy, bit for bit."""
+
+    KINDS = ["spread", "ties", "constant", "huge", "tiny"]
+
+    @staticmethod
+    def _check(x, bins=7):
+        xs = np.sort(x)
+        wide = xs.astype(np.float64)
+        qs = [_percentile(xs, q) for q in (1.0, 99.0)]
+        assert qs == np.percentile(x.astype(np.float64), [1.0, 99.0]).tolist()
+        # the keys full_reference searches, and keys just beside each value
+        keys = np.concatenate([
+            bin_edges(wide, bins), qs, wide,
+            np.nextafter(wide, np.inf), np.nextafter(wide, -np.inf),
+        ])
+        for side in ("left", "right"):
+            assert np.array_equal(_search(xs, keys, side), wide.searchsorted(keys, side=side))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_small_n(self, kind, dtype):
+        rng = np.random.default_rng(1)
+        for n in range(1, 401):
+            self._check(_data(kind, n, dtype, rng))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_larger_random_n(self, kind, dtype):
+        rng = np.random.default_rng(2)
+        for n in rng.integers(401, 200_000, 12):
+            self._check(_data(kind, int(n), dtype, rng), bins=100)
 
 
 class TestCoverageReport:
