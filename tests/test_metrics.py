@@ -17,8 +17,9 @@ from curator.metrics import (
     full_reference,
     histogram_comparison_csv,
     histogram_pdf,
+    _percentile,
+    _search,
 )
-from curator.metrics import _percentile, _search
 from curator.samplers import run_pipeline
 
 
@@ -171,7 +172,7 @@ class TestOrderStatistics:
         xs = np.sort(x)
         wide = xs.astype(np.float64)
         qs = [_percentile(xs, q) for q in (1.0, 99.0)]
-        assert qs == np.percentile(x.astype(np.float64), [1.0, 99.0]).tolist()
+        assert np.array(qs).tobytes() == np.percentile(x.astype(np.float64), [1.0, 99.0]).tobytes()
         # the keys full_reference searches, and keys just beside each value
         keys = np.concatenate([
             bin_edges(wide, bins), qs, wide,
