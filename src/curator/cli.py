@@ -24,55 +24,27 @@ from .grid import (
     GridDims,
     IngestionError,
     RunConfig,
+    _int_list,
+    _one_int,
     check_section,
     load_dataset,
     num_blocks,
     parse_config,
 )
-from .samplers import config_digest, resolve_seed, run_pipeline
+from .samplers import config_digest, run_pipeline
 
 DEFAULT_COMPARE_METHODS = ["random", "stratified", "lhs", "uips", "maxent"]
-
-
-def _int_list(flag: str, text: str) -> list[int]:
-    """Parse a comma-separated integer flag; a bad entry is a ConfigError
-    that names the flag."""
-    values = []
-    for entry in str(text).split(","):
-        try:
-            values.append(int(entry))
-        except ValueError:
-            raise ConfigError(f"{flag}: {entry!r} is not an integer") from None
-    return values
-
-
-def _one_int(flag: str, text: str) -> int:
-    """Parse a single-integer flag or variable; errors name it."""
-    values = _int_list(flag, text)
-    if len(values) != 1:
-        raise ConfigError(f"{flag} takes one integer, got {text!r}")
-    return values[0]
 
 
 def _load_config(args) -> RunConfig:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    config = parse_config(text)
-
-    # only the sections parse_config reads a seed from make it explicit
-    doc = yaml.safe_load(text)
-    explicit_seed = any(
-        isinstance(doc.get(sec), dict) and "seed" in doc[sec] for sec in ("shared", "subsample")
-    )
     # one replace, so the config is checked with every override at once
     # (e.g. --method stratified with the --num-samples its strata need)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    elif not explicit_seed and os.environ.get("CURATOR_SEED"):
-        overrides["seed"] = _one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
     if getattr(args, "method", None) is not None:  # compare takes --methods instead
         overrides["method"] = args.method
     if args.num_samples is not None:
@@ -81,7 +53,7 @@ def _load_config(args) -> RunConfig:
         overrides["timesteps"] = _int_list("--timesteps", args.timesteps)
     if args.workers is not None and args.command != "bench":
         overrides["workers"] = _one_int("--workers", args.workers)
-    return replace(config, **overrides)
+    return replace(parse_config(path.read_text()), **overrides)
 
 
 def _require_num_samples(config: RunConfig) -> RunConfig:
@@ -122,11 +94,10 @@ def cmd_subsample(args) -> int:
     (out_dir / f"{prefix}.json").write_text(json.dumps(sidecar, indent=2, default=str))
 
     phases = sample.provenance["phase_seconds"]
-    train = config.train if isinstance(config.train, dict) else {}
     cost = metrics.cost_estimate(
         m=len(sample),
-        p=float(train.get("params", 1e6)),
-        e=float(train.get("epochs", 1000)),
+        p=float(config.train.get("params", 1e6)),
+        e=float(config.train.get("epochs", 1000)),
         c_m=elapsed,
     )
     print(f"Wrote {csv_path}")
@@ -141,7 +112,7 @@ def cmd_compare(args) -> int:
     """Compare sampling methods on coverage metrics."""
     config = _load_config(args)
     methods = args.methods.split(",") if args.methods else list(DEFAULT_COMPARE_METHODS)
-    seeds = _int_list("--seeds", args.seeds) if args.seeds else [resolve_seed(config.seed)]
+    seeds = _int_list("--seeds", args.seeds) if args.seeds else [config.seed]
     for flag, values in (("--methods", methods), ("--seeds", seeds)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{flag} must not repeat, got {values}")

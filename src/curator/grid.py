@@ -7,6 +7,7 @@ order, one file per variable per timestep, named ``<var>_<timestep>.bin``.
 """
 from __future__ import annotations
 
+import os
 import re
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -185,8 +186,14 @@ class RunConfig:
         if not (isinstance(self.strata, (list, tuple)) and len(self.strata) == 3
                 and all(isinstance(s, int) and s >= 1 for s in self.strata)):
             raise ConfigError(f"strata must be three positive integers, got {self.strata}")
-        if self.seed != "unseeded" and not str(self.seed).isdecimal():
+        # settled once, here: a drawn seed is kept by replace() and recorded
+        if self.seed == "unseeded":
+            self.seed = int(np.random.SeedSequence().entropy % (2**63))
+        elif not str(self.seed).isdecimal():
             raise ConfigError(f"seed must be an integer >= 0 or 'unseeded', got {self.seed!r}")
+        self.seed = int(self.seed)
+        if not isinstance(self.train, dict):
+            raise ConfigError("section train must be a mapping")
         if self.timesteps != "all" and len(set(self.timesteps)) != len(self.timesteps):
             raise ConfigError(f"timesteps must not repeat, got {self.timesteps}")
         if self.method == "uips" and len(self.input_vars) > 4:
@@ -222,25 +229,44 @@ class RunConfig:
         return (self.nxsl, self.nysl, self.nzsl)
 
     def format_fileprefix(self) -> str:
-        window = self.train.get("window", 1) if isinstance(self.train, dict) else 1
         return self.fileprefix.format(
             hypercubes=self.hypercubes,
             num_hypercubes=self.num_hypercubes,
             method=self.method,
             num_samples=self.num_samples,
-            window=window,
+            window=self.train.get("window", 1),
         )
 
 
-_SHARED_KEYS = (
-    "dtype path dims nx ny nz input_vars output_vars cluster_var gravity "
-    "timesteps nxskip nyskip nzskip precision fileprefix seed workers"
-).split()
-SUBSAMPLE_KEYS = (
-    "hypercubes method num_hypercubes num_samples num_clusters "
-    "nxsl nysl nzsl strata uips_bins seed workers"
-).split()
-_SECTION_KEYS = {"shared": _SHARED_KEYS, "subsample": [*SUBSAMPLE_KEYS, "path"]}
+# the keys emit_config writes under each section; either section also
+# accepts seed, workers and path
+_SECTIONS = {
+    "shared": ("dtype path dims nx ny nz input_vars output_vars cluster_var gravity "
+               "timesteps nxskip nyskip nzskip precision fileprefix").split(),
+    "subsample": ("hypercubes method num_hypercubes num_samples num_clusters "
+                  "nxsl nysl nzsl strata uips_bins seed workers").split(),
+}
+_EITHER_SECTION = ("seed", "workers", "path")
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    """Parse a comma-separated integer flag; a bad entry is a ConfigError
+    that names the flag."""
+    values = []
+    for entry in str(text).split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"{flag}: {entry!r} is not an integer") from None
+    return values
+
+
+def _one_int(flag: str, text: str) -> int:
+    """Parse a single-integer flag or variable; errors name it."""
+    values = _int_list(flag, text)
+    if len(values) != 1:
+        raise ConfigError(f"{flag} takes one integer, got {text!r}")
+    return values[0]
 
 
 def check_section(name: str, section) -> None:
@@ -248,7 +274,7 @@ def check_section(name: str, section) -> None:
     holds a key no reader takes, naming the key and the section."""
     if not isinstance(section, dict):
         raise ConfigError(f"section {name} must be a mapping")
-    unknown = [str(k) for k in section if k not in _SECTION_KEYS[name]]
+    unknown = [str(k) for k in section if k not in (*_SECTIONS[name], *_EITHER_SECTION)]
     if unknown:
         raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
 
@@ -259,7 +285,8 @@ def parse_config(text: str) -> RunConfig:
     The document must contain a ``shared`` section and at least one of
     ``subsample`` / ``train``.  An unknown key under ``shared`` or
     ``subsample`` is an error; keys under ``train`` are retained but
-    ignored.
+    ignored.  The seed is a ``seed`` under ``subsample`` or ``shared``,
+    else ``CURATOR_SEED``, else 0.
     """
     doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
@@ -270,12 +297,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config needs at least one of: subsample, train")
     shared = doc.get("shared") or {}
     subsample = doc.get("subsample") or {}
-    train = doc.get("train") or {}
     check_section("shared", shared)
     check_section("subsample", subsample)
 
     # a key set in both sections takes its subsample value
-    kwargs: dict = {**shared, **subsample, "train": dict(train)}
+    kwargs: dict = {**shared, **subsample, "train": doc.get("train") or {}}
+    if "seed" not in kwargs and os.environ.get("CURATOR_SEED"):
+        kwargs["seed"] = _one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
 
     for req in ("dims", "nx", "ny"):
         if req not in kwargs:
@@ -296,9 +324,7 @@ def parse_config(text: str) -> RunConfig:
 def emit_config(config: RunConfig) -> str:
     """Serialize a RunConfig back to YAML; inverse of parse_config."""
     d = asdict(config)
-    shared = {k: d[k] for k in _SHARED_KEYS if k not in ("seed", "workers")}
-    subsample = {k: d[k] for k in SUBSAMPLE_KEYS}
-    doc = {"shared": shared, "subsample": subsample}
+    doc = {name: {k: d[k] for k in keys} for name, keys in _SECTIONS.items()}
     if d["train"]:
         doc["train"] = d["train"]
     return yaml.safe_dump(doc, sort_keys=False)

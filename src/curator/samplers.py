@@ -523,13 +523,6 @@ def _sample_cube(config: RunConfig, dataset: GridDataset, seed: int,
     return rows
 
 
-def resolve_seed(seed: int | str) -> int:
-    """Config seed to integer; "unseeded" draws fresh OS entropy."""
-    if seed == "unseeded":
-        return int(np.random.SeedSequence().entropy % (2**63))
-    return int(seed)
-
-
 def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(
         json.dumps(asdict(config), sort_keys=True, default=str).encode()
@@ -548,7 +541,7 @@ def run_pipeline(
     from .bench import parallel_map
 
     workers = config.workers if workers is None else workers
-    seed = resolve_seed(config.seed)
+    seed = config.seed
     role_vars = dataset.role_vars()
     m = config.num_hypercubes
 

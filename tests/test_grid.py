@@ -169,6 +169,18 @@ class TestParseConfig:
         assert parse_config(emit_config(cfg)) == cfg
 
 
+class TestConfigSeed:
+    def test_int_passthrough(self):
+        assert RunConfig(nx=8, ny=8, nz=8, seed=42).seed == 42
+
+    def test_numeric_string(self):
+        assert RunConfig(nx=8, ny=8, nz=8, seed="17").seed == 17
+
+    def test_unseeded_draws_entropy(self):
+        seeds = {RunConfig(nx=8, ny=8, nz=8, seed="unseeded").seed for _ in range(5)}
+        assert len(seeds) > 1
+
+
 class TestLoadDataset:
     def _write_raw(self, path, arr):
         np.asarray(arr, dtype="<f8").reshape(-1, order="F").tofile(path)

@@ -14,7 +14,6 @@ from curator.samplers import (
     cube_rng,
     lhs_design,
     rate_to_count,
-    resolve_seed,
     run_pipeline,
     sample_full,
     sample_lhs,
@@ -618,18 +617,6 @@ class TestTemporalSelect:
     def test_nonpositive_epsilon_rejected(self, budget):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             temporal_select(np.ones((3, 4)) / 4, budget, epsilon=0.0)
-
-
-class TestResolveSeed:
-    def test_int_passthrough(self):
-        assert resolve_seed(42) == 42
-
-    def test_numeric_string(self):
-        assert resolve_seed("17") == 17
-
-    def test_unseeded_draws_entropy(self):
-        seeds = {resolve_seed("unseeded") for _ in range(5)}
-        assert len(seeds) > 1
 
 
 class TestSampleSet:
