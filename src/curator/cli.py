@@ -183,6 +183,7 @@ def cmd_generate(args) -> int:
     spec = doc.get("generate")
     if not isinstance(spec, dict):
         raise ConfigError("missing required section: generate")
+    check_section("generate", spec, "kind name nx ny nz t params seed".split())
     for req in ("kind", "nx", "ny"):
         if req not in spec:
             raise ConfigError(f"missing required key: {req}")

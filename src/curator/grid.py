@@ -18,6 +18,7 @@ import yaml
 
 VALID_METHODS = ("full", "random", "stratified", "lhs", "uips", "maxent")
 VALID_HYPERCUBE_METHODS = ("maxent", "random")
+VALID_DTYPES = ("sst-binary", "csv")
 
 
 class ConfigError(ValueError):
@@ -131,6 +132,10 @@ class HypercubeBlock:
         return self.values[var].astype(np.float64, order="F").reshape(-1, order="F")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Everything needed to drive one sampling run, parsed from YAML."""
@@ -163,7 +168,7 @@ class RunConfig:
     nzsl: int = 32
     strata: list[int] = field(default_factory=lambda: [4, 4, 4])
     uips_bins: int = 20
-    # execution
+    # execution; __post_init__ settles seed to an int
     seed: int | str = 0
     workers: int = 1
     # train section is retained verbatim but functionally inert
@@ -179,12 +184,23 @@ class RunConfig:
                 f"unknown hypercubes method {self.hypercubes!r}; "
                 f"valid: {', '.join(VALID_HYPERCUBE_METHODS)}"
             )
-        for name in ("nx", "ny", "nz", "nxskip", "nyskip", "nzskip", "nxsl", "nysl", "nzsl",
-                     "num_hypercubes", "uips_bins", "workers"):
+        if self.dtype not in VALID_DTYPES:
+            raise ConfigError(f"unknown dtype {self.dtype!r}; valid: {', '.join(VALID_DTYPES)}")
+        if self.dims not in (2, 3):
+            raise ConfigError(f"dims must be 2 or 3, got {self.dims!r}")
+        positive = ("nx", "ny", "nz", "nxskip", "nyskip", "nzskip", "nxsl", "nysl", "nzsl",
+                    "num_hypercubes", "uips_bins", "workers")
+        for name in (*positive, "num_clusters", "num_samples"):
+            value = getattr(self, name)
+            if not (_is_int(value) or name == "num_samples" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.dims == 2 and self.nz != 1:
+            raise ConfigError(f"nz must be 1 for dims 2, got {self.nz}")
         if not (isinstance(self.strata, (list, tuple)) and len(self.strata) == 3
-                and all(isinstance(s, int) and s >= 1 for s in self.strata)):
+                and all(_is_int(s) and s >= 1 for s in self.strata)):
             raise ConfigError(f"strata must be three positive integers, got {self.strata}")
         # settled once, here: a drawn seed is kept by replace() and recorded
         if self.seed == "unseeded":
@@ -194,6 +210,11 @@ class RunConfig:
         self.seed = int(self.seed)
         if not isinstance(self.train, dict):
             raise ConfigError("section train must be a mapping")
+        if self.timesteps != "all" and not (isinstance(self.timesteps, list) and self.timesteps
+                                            and all(_is_int(t) for t in self.timesteps)):
+            raise ConfigError(
+                f"timesteps must be 'all' or a non-empty list of integers, got {self.timesteps!r}"
+            )
         if self.timesteps != "all" and len(set(self.timesteps)) != len(self.timesteps):
             raise ConfigError(f"timesteps must not repeat, got {self.timesteps}")
         if self.method == "uips" and len(self.input_vars) > 4:
@@ -223,6 +244,12 @@ class RunConfig:
                     f"strata {self.strata} make {n_strata} strata, above "
                     f"num_samples {self.num_samples}"
                 )
+        try:
+            self.format_fileprefix()
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"fileprefix {self.fileprefix!r} does not format: {exc!r}"
+            ) from None
 
     @property
     def cube_extents(self) -> tuple[int, int, int]:
@@ -269,12 +296,14 @@ def _one_int(flag: str, text: str) -> int:
     return values[0]
 
 
-def check_section(name: str, section) -> None:
-    """Reject a ``shared`` or ``subsample`` section that is not a mapping or
-    holds a key no reader takes, naming the key and the section."""
+def check_section(name: str, section, keys=None) -> None:
+    """Reject a section that is not a mapping or holds a key no reader
+    takes, naming the key and the section.  ``keys`` defaults to the
+    section's row of ``_SECTIONS`` plus seed, workers and path."""
     if not isinstance(section, dict):
         raise ConfigError(f"section {name} must be a mapping")
-    unknown = [str(k) for k in section if k not in (*_SECTIONS[name], *_EITHER_SECTION)]
+    keys = keys or (*_SECTIONS[name], *_EITHER_SECTION)
+    unknown = [str(k) for k in section if k not in keys]
     if unknown:
         raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
 

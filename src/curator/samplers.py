@@ -524,8 +524,10 @@ def _sample_cube(config: RunConfig, dataset: GridDataset, seed: int,
 
 
 def config_digest(config: RunConfig) -> str:
+    """Digest of the config.  The worker count does not change the output,
+    so it is hashed as 1, the value behind every recorded digest."""
     return hashlib.sha256(
-        json.dumps(asdict(config), sort_keys=True, default=str).encode()
+        json.dumps({**asdict(config), "workers": 1}, sort_keys=True, default=str).encode()
     ).hexdigest()
 
 

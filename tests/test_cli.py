@@ -198,6 +198,47 @@ class TestSubsample:
         (csv_b,) = b.glob("*.csv")
         assert csv_a.read_bytes() == csv_b.read_bytes()
 
+    def test_provenance_does_not_depend_on_workers(self, case, tmp_path):
+        provenance = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert run_cli(["subsample", case, "--output-dir", out, "--workers", workers]) == 0
+            (sidecar,) = out.glob("*.json")
+            prov = json.loads(sidecar.read_text())["provenance"]
+            provenance.append({k: v for k, v in prov.items()
+                               if k not in ("phase_seconds", "workers")})
+        assert provenance[0] == provenance[1]
+
+    def test_unseeded_sidecar_records_the_drawn_seed(self, case, tmp_path):
+        cfg = tmp_path / "unseeded.yaml"
+        cfg.write_text(case.read_text().replace("seed: 0", "seed: unseeded"))
+        out = tmp_path / "out"
+        assert run_cli(["subsample", cfg, "--output-dir", out]) == 0
+        (sidecar,) = out.glob("*.json")
+        record = json.loads(sidecar.read_text())
+        assert record["effective_config"]["seed"] == record["provenance"]["seed"]
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("dtype: sst-binary", "dtype: hdf5", "dtype"),
+        ("fileprefix: H", "fileprefix: run-{foo}-H", "fileprefix"),
+        ("timesteps: all", "timesteps: []", "timesteps"),
+        ("timesteps: all", "timesteps: 0", "timesteps"),
+        ("num_samples: 8", "num_samples: 8.5", "num_samples"),
+        ("num_clusters: 20", "num_clusters: x", "num_clusters"),
+        ("dims: 3", "dims: 5", "dims"),
+        ("subsample:", "train: [1, 2]\nsubsample:", "train"),
+    ], ids=["dtype", "fileprefix", "timesteps-empty", "timesteps-int", "num_samples",
+            "num_clusters", "dims", "train"])
+    def test_bad_value_fails_before_loading(self, case, tmp_path, capsys, old, new, key):
+        # with a data file gone, only a check made before loading names the key
+        (case.parent / "data" / "u_0.bin").unlink()
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(case.read_text().replace(old, new))
+        assert run_cli(["subsample", cfg, "--output-dir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "u_0.bin" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_csv_bytes(self, case, tmp_path, workers):
         # 4 cubes of 4^3 at 48 points each: coordinate values repeat across rows
@@ -547,6 +588,14 @@ class TestBench:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unseeded_config_keeps_one_seed(self, case, tmp_path):
+        # every repeat reruns the pipeline: they agree only on one drawn seed
+        cfg = tmp_path / "unseeded.yaml"
+        cfg.write_text(case.read_text().replace("seed: 0", "seed: unseeded"))
+        assert run_cli([
+            "bench", cfg, "--output-dir", tmp_path / "o", "--workers", "1", "--repeats", "2",
+        ]) == 0
+
     def test_worker_one_always_included(self, case, tmp_path):
         out = tmp_path / "out"
         assert run_cli([
@@ -666,6 +715,13 @@ class TestGenerate:
         )
         assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
         assert "colour" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_generate_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text("generate:\n  kind: gaussian_field\n  nx: 4\n  ny: 4\n  nu: 0.5\n")
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert "unknown generate key(s): nu" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_section_exits_1(self, tmp_path, capsys):

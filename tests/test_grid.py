@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,11 +127,16 @@ class TestParseConfig:
         ("strata", dict(STRATIFIED_4CUBES, num_samples=8, strata=[1, 1, 9])),
         ("strata", dict(STRATIFIED_4CUBES, num_samples=8, strata=[2, 2, 3])),
         ("strata", dict(STRATIFIED_4CUBES, num_samples=64, strata=[1, 5, 1])),
+        ("dtype", "hdf5"), ("dims", 5), ("nz", dict(dims=2, nz=4)),
+        ("fileprefix", "run-{foo}"), ("fileprefix", "run-{0}"),
+        ("timesteps", []), ("timesteps", 0), ("timesteps", [0, "1"]),
+        ("num_samples", 8.5), ("num_clusters", "x"), ("nx", True), ("workers", 2.0),
+        ("train", [1, 2]),
     ])
     def test_bad_value_names_its_key(self, key, value):
         overrides = value if isinstance(value, dict) else {key: value}
         with pytest.raises(ConfigError, match=key):
-            RunConfig(nx=8, ny=8, nz=8, **overrides)
+            RunConfig(**{"nx": 8, "ny": 8, "nz": 8, **overrides})
 
     @pytest.mark.parametrize("section, key", [("shared", "nxx"), ("subsample", "num_cluster")])
     def test_unknown_key_names_key_and_section(self, section, key):
@@ -161,12 +167,22 @@ class TestParseConfig:
         assert parse_config(emit_config(cfg)) == cfg
 
     def test_roundtrip_nondefault(self):
+        # every key off its default, so a key the section table misses is lost
         cfg = RunConfig(
-            nx=10, ny=20, nz=30, input_vars=["a"], output_vars=["b"],
-            cluster_var="a", method="uips", num_samples=5, nxsl=4, nysl=4,
-            nzsl=4, timesteps=[0, 2], seed=99, workers=3,
+            dtype="csv", path="/data", nx=10, ny=20, nz=30, input_vars=["a"],
+            output_vars=["b"], cluster_var="a", gravity="y", timesteps=[0, 2],
+            nxskip=2, nyskip=3, nzskip=4, precision=4, fileprefix="run-{method}",
+            hypercubes="maxent", method="uips", num_hypercubes=2, num_samples=5,
+            num_clusters=7, nxsl=4, nysl=4, nzsl=4, strata=[2, 2, 2], uips_bins=9,
+            seed=99, workers=3,
         )
-        assert parse_config(emit_config(cfg)) == cfg
+        default = RunConfig()
+        # dims 2 needs nz 1, the default, so dims is varied on its own
+        for c in (cfg, replace(cfg, dims=2, nz=1)):
+            assert parse_config(emit_config(c)) == c
+        off_default = {f.name for f in fields(RunConfig)
+                       if getattr(cfg, f.name) != getattr(default, f.name)}
+        assert off_default == {f.name for f in fields(RunConfig)} - {"dims", "train"}
 
 
 class TestConfigSeed:
@@ -179,6 +195,10 @@ class TestConfigSeed:
     def test_unseeded_draws_entropy(self):
         seeds = {RunConfig(nx=8, ny=8, nz=8, seed="unseeded").seed for _ in range(5)}
         assert len(seeds) > 1
+
+    def test_replace_keeps_the_drawn_seed(self):
+        cfg = RunConfig(nx=8, ny=8, nz=8, seed="unseeded")
+        assert replace(cfg, method="lhs").seed == cfg.seed
 
 
 class TestLoadDataset:
