@@ -129,7 +129,18 @@ class HypercubeBlock:
 
     def flat_values(self, var: str) -> np.ndarray:
         """Block values of one variable in x-fastest order, as a float64 copy."""
-        return self.values[var].astype(np.float64, order="F").reshape(-1, order="F")
+        return flat_copy([self.values[var]], np.float64)
+
+
+def flat_copy(views: list[np.ndarray], dtype) -> np.ndarray:
+    """One new ``dtype`` buffer holding every view's values in turn, each
+    read x-fastest (order "F"), which is a field's memory order."""
+    out = np.empty(sum(v.size for v in views), dtype)
+    offset = 0
+    for v in views:
+        np.copyto(out[offset:offset + v.size].reshape(v.shape, order="F"), v)
+        offset += v.size
+    return out
 
 
 def _is_int(value) -> bool:

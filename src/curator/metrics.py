@@ -20,7 +20,7 @@ import numpy as np
 
 from . import entropy
 from .bench import parallel_map
-from .grid import GridDataset, RunConfig
+from .grid import GridDataset, RunConfig, flat_copy
 from .samplers import SampleSet, run_pipeline
 
 
@@ -49,9 +49,10 @@ class PdfHistogram:
 
 @dataclass
 class CoverageReport:
-    """Per-variable coverage metrics."""
+    """Per-variable coverage metrics, and the sample histograms they score."""
 
     per_variable: dict[str, dict[str, float]]
+    histograms: dict[str, PdfHistogram]  # on the full data's bins
 
 
 def histogram_pdf(
@@ -109,11 +110,12 @@ def _percentile(x: np.ndarray, q: float) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
-def full_reference(full: np.ndarray, bins: int = 100) -> FullReference:
-    """Histogram the full data and count its tail points per bin.
+def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
+    """Histogram the full data, the values of every array in ``parts``,
+    and count its tail points per bin.
 
-    Everything comes from one sorted copy in the data's own floating
-    dtype, the only allocation the size of the data.  The counts follow
+    Everything comes from one sorted ``flat_copy`` of the parts in the
+    data's own floating dtype, the only allocation the size of the data.  The counts follow
     np.histogram's rule (half-open bins, the last closed) and the
     densities repeat its ``density=True`` arithmetic, so the result
     equals ``histogram_pdf(full, bins)`` bit for bit.  The 1st and 99th
@@ -122,10 +124,9 @@ def full_reference(full: np.ndarray, bins: int = 100) -> FullReference:
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    full = np.asarray(full)
-    # sorting in the data's own dtype gives the float64 widening's order;
-    # np.array with order "K" copies in memory order, so ravel is a view
-    x = np.array(full, dtype=np.result_type(full, np.float32), order="K").ravel(order="K")
+    parts = [np.asarray(p) for p in parts]
+    # sorting in the data's own dtype gives the float64 widening's order
+    x = flat_copy(parts, np.result_type(np.float32, *{p.dtype for p in parts}))
     x.sort()
     n = x.size
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
@@ -151,7 +152,7 @@ def coverage_report(
     percentiles) whose bin the sample occupies.
     """
     return score_sample(
-        sample, {var: full_reference(full, bins) for var, full in full_values.items()}
+        sample, {var: full_reference([full], bins) for var, full in full_values.items()}
     )
 
 
@@ -159,14 +160,14 @@ def score_sample(sample: SampleSet, references: dict[str, FullReference]) -> Cov
     """coverage_report's scores of a sample against prebuilt references."""
     if len(sample) == 0:
         raise ValueError("sample is empty")
-    per_variable = {}
+    per_variable, histograms = {}, {}
     for var, ref in references.items():
         if var not in sample.columns:
             raise ValueError(f"variable {var!r} missing from sample")
         sampled = sample.var_values(var)
         h_full = ref.histogram
         lo, hi = h_full.edges[[0, -1]].tolist()
-        h_sample = histogram_pdf(sampled, h_full.densities.size, (lo, hi))
+        h_sample = histograms[var] = histogram_pdf(sampled, h_full.densities.size, (lo, hi))
         tail_total = int(ref.tail_counts.sum())
         tail_capture = (
             float(ref.tail_counts[h_sample.densities > 0.0].sum() / tail_total)
@@ -180,7 +181,7 @@ def score_sample(sample: SampleSet, references: dict[str, FullReference]) -> Cov
             "span_ratio": min(float(sampled.max() - sampled.min()) / (hi - lo), 1.0),
             "tail_capture": tail_capture,
         }
-    return CoverageReport(per_variable=per_variable)
+    return CoverageReport(per_variable=per_variable, histograms=histograms)
 
 
 COMPARISON_COLUMNS = [
@@ -191,25 +192,30 @@ COMPARISON_COLUMNS = [
 
 def _score_cell(config: RunConfig, dataset: GridDataset, seeds: list[int],
                 references: dict[str, FullReference], cell: tuple[str, int]):
-    """Comparison work unit: the scores of one (method, seed index) pipeline."""
+    """Comparison work unit: the rows of one (method, seed index) pipeline,
+    one per variable, and its sample's cluster-variable histogram.  No
+    sample values cross the pipe."""
     method, i = cell
     run_cfg = replace(config, method=method, seed=int(seeds[i]))
     t0 = time.perf_counter()
     sample = run_pipeline(run_cfg, dataset)
     elapsed = time.perf_counter() - t0
     report = score_sample(sample, references)
-    # only scores and seeds[0]'s cluster values cross the pipe, no row table
-    first = sample.var_values(config.cluster_var).copy() if i == 0 else None
-    return report.per_variable, len(sample), elapsed, first
+    rows = [
+        {
+            "method": method, "seed": seeds[i], "variable": var,
+            "kl_nats": m["kl_full_to_sample"],
+            **{c: m[c] for c in ("occupied_bin_fraction", "span_ratio", "tail_capture")},
+            "sampling_seconds": elapsed, "points": len(sample),
+        }
+        for var, m in report.per_variable.items()
+    ]
+    return rows, report.histograms[config.cluster_var]
 
 
 def compare_methods(
-    config: RunConfig,
-    dataset: GridDataset,
-    methods: list[str],
-    seeds: list[int],
-    bins: int = 100,
-) -> tuple[list[dict], FullReference, dict[str, np.ndarray]]:
+    config: RunConfig, dataset: GridDataset, methods: list[str], seeds: list[int]
+) -> tuple[list[dict], PdfHistogram, dict[str, PdfHistogram]]:
     """Run every (method, seed) cell and tabulate coverage metrics.
 
     The cells share one pool of at most ``config.workers`` processes, and
@@ -219,51 +225,37 @@ def compare_methods(
 
     Returns three things.  The rows: one per (method, seed, variable)
     plus per-method mean and standard-deviation summary rows (seed
-    column "mean" / "std").  The full-data reference of the cluster
-    variable.  And, per method, the cluster-variable values of its
-    sample at ``seeds[0]``.
+    column "mean" / "std").  The full-data histogram of the cluster
+    variable.  And, per method, the histogram of its sample at
+    ``seeds[0]`` on the same bins.
     """
     if not methods:
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
     positions = dataset.positions(config.timesteps)
-    # with every snapshot in use the field stays a view, so the sorted copy
-    # in full_reference is the only one; a subset is gathered first
-    time_axis = slice(None) if positions == list(range(dataset.dims.nt)) else positions
-    # every cell is scored against the same full data, so its side is built once
+    # every cell is scored against the same full data, so its side is built
+    # once, from one copy of the snapshots in use
     references = {
-        var: full_reference(dataset.fields[var][time_axis], bins)
+        var: full_reference([dataset.fields[var][p] for p in positions])
         for var in dataset.role_vars()
     }
     cells = [(method, i) for method in methods for i in range(len(seeds))]
     score_cell = partial(_score_cell, config, dataset, seeds, references)
-    results = parallel_map(score_cell, cells, config.workers)
+    by_cell = dict(zip(cells, parallel_map(score_cell, cells, config.workers)))
     rows: list[dict] = []
-    first_samples: dict[str, np.ndarray] = {}
-    by_cell = dict(zip(cells, results))
     for method in methods:
-        cells_by_var: dict[str, list[dict]] = {}
-        for i, seed in enumerate(seeds):
-            per_variable, points, elapsed, first = by_cell[method, i]
-            if first is not None:
-                first_samples[method] = first
-            for var, m in per_variable.items():
-                row = {
-                    "method": method, "seed": seed, "variable": var,
-                    "kl_nats": m["kl_full_to_sample"],
-                    **{c: m[c] for c in ("occupied_bin_fraction", "span_ratio", "tail_capture")},
-                    "sampling_seconds": elapsed, "points": points,
-                }
-                rows.append(row)
-                cells_by_var.setdefault(var, []).append(row)
-        for var, var_rows in cells_by_var.items():
+        cell_rows = [row for i in range(len(seeds)) for row in by_cell[method, i][0]]
+        rows += cell_rows
+        for var in references:
+            var_rows = [r for r in cell_rows if r["variable"] == var]
             for stat, fn in (("mean", np.mean), ("std", np.std)):
                 rows.append({
                     "method": method, "seed": stat, "variable": var,
                     **{c: float(fn([r[c] for r in var_rows])) for c in COMPARISON_COLUMNS[3:]},
                 })
-    return rows, references[config.cluster_var], first_samples
+    histograms = {method: by_cell[method, 0][1] for method in methods}
+    return rows, references[config.cluster_var].histogram, histograms
 
 
 def comparison_to_csv(rows: list[dict], path) -> None:
@@ -280,16 +272,13 @@ def comparison_to_csv(rows: list[dict], path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def histogram_comparison_csv(h_full: PdfHistogram, sample_values: np.ndarray, path) -> None:
+def histogram_comparison_csv(h_full: PdfHistogram, h_sample: PdfHistogram, path) -> None:
     """Per-method histogram CSV: bin_lo, bin_hi, density_full, density_sample.
 
-    The sample is binned on the full-data histogram's bins."""
-    bins = h_full.densities.size
-    lo, hi = h_full.edges[[0, -1]].tolist()
-    h_sample = histogram_pdf(sample_values, bins, (lo, hi))
+    The sample histogram is on the full-data histogram's bins."""
     with open(path, "w") as fh:
         fh.write("bin_lo,bin_hi,density_full,density_sample\n")
-        for b in range(bins):
+        for b in range(h_full.densities.size):
             fh.write(
                 f"{h_full.edges[b]:.17g},{h_full.edges[b + 1]:.17g},"
                 f"{h_full.densities[b]:.17g},{h_sample.densities[b]:.17g}\n"

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import clustering, entropy
-from .grid import GridDataset, HypercubeBlock, RunConfig, partition_hypercubes
+from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy, partition_hypercubes
 
 _PHASE1_TAG = 0x51C1E
 # rows per formatting call in SampleSet.to_csv; bounds the Python cell
@@ -144,11 +144,7 @@ def select_hypercubes_maxent(
     # view is copied into one float64 buffer, which the fit sorts in place,
     # and its labels are counted in memory order (order="K").
     views = [b.values[cluster_var] for b in blocks]
-    pooled = np.empty(sum(v.size for v in views))
-    offset = 0
-    for v in views:
-        np.copyto(pooled[offset:offset + v.size].reshape(v.shape, order="F"), v)
-        offset += v.size
+    pooled = flat_copy(views, np.float64)
     centroids = clustering.kmeans_fit(
         pooled, num_clusters, seed=int(rng.integers(2**63)), overwrite_input=True
     )

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from curator.metrics import (
     histogram_comparison_csv,
     histogram_pdf,
     _percentile,
+    _score_cell,
     _search,
 )
 from curator.samplers import run_pipeline
@@ -125,29 +127,35 @@ class TestFullReference:
             "strided": pair.T[:, 0],  # a view with a stride of two values
             "fortran": np.asfortranarray(pair),  # memory order is not C order
         }[layout]
-        ref = full_reference(full, bins)
         h_ref, tails_ref = ref_full_reference(full, bins)
-        assert np.array_equal(ref.histogram.edges, h_ref.edges)
-        assert np.array_equal(ref.histogram.densities, h_ref.densities)
-        assert ref.histogram.count == h_ref.count
-        assert np.array_equal(ref.tail_counts, tails_ref)
+        # the whole array, and the same array split into two parts
+        for parts in ([full], np.array_split(full, 2)):
+            ref = full_reference(parts, bins)
+            assert np.array_equal(ref.histogram.edges, h_ref.edges)
+            assert np.array_equal(ref.histogram.densities, h_ref.densities)
+            assert ref.histogram.count == h_ref.count
+            assert np.array_equal(ref.tail_counts, tails_ref)
 
     def test_invalid_bins(self):
         with pytest.raises(ValueError, match="bins"):
-            full_reference(np.ones(3), bins=0)
+            full_reference([np.ones(3)], bins=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "subset"])
     def test_allocates_one_copy_of_the_field(self, dtype, layout):
         field = np.random.default_rng(0).lognormal(size=(2, 64, 48, 64)).astype(dtype)
-        full = np.asfortranarray(field) if layout == "fortran" else field[:, ::2]
+        parts = {
+            "fortran": [np.asfortranarray(field)],
+            "strided": [field[:, ::2]],
+            "subset": [field[1], field[0]],  # per-timestep views, as compare passes them
+        }[layout]
         tracemalloc.start()
         try:
-            full_reference(full)
+            full_reference(parts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * full.nbytes
+        assert peak <= 1.1 * sum(p.nbytes for p in parts)
 
 
 def _data(kind, n, dtype, rng):
@@ -258,12 +266,13 @@ class TestCompareMethods:
             nxsl=4, nysl=4, nzsl=4, num_hypercubes=4, num_samples=16,
             strata=[2, 2, 2], seed=0,
         )
-        rows, full_ref, first_samples = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
-        h_full = histogram_pdf(ds.fields["u"].ravel(), 100)
-        np.testing.assert_array_equal(full_ref.histogram.edges, h_full.edges)
-        np.testing.assert_array_equal(full_ref.histogram.densities, h_full.densities)
+        rows, h_full, histograms = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
+        h_ref = histogram_pdf(ds.fields["u"].ravel(), 100)
+        np.testing.assert_array_equal(h_full.edges, h_ref.edges)
+        np.testing.assert_array_equal(h_full.densities, h_ref.densities)
         first_lhs = run_pipeline(replace(cfg, method="lhs", seed=0), ds)
-        np.testing.assert_array_equal(first_samples["lhs"], first_lhs.var_values("u"))
+        h_lhs = histogram_pdf(first_lhs.var_values("u"), 100, tuple(h_ref.edges[[0, -1]]))
+        np.testing.assert_array_equal(histograms["lhs"].densities, h_lhs.densities)
         # per method: 2 seeds x 1 variable + mean + std rows
         assert len(rows) == 2 * (2 + 2)
         assert set(rows[0]) == set(COMPARISON_COLUMNS)
@@ -275,6 +284,18 @@ class TestCompareMethods:
             if r["method"] == "random" and isinstance(r["seed"], int)
         ]
         assert mean_row["kl_nats"] == pytest.approx(np.mean(cell_kls))
+
+    def test_cell_result_carries_no_sample(self):
+        # a cell returns scores and one histogram, not its rows' values
+        ds = make_dataset(nx=32)
+        cfg = RunConfig(
+            nx=32, ny=32, nz=32, input_vars=["u"], output_vars=["u"], cluster_var="u",
+            nxsl=16, nysl=16, nzsl=16, num_hypercubes=4, num_samples=4096, seed=0,
+        )
+        references = {"u": full_reference([ds.fields["u"][0]])}
+        result = _score_cell(cfg, ds, [0], references, ("random", 0))
+        assert result[0][0]["points"] >= 10_000
+        assert len(pickle.dumps(result)) < 16 * 1024
 
     def test_empty_inputs_rejected(self):
         ds = make_dataset()
@@ -305,7 +326,9 @@ class TestHistogramComparisonCsv:
     def test_schema_and_lengths(self, tmp_path):
         rng = np.random.default_rng(0)
         full = rng.normal(size=2000)
-        histogram_comparison_csv(histogram_pdf(full, 25), full[:100], tmp_path / "h.csv")
+        h_full = histogram_pdf(full, 25)
+        h_sample = histogram_pdf(full[:100], 25, tuple(h_full.edges[[0, -1]]))
+        histogram_comparison_csv(h_full, h_sample, tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,density_full,density_sample"
         assert len(lines) == 26
