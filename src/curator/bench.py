@@ -20,6 +20,8 @@ import numpy as np
 from .grid import GridDataset, RunConfig
 
 _work_fn = None
+# efficiency below which added workers stop paying: the knee
+KNEE_THRESHOLD = 0.5
 
 
 def _install(fn) -> None:
@@ -70,7 +72,7 @@ class ScalingResult:
 
 
 def detect_knee(
-    rows: list[tuple[int, float, float, float]], threshold: float = 0.5
+    rows: list[tuple[int, float, float, float]], threshold: float = KNEE_THRESHOLD
 ) -> int | None:
     """Smallest worker count whose efficiency falls strictly below the
     threshold; None if efficiency never collapses."""
@@ -87,7 +89,6 @@ def run_scaling_study(
     dataset: GridDataset,
     worker_counts: list[int],
     repeats: int = 3,
-    knee_threshold: float = 0.5,
 ) -> ScalingResult:
     """Time the full pipeline at each worker count (minimum of repeats).
 
@@ -129,5 +130,5 @@ def run_scaling_study(
         efficiency=efficiency,
     )
     if len(counts) >= 3:
-        result.knee_workers = detect_knee(result.rows(), knee_threshold)
+        result.knee_workers = detect_knee(result.rows())
     return result

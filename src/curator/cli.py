@@ -21,14 +21,13 @@ from . import bench, metrics, synthetic
 from .bench import OutputMismatchError
 from .grid import (
     ConfigError,
-    GridDims,
     IngestionError,
     RunConfig,
     _int_list,
+    _is_int,
     _one_int,
     check_section,
     load_dataset,
-    num_blocks,
     parse_config,
 )
 from .samplers import config_digest, run_pipeline
@@ -56,10 +55,17 @@ def _load_config(args) -> RunConfig:
     return replace(parse_config(path.read_text()), **overrides)
 
 
-def _require_num_samples(config: RunConfig) -> RunConfig:
-    """Every method but full needs num_samples; checked before any file is read."""
+def _check_run(config: RunConfig) -> RunConfig:
+    """What a run needs of its config, checked before any file is read:
+    every method but full needs num_samples, and the cubes must fit the
+    strided grid, num_hypercubes of them per timestep."""
     if config.method != "full" and config.num_samples is None:
         raise ConfigError(f"num_samples is required for method {config.method!r}")
+    _, cubes = config.strided_grid()
+    if config.num_hypercubes > cubes:
+        raise ConfigError(
+            f"num_hypercubes {config.num_hypercubes} exceeds the {cubes} cubes per timestep"
+        )
     return config
 
 
@@ -71,7 +77,7 @@ def _output_dir(args) -> Path:
 
 def cmd_subsample(args) -> int:
     """Run the sampling pipeline and write a sample set."""
-    config = _require_num_samples(_load_config(args))
+    config = _check_run(_load_config(args))
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 
@@ -117,7 +123,7 @@ def cmd_compare(args) -> int:
         if len(set(values)) != len(values):
             raise ConfigError(f"{flag} must not repeat, got {values}")
     for m in methods:
-        _require_num_samples(replace(config, method=m))  # checks each method before loading
+        _check_run(replace(config, method=m))  # checks each method before loading
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
 
@@ -154,7 +160,7 @@ def _bench_worker_counts(args) -> list[int]:
 
 def cmd_bench(args) -> int:
     """Strong-scaling study over worker counts."""
-    config = _require_num_samples(_load_config(args))
+    config = _check_run(_load_config(args))
     worker_counts = _bench_worker_counts(args)
     dataset = load_dataset(config)
     out_dir = _output_dir(args)
@@ -164,7 +170,8 @@ def cmd_bench(args) -> int:
     )
     result.to_csv(out_dir / "scaling.csv")
     (out_dir / "knee.json").write_text(
-        json.dumps({"knee_workers": result.knee_workers, "threshold": 0.5}, indent=2)
+        json.dumps({"knee_workers": result.knee_workers, "threshold": bench.KNEE_THRESHOLD},
+                   indent=2)
     )
     for w, t, s, e in result.rows():
         print(f"workers={w} wall={t:.3f}s speedup={s:.2f} efficiency={e:.2f}")
@@ -185,15 +192,24 @@ def cmd_generate(args) -> int:
     for req in ("kind", "nx", "ny"):
         if req not in spec:
             raise ConfigError(f"missing required key: {req}")
+    for key, least in (("nx", 1), ("ny", 1), ("nz", 1), ("seed", 0)):
+        value = spec.get(key, least)
+        if not (_is_int(value) and value >= least):
+            raise ConfigError(f"generate {key} must be an integer >= {least}, got {value!r}")
+    t = spec.get("t", 0.0)
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise ConfigError(f"generate t must be a number, got {t!r}")
+    if not isinstance(spec.get("params") or {}, dict):
+        raise ConfigError(f"generate params must be a mapping, got {spec['params']!r}")
     subsample = doc.get("subsample") or {}
     check_section("subsample", subsample)
     # generate sets the data path and the seed itself
     subsample = {k: v for k, v in subsample.items() if k not in ("path", "seed")}
     kind = spec["kind"]
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    seed = args.seed if args.seed is not None else spec.get("seed", 0)
     dataset = synthetic.generate(
         kind, (spec["nx"], spec["ny"], spec.get("nz", 1)), seed=seed,
-        t=float(spec.get("t", 0.0)), params=spec.get("params"),
+        t=float(t), params=spec.get("params"),
     )
 
     data_dir = _output_dir(args) / spec.get("name", kind)
@@ -209,11 +225,7 @@ def cmd_generate(args) -> int:
 def cmd_info(args) -> int:
     """Print the effective config and expected output size."""
     config = _load_config(args)
-    nx = len(range(0, config.nx, config.nxskip))
-    ny = len(range(0, config.ny, config.nyskip))
-    nz = len(range(0, config.nz, config.nzskip))
-    dims = GridDims(nx=nx, ny=ny, nz=nz, nt=1, dims=config.dims)
-    cubes = num_blocks(dims, config.cube_extents)
+    dims, cubes = config.strided_grid()
     cube_volume = config.nxsl * config.nysl * config.nzsl
     per_cube = cube_volume if config.method == "full" else config.num_samples
     n_steps = (
@@ -224,7 +236,7 @@ def cmd_info(args) -> int:
     for key, value in asdict(config).items():
         print(f"  {key}: {value}")
     print(f"Config digest: {config_digest(config)}")
-    print(f"Dataset shape (post-skip): {nx} x {ny} x {nz}")
+    print(f"Dataset shape (post-skip): {dims.nx} x {dims.ny} x {dims.nz}")
     print(f"{cubes} hypercubes")
     if per_cube is None:
         print("Expected rows: unknown (num_samples not set)")

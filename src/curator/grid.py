@@ -85,10 +85,7 @@ class GridDataset:
 
     def role_vars(self) -> list[str]:
         """Input, output, and cluster variables, deduplicated in order."""
-        seen: dict[str, None] = {}
-        for name in [*self.input_vars, *self.output_vars, self.cluster_var]:
-            seen.setdefault(name)
-        return list(seen)
+        return role_vars(self)
 
     def positions(self, timesteps: str | list[int]) -> list[int]:
         """Time-axis positions of timestep ids, in order; "all" gives every position."""
@@ -141,6 +138,12 @@ def flat_copy(views: list[np.ndarray], dtype) -> np.ndarray:
         np.copyto(out[offset:offset + v.size].reshape(v.shape, order="F"), v)
         offset += v.size
     return out
+
+
+def role_vars(spec) -> list[str]:
+    """Input, output, and cluster variables of a dataset or run config,
+    deduplicated in order."""
+    return list(dict.fromkeys([*spec.input_vars, *spec.output_vars, spec.cluster_var]))
 
 
 def _is_int(value) -> bool:
@@ -201,7 +204,7 @@ class RunConfig:
             raise ConfigError(f"dims must be 2 or 3, got {self.dims!r}")
         positive = ("nx", "ny", "nz", "nxskip", "nyskip", "nzskip", "nxsl", "nysl", "nzsl",
                     "num_hypercubes", "uips_bins", "workers")
-        for name in (*positive, "num_clusters", "num_samples"):
+        for name in (*positive, "num_clusters", "num_samples", "dims", "precision"):
             value = getattr(self, name)
             if not (_is_int(value) or name == "num_samples" and value is None):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -265,6 +268,18 @@ class RunConfig:
     @property
     def cube_extents(self) -> tuple[int, int, int]:
         return (self.nxsl, self.nysl, self.nzsl)
+
+    def strided_grid(self) -> tuple[GridDims, int]:
+        """One timestep of the grid that load_dataset keeps after the skip
+        strides, and the whole cubes per timestep on it.  An extent beyond
+        that grid is a ConfigError that names its key; no file is read."""
+        dims = GridDims(*(len(range(0, n, skip)) for n, skip in (
+            (self.nx, self.nxskip), (self.ny, self.nyskip), (self.nz, self.nzskip),
+        )), dims=self.dims)
+        for key, extent, n in zip(("nxsl", "nysl", "nzsl"), self.cube_extents, dims.shape[1:]):
+            if extent > n:
+                raise ConfigError(f"{key} {extent} exceeds the {n} points of the strided grid")
+        return dims, num_blocks(dims, self.cube_extents)
 
     def format_fileprefix(self) -> str:
         return self.fileprefix.format(
@@ -434,21 +449,18 @@ def load_dataset(config: RunConfig) -> GridDataset:
     time, from the scanned mapping.  Two loads of the same files yield
     bit-identical arrays.
     """
-    role_vars: dict[str, None] = {}
-    for name in [*config.input_vars, *config.output_vars, config.cluster_var]:
-        if name:
-            role_vars.setdefault(name)
-    if not role_vars:
-        raise ConfigError("no role variables configured")
+    if not config.cluster_var:
+        raise ConfigError("missing required key: cluster_var")
+    names = role_vars(config)
     path = Path(config.path)
 
     if config.dtype == "csv":
-        return _load_csv_dataset(config, path, list(role_vars))
+        return _load_csv_dataset(config, path, names)
 
     if not path.is_dir():
         raise IngestionError(f"dataset path is not a directory: {path}")
     if config.timesteps == "all":
-        steps = _discover_timesteps(path, next(iter(role_vars)))
+        steps = _discover_timesteps(path, names[0])
     else:
         steps = [int(t) for t in config.timesteps]
 
@@ -457,7 +469,7 @@ def load_dataset(config: RunConfig) -> GridDataset:
         return field[::config.nxskip, ::config.nyskip, ::config.nzskip]
 
     fields: dict[str, np.ndarray] = {}
-    for var in role_vars:
+    for var in names:
         files = [path / f"{var}_{ts}.bin" for ts in steps]
         stack = None
         for t, file in enumerate(files):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from curator import bench, cli
+from curator import bench, cli, samplers
 from curator.cli import main
 from curator.grid import GridDataset, GridDims
 from curator.synthetic import gen_taylor_green, save_dataset, dataset_config
@@ -356,16 +356,19 @@ class TestCompare:
         assert len(pools) == 1  # run_pipeline's cube pool, at 2 workers only
         assert payloads[0] == payloads[1]
 
-    def test_error_in_a_pool_worker_exits_1(self, compare_case, tmp_path, pools, capsys):
-        # 19 cubes per step of a 12x12x8 grid cut into 18 cubes of 4^3
-        cfg = tmp_path / "too_many.yaml"
-        cfg.write_text(compare_case.read_text().replace("num_hypercubes: 3", "num_hypercubes: 19"))
+    def test_error_in_a_pool_worker_exits_1(self, compare_case, tmp_path, pools, monkeypatch,
+                                            capsys):
+        # the forked workers inherit the patched sampler; the lhs cell raises in one
+        def failing_lhs(*args, **kwargs):
+            raise ValueError("lhs failed in a worker")
+
+        monkeypatch.setattr(samplers, "sample_lhs", failing_lhs)
         assert run_cli([
-            "compare", cfg, "--output-dir", tmp_path / "o", "--workers", 2,
+            "compare", compare_case, "--output-dir", tmp_path / "o", "--workers", 2,
             "--methods", "random,lhs", "--seeds", "3",
         ]) == 1
         assert len(pools) == 1
-        assert "num_hypercubes" in capsys.readouterr().err
+        assert "lhs failed in a worker" in capsys.readouterr().err
 
     def test_uips_with_five_input_vars_fails_before_loading(self, tmp_path, capsys):
         names = ["a", "b", "c", "d", "e"]
@@ -654,6 +657,37 @@ class TestFlagErrors:
         assert "workers" in capsys.readouterr().err
 
 
+class TestConfigFailsBeforeLoading:
+    """A config a run cannot use is reported, naming its key, before any
+    file is read or the output directory is made."""
+
+    @pytest.mark.parametrize("command", ["subsample", "compare", "bench"])
+    @pytest.mark.parametrize("old, new, key", [
+        ("nxsl: 4", "nxsl: 40", "nxsl"),
+        ("nxskip: 1", "nxskip: 4", "nxsl"),  # the strided grid keeps 2 points along x
+        ("num_hypercubes: 4", "num_hypercubes: 20", "num_hypercubes"),  # of 8 cubes
+        ("  cluster_var: wz\n", "", "cluster_var"),
+    ])
+    def test_names_its_key(self, case, tmp_path, capsys, command, old, new, key):
+        (case.parent / "data" / "u_0.bin").unlink()
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(case.read_text().replace(old, new))
+        methods = ["--methods", "random,lhs"] if command == "compare" else []
+        assert run_cli([command, cfg, "--output-dir", tmp_path / "o", *methods]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "not found" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_info_counts_cubes_as_the_check_does(self, case, tmp_path, capsys):
+        cfg = tmp_path / "strided.yaml"
+        cfg.write_text(case.read_text().replace("nxskip: 1", "nxskip: 2"))
+        assert run_cli(["info", cfg]) == 0
+        assert "4 hypercubes" in capsys.readouterr().out  # 1 x 2 x 2 cubes on 4 x 8 x 8
+        cfg.write_text(case.read_text().replace("nxskip: 1", "nxskip: 4"))
+        assert run_cli(["info", cfg]) == 1
+        assert "nxsl" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_generate_then_subsample(self, tmp_path):
         gen_cfg = tmp_path / "gen.yaml"
@@ -729,6 +763,18 @@ class TestGenerate:
         cfg.write_text("shared:\n  nx: 4\n")
         assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
         assert "generate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("nx", "4.5"), ("ny", "0"), ("nz", "true"), ("t", "abc"), ("params", "[1, 2]"),
+        ("seed", "-1"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):
+        spec = {"kind": "gaussian_field", "nx": 4, "ny": 4, "nz": 4, key: value}
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text("generate:\n" + "".join(f"  {k}: {v}\n" for k, v in spec.items()))
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert f"generate {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_kind_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "g.yaml"

@@ -131,7 +131,7 @@ class TestParseConfig:
         ("fileprefix", "run-{foo}"), ("fileprefix", "run-{0}"),
         ("timesteps", []), ("timesteps", 0), ("timesteps", [0, "1"]),
         ("num_samples", 8.5), ("num_clusters", "x"), ("nx", True), ("workers", 2.0),
-        ("train", [1, 2]),
+        ("train", [1, 2]), ("precision", 8.0), ("dims", 3.0),
     ])
     def test_bad_value_names_its_key(self, key, value):
         overrides = value if isinstance(value, dict) else {key: value}
