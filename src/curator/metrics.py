@@ -115,12 +115,13 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
     and count its tail points per bin.
 
     Everything comes from one sorted ``flat_copy`` of the parts in the
-    data's own floating dtype, the only allocation the size of the data.  The counts follow
-    np.histogram's rule (half-open bins, the last closed) and the
-    densities repeat its ``density=True`` arithmetic, so the result
-    equals ``histogram_pdf(full, bins)`` bit for bit.  The 1st and 99th
-    percentiles equal np.percentile's of the float64 data, and the tail
-    points beyond them are a prefix and a suffix of the sorted copy.
+    data's own floating dtype, the only allocation the size of the data.
+    The counts follow np.histogram's rule (half-open bins, the last
+    closed) and the densities repeat its ``density=True`` arithmetic, so
+    the result equals ``histogram_pdf`` of the concatenated parts bit for
+    bit.  The 1st and 99th percentiles equal np.percentile's of the
+    float64 data, and the tail points beyond them are a prefix and a
+    suffix of the sorted copy.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
