@@ -59,11 +59,12 @@ class GridDims:
 
 @dataclass
 class GridDataset:
-    """Named scalar fields of shape (nt, nx, ny, nz) with variable roles.
-    ``timestep_ids`` are the file timesteps of the time axis, by default 0..nt-1."""
+    """Named scalar fields with variable roles: ``fields[var, t]`` is the
+    (nx, ny, nz) array of ``var`` at time-axis position t.  ``timestep_ids``
+    are the file timesteps of those positions, by default 0..nt-1."""
 
     dims: GridDims
-    fields: dict[str, np.ndarray]
+    fields: dict[tuple[str, int], np.ndarray]
     input_vars: list[str]
     output_vars: list[str]
     cluster_var: str
@@ -75,12 +76,13 @@ class GridDataset:
         if len(ids) != self.dims.nt:
             raise ValueError(f"{len(ids)} timestep ids for {self.dims.nt} timesteps")
         for name in self.role_vars():
-            if name not in self.fields:
-                raise ValueError(f"role variable {name!r} missing from field map")
-        for name, arr in self.fields.items():
-            if arr.shape != self.dims.shape:
+            for t in range(self.dims.nt):
+                if (name, t) not in self.fields:
+                    raise ValueError(f"role variable {name!r} missing from field map at position {t}")
+        for key, arr in self.fields.items():
+            if arr.shape != self.dims.shape[1:]:
                 raise ValueError(
-                    f"field {name!r} has shape {arr.shape}, expected {self.dims.shape}"
+                    f"field {key!r} has shape {arr.shape}, expected {self.dims.shape[1:]}"
                 )
 
     def role_vars(self) -> list[str]:
@@ -100,7 +102,7 @@ class GridDataset:
 @dataclass
 class HypercubeBlock:
     """An axis-aligned sub-block of the grid at one time-axis position;
-    ``values`` are views into the dataset's fields."""
+    ``values[var]`` is a view into the dataset's ``fields[var, timestep]``."""
 
     origin: tuple[int, int, int]
     extents: tuple[int, int, int]
@@ -441,13 +443,12 @@ def _discover_timesteps(path: Path, var: str) -> list[int]:
 def load_dataset(config: RunConfig) -> GridDataset:
     """Load all role variables from disk, applying per-axis skip strides.
 
-    Raw files are mapped read-only and keep their on-disk dtype, so the
-    fields are read-only.  Each file is first scanned for NaN or Inf at
-    the strided points through a mapping of its own, which is dropped
-    with the pages the scan read.  One timestep's field is then a fresh
-    mapping of its file; several are copied into one stack, a file at a
-    time, from the scanned mapping.  Two loads of the same files yield
-    bit-identical arrays.
+    Each (variable, timestep) file becomes one field: a read-only mapping
+    of the file in its on-disk dtype, so loading copies no values.  Each
+    file is first scanned for NaN or Inf at the strided points through a
+    mapping of its own, which is dropped with the pages the scan read;
+    the field is then a fresh mapping that has read none.  Two loads of
+    the same files yield bit-identical arrays.
     """
     if not config.cluster_var:
         raise ConfigError("missing required key: cluster_var")
@@ -468,32 +469,17 @@ def load_dataset(config: RunConfig) -> GridDataset:
         field = _read_raw_field(file, config.nx, config.ny, config.nz, config.precision)
         return field[::config.nxskip, ::config.nyskip, ::config.nzskip]
 
-    fields: dict[str, np.ndarray] = {}
+    fields: dict[tuple[str, int], np.ndarray] = {}
     for var in names:
-        files = [path / f"{var}_{ts}.bin" for ts in steps]
-        stack = None
-        for t, file in enumerate(files):
-            snap = strided(file)
-            _check_finite(var, t, snap)
-            if len(files) > 1:
-                if stack is None:  # time slowest, each timestep x-fastest, as np.stack lays it
-                    stack = np.empty((len(files), *snap.shape[::-1]), snap.dtype)
-                    stack = stack.transpose(0, 3, 2, 1)
-                stack[t] = snap
-            del snap  # unmaps the file, and the pages the scan read leave the process
-        if stack is None:
-            fields[var] = strided(files[0])[None]  # a fresh mapping: no page read yet
-        else:
-            stack.flags.writeable = False
-            fields[var] = stack
+        for t, ts in enumerate(steps):
+            file = path / f"{var}_{ts}.bin"
+            _check_finite(var, t, strided(file))  # the scan's pages leave with its mapping
+            fields[var, t] = strided(file)
 
-    first = next(iter(fields.values()))
-    dims = GridDims(
-        nx=first.shape[1], ny=first.shape[2], nz=first.shape[3],
-        nt=first.shape[0], dims=config.dims,
-    )
+    nx, ny, nz = fields[names[0], 0].shape
     return GridDataset(
-        dims=dims, fields=fields,
+        dims=GridDims(nx=nx, ny=ny, nz=nz, nt=len(steps), dims=config.dims),
+        fields=fields,
         input_vars=list(config.input_vars),
         output_vars=list(config.output_vars),
         cluster_var=config.cluster_var,
@@ -519,14 +505,14 @@ def _load_csv_dataset(config: RunConfig, path: Path, role_vars: list[str]) -> Gr
         if var not in header:
             raise IngestionError(f"column {var!r} missing from {path}")
         col = data[:, header.index(var)]
-        arr = col.reshape((config.nx, config.ny, 1), order="F")[None, ...]
-        fields[var] = arr[:, :: config.nxskip, :: config.nyskip, :]
-    for var, arr in fields.items():
-        _check_finite(var, 0, arr[0])
-    first = next(iter(fields.values()))
-    dims = GridDims(nx=first.shape[1], ny=first.shape[2], nz=1, nt=1, dims=2)
+        arr = col.reshape((config.nx, config.ny, 1), order="F")
+        fields[var, 0] = arr[:: config.nxskip, :: config.nyskip, :]
+    for (var, t), arr in fields.items():
+        _check_finite(var, t, arr)
+    nx, ny, _ = fields[role_vars[0], 0].shape
     return GridDataset(
-        dims=dims, fields=fields,
+        dims=GridDims(nx=nx, ny=ny, nz=1, nt=1, dims=2),
+        fields=fields,
         input_vars=list(config.input_vars),
         output_vars=list(config.output_vars),
         cluster_var=config.cluster_var,
@@ -570,7 +556,7 @@ def extract_block(
     if not 0 <= timestep < d.nt:
         raise ValueError(f"timestep {timestep} out of range [0, {d.nt})")
     values = {
-        var: dataset.fields[var][timestep, i0:i0 + sx, j0:j0 + sy, k0:k0 + sz]
+        var: dataset.fields[var, timestep][i0:i0 + sx, j0:j0 + sy, k0:k0 + sz]
         for var in dataset.role_vars()
     }
     return HypercubeBlock(

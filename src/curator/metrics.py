@@ -238,7 +238,7 @@ def compare_methods(
     # every cell is scored against the same full data, so its side is built
     # once, from one copy of the snapshots in use
     references = {
-        var: full_reference([dataset.fields[var][p] for p in positions])
+        var: full_reference([dataset.fields[var, p] for p in positions])
         for var in dataset.role_vars()
     }
     cells = [(method, i) for method in methods for i in range(len(seeds))]

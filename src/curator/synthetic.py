@@ -40,7 +40,7 @@ def gen_taylor_green(dims: GridDims | tuple[int, int, int], t: float = 0.0,
     v = -damp * np.cos(X) * np.sin(Y) * np.cos(Z)
     w = np.zeros_like(u)
     wz = 2.0 * damp * np.sin(X) * np.sin(Y) * np.cos(Z)
-    fields = {k: a[None, ...] for k, a in (("u", u), ("v", v), ("w", w), ("wz", wz))}
+    fields = {(k, 0): a for k, a in (("u", u), ("v", v), ("w", w), ("wz", wz))}
     return GridDataset(
         dims=dims, fields=fields,
         input_vars=["u", "v", "w"], output_vars=["wz"], cluster_var="wz",
@@ -91,9 +91,7 @@ def gen_cylinder_wake(
         u += -(Y - yc) * factor
         v += (X - xc) * factor
         wz += gamma / (np.pi * rc2) * np.exp(-dx2 / rc2)
-    fields = {
-        k: a[None, :, :, None] for k, a in (("u", u), ("v", v), ("wz", wz))
-    }
+    fields = {(k, 0): a[:, :, None] for k, a in (("u", u), ("v", v), ("wz", wz))}
     return GridDataset(
         dims=dims, fields=fields,
         input_vars=["u", "v"], output_vars=["wz"], cluster_var="wz",
@@ -143,7 +141,7 @@ def gen_scalar_field(
     else:
         raise ValueError(f"unknown scalar field kind {kind!r}")
     return GridDataset(
-        dims=dims, fields={"s": s},
+        dims=dims, fields={("s", t): s[t] for t in range(dims.nt)},
         input_vars=["s"], output_vars=["s"], cluster_var="s",
     )
 
@@ -169,7 +167,7 @@ def save_dataset(dataset: GridDataset, path) -> list[Path]:
     for var in dataset.role_vars():
         for ts in range(dataset.dims.nt):
             out = path / f"{var}_{ts}.bin"
-            arr = np.asarray(dataset.fields[var][ts], dtype="<f8")
+            arr = np.asarray(dataset.fields[var, ts], dtype="<f8")
             arr.reshape(-1, order="F").tofile(out)
             written.append(out)
     return written

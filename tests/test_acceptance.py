@@ -144,7 +144,7 @@ class TestAcceptance:
     def test_05_maxent_tail_coverage(self):
         t0 = time.perf_counter()
         ds = _scalar_dataset("lognormal", 100, seed=0)
-        full = {"s": ds.fields["s"].ravel()}
+        full = {"s": ds.fields["s", 0].ravel()}
         n_per_cube = rate_to_count(0.1, 25**3)
         base = dict(
             nx=100, ny=100, nz=100,
@@ -206,7 +206,7 @@ class TestAcceptance:
             fields[0, 15 * nx:] = rng.normal(4.0, 1.0, (nx, nx, nx))
             ds = GridDataset(
                 dims=GridDims(nx=nx * 16, ny=nx, nz=nx, nt=1, dims=3),
-                fields={"s": fields},
+                fields={("s", 0): fields[0]},
                 input_vars=["s"], output_vars=["s"], cluster_var="s",
             )
             blocks = [

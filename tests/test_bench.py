@@ -14,7 +14,7 @@ def make_dataset(nx=8, seed=0):
     rng = np.random.default_rng(seed)
     return GridDataset(
         dims=GridDims(nx=nx, ny=nx, nz=nx, nt=1, dims=3),
-        fields={"u": rng.normal(size=(1, nx, nx, nx))},
+        fields={("u", 0): rng.normal(size=(nx, nx, nx))},
         input_vars=["u"],
         output_vars=["u"],
         cluster_var="u",

@@ -36,12 +36,10 @@ def compare_case(tmp_path):
     3 of 18 cubes of 4^3 per step, 40 of 64 points per cube (so LHS
     snaps collide often)."""
     rng = np.random.default_rng(11)
+    u, s = rng.normal(size=(2, 12, 12, 8)), rng.lognormal(size=(2, 12, 12, 8))
     ds = GridDataset(
         dims=GridDims(nx=12, ny=12, nz=8, nt=2),
-        fields={
-            "u": rng.normal(size=(2, 12, 12, 8)),
-            "s": rng.lognormal(size=(2, 12, 12, 8)),
-        },
+        fields={(var, t): arr[t] for var, arr in (("u", u), ("s", s)) for t in range(2)},
         input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
     )
     data_dir = tmp_path / "data"
@@ -375,7 +373,7 @@ class TestCompare:
         rng = np.random.default_rng(0)
         ds = GridDataset(
             dims=GridDims(nx=8, ny=8, nz=8),
-            fields={v: rng.normal(size=(1, 8, 8, 8)) for v in names},
+            fields={(v, 0): rng.normal(size=(8, 8, 8)) for v in names},
             input_vars=names, output_vars=["a"], cluster_var="a",
         )
         save_dataset(ds, tmp_path / "data")
@@ -468,7 +466,8 @@ def f32_case(tmp_path):
         for ts in range(2):
             arr[ts].astype("<f4").reshape(-1, order="F").tofile(data_dir / f"{var}_{ts}.bin")
     ds = GridDataset(
-        dims=GridDims(nx=12, ny=12, nz=8, nt=2), fields=fields,
+        dims=GridDims(nx=12, ny=12, nz=8, nt=2),
+        fields={(var, t): arr[t] for var, arr in fields.items() for t in range(2)},
         input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
     )
     cfg = tmp_path / "case.yaml"
@@ -524,9 +523,9 @@ class TestTimesteps:
 
     @pytest.fixture()
     def two_steps(self, tmp_path):
+        s = np.random.default_rng(0).normal(size=(2, 8, 8, 8))
         ds = GridDataset(
-            dims=GridDims(nx=8, ny=8, nz=8, nt=2),
-            fields={"s": np.random.default_rng(0).normal(size=(2, 8, 8, 8))},
+            dims=GridDims(nx=8, ny=8, nz=8, nt=2), fields={("s", t): s[t] for t in range(2)},
             input_vars=["s"], output_vars=["s"], cluster_var="s",
         )
         data_dir = tmp_path / "data"
@@ -536,7 +535,7 @@ class TestTimesteps:
             ds, data_dir, num_hypercubes=2, method="random", num_samples=8,
             nxsl=4, nysl=4, nzsl=4,
         ))
-        return cfg, data_dir, ds.fields["s"]
+        return cfg, data_dir, s
 
     @staticmethod
     def _rows(out):

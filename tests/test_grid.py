@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -56,7 +57,7 @@ def ramp_dataset(nx=8, ny=8, nz=8, nt=1):
     f = np.broadcast_to((i + j + k).astype(float), (nt, nx, ny, nz)).copy()
     return GridDataset(
         dims=GridDims(nx=nx, ny=ny, nz=nz, nt=nt, dims=3),
-        fields={"f": f},
+        fields={("f", t): f[t] for t in range(nt)},
         input_vars=["f"],
         output_vars=["f"],
         cluster_var="f",
@@ -216,8 +217,8 @@ class TestLoadDataset:
         arr = np.arange(24, dtype=float).reshape(4, 3, 2, order="F")
         self._write_raw(tmp_path / "u_0.bin", arr)
         ds = load_dataset(self._config(tmp_path))
-        assert ds.fields["u"].shape == (1, 4, 3, 2)
-        np.testing.assert_array_equal(ds.fields["u"][0], arr)
+        assert ds.fields["u", 0].shape == (4, 3, 2)
+        np.testing.assert_array_equal(ds.fields["u", 0], arr)
 
     def test_truncated_file_reports_bytes(self, tmp_path):
         arr = np.arange(24, dtype=float)
@@ -240,7 +241,7 @@ class TestLoadDataset:
         arr[1, 2, 0] = np.nan
         self._write_raw(tmp_path / "u_0.bin", arr)
         ds = load_dataset(self._config(tmp_path, nxskip=2))
-        np.testing.assert_array_equal(ds.fields["u"][0], arr[::2])
+        np.testing.assert_array_equal(ds.fields["u", 0], arr[::2])
 
     @pytest.mark.parametrize("steps", [1, 2])
     def test_nan_first_in_index_order_is_named(self, tmp_path, monkeypatch, steps):
@@ -269,9 +270,39 @@ class TestLoadDataset:
         before = rss_bytes()
         ds = load_dataset(self._config(tmp_path, *shape))
         grown = rss_bytes() - before
-        assert ds.fields["u"].shape == (1, *shape)
+        assert ds.fields["u", 0].shape == shape
         # the scan read every page; the field is a fresh mapping that has read none
         assert grown < size / 4
+
+    def test_load_copies_no_field(self, tmp_path):
+        shape, steps = (64, 64, 64), 4
+        for t in range(steps):
+            np.full(shape, t + 0.5, dtype="<f4").tofile(tmp_path / f"u_{t}.bin")
+        tracemalloc.start()
+        try:
+            ds = load_dataset(self._config(tmp_path, *shape, precision=4))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.dims.nt == steps
+        # every timestep is a mapping of its file, not a copy on the heap
+        assert held < 0.01 * steps * np.prod(shape) * 4
+
+    def test_one_field_per_role_variable_and_timestep(self, tmp_path):
+        shape, steps = (4, 3, 2), 3
+        rng = np.random.default_rng(0)
+        snaps = {(var, t): rng.normal(size=shape).astype("<f4")
+                 for var in ("u", "s") for t in range(steps)}
+        for (var, t), arr in snaps.items():
+            arr.reshape(-1, order="F").tofile(tmp_path / f"{var}_{t}.bin")
+        cfg = replace(self._config(tmp_path, precision=4), cluster_var="s")
+        ds = load_dataset(cfg)
+        assert sorted(ds.fields) == sorted(snaps)
+        for key, field in ds.fields.items():
+            assert field.shape == shape and field.dtype == np.float32
+            assert not field.flags.writeable
+            np.testing.assert_array_equal(field, snaps[key])
+        assert sum(f.size for f in ds.fields.values()) == steps * np.prod(shape) * 2
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_fields_keep_the_file_dtype_read_only(self, tmp_path, steps):
@@ -280,11 +311,12 @@ class TestLoadDataset:
         for t, arr in enumerate(snaps):
             arr.reshape(-1, order="F").tofile(tmp_path / f"u_{t}.bin")
         ds = load_dataset(self._config(tmp_path, precision=4))
-        field = ds.fields["u"]
-        assert field.dtype == np.float32 and not field.flags.writeable
-        np.testing.assert_array_equal(field, np.stack(snaps))
-        if steps > 1:  # time slowest and each timestep x-fastest, as np.stack lays them out
-            assert field.strides == np.stack([np.asfortranarray(a) for a in snaps]).strides
+        assert sorted(ds.fields) == [("u", t) for t in range(steps)]
+        for t, snap in enumerate(snaps):
+            field = ds.fields["u", t]
+            assert field.dtype == np.float32 and not field.flags.writeable
+            np.testing.assert_array_equal(field, snap)
+            assert field.strides == np.asfortranarray(snap).strides  # x-fastest, as on disk
         block = extract_block(ds, (1, 0, 0), (2, 3, 2), steps - 1)
         flat = block.flat_values("u")
         assert flat.dtype == np.float64
@@ -294,8 +326,8 @@ class TestLoadDataset:
         rng = np.random.default_rng(0)
         self._write_raw(tmp_path / "u_0.bin", rng.normal(size=(4, 3, 2)))
         cfg = self._config(tmp_path)
-        a = load_dataset(cfg).fields["u"]
-        b = load_dataset(cfg).fields["u"]
+        a = load_dataset(cfg).fields["u", 0]
+        b = load_dataset(cfg).fields["u", 0]
         assert a.tobytes() == b.tobytes()
 
     def test_skip_strides(self, tmp_path):
@@ -303,7 +335,7 @@ class TestLoadDataset:
         self._write_raw(tmp_path / "u_0.bin", arr)
         ds = load_dataset(self._config(tmp_path, nx=4, ny=4, nz=4, nxskip=2))
         assert ds.dims.nx == 2
-        np.testing.assert_array_equal(ds.fields["u"][0], arr[::2])
+        np.testing.assert_array_equal(ds.fields["u", 0], arr[::2])
 
     def test_timestep_ids_come_from_the_files(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -314,7 +346,7 @@ class TestLoadDataset:
         assert ds.timestep_ids == [5, 7]
         one = load_dataset(self._config(tmp_path, timesteps=[7]))
         assert one.timestep_ids == [7]
-        np.testing.assert_array_equal(one.fields["u"][0], snaps[7])
+        np.testing.assert_array_equal(one.fields["u", 0], snaps[7])
 
     def test_csv_point_cloud_2d(self, tmp_path):
         nx, ny = 3, 2
@@ -330,7 +362,7 @@ class TestLoadDataset:
         )
         ds = load_dataset(cfg)
         assert ds.dims.nz == 1 and ds.dims.dims == 2
-        assert ds.fields["u"][0, 2, 1, 0] == 12.0
+        assert ds.fields["u", 0][2, 1, 0] == 12.0
 
     def test_csv_nan_rejected_with_index(self, tmp_path):
         (tmp_path / "pts.csv").write_text("x,y,u\n0,0,1\n1,0,2\n0,1,3\n1,1,nan\n")
@@ -386,7 +418,7 @@ class TestPartition:
 class TestTimestepPositions:
     def _dataset(self, timestep_ids=None):
         return GridDataset(
-            dims=GridDims(nx=2, ny=2, nz=2, nt=3), fields={"f": np.zeros((3, 2, 2, 2))},
+            dims=GridDims(nx=2, ny=2, nz=2, nt=3), fields={("f", t): np.zeros((2, 2, 2)) for t in range(3)},
             input_vars=["f"], output_vars=["f"], cluster_var="f",
             timestep_ids=timestep_ids,
         )
@@ -410,6 +442,18 @@ class TestTimestepPositions:
         with pytest.raises(ValueError, match="2 timestep ids for 3 timesteps"):
             self._dataset([0, 1])
 
+    def test_every_role_variable_has_every_position(self):
+        fields = {("f", t): np.zeros((2, 2, 2)) for t in (0, 2)}
+        with pytest.raises(ValueError, match="'f' missing from field map at position 1"):
+            GridDataset(dims=GridDims(nx=2, ny=2, nz=2, nt=3), fields=fields,
+                        input_vars=["f"], output_vars=["f"], cluster_var="f")
+
+    def test_a_field_holds_one_timestep(self):
+        fields = {("f", 0): np.zeros((1, 2, 2, 2))}
+        with pytest.raises(ValueError, match=r"has shape \(1, 2, 2, 2\), expected \(2, 2, 2\)"):
+            GridDataset(dims=GridDims(nx=2, ny=2, nz=2), fields=fields,
+                        input_vars=["f"], output_vars=["f"], cluster_var="f")
+
 
 class TestExtractBlock:
     def test_ramp_values(self):
@@ -422,12 +466,12 @@ class TestExtractBlock:
     def test_slicing_identity(self):
         ds = ramp_dataset(8, 8, 8)
         b = extract_block(ds, (4, 0, 0), (4, 4, 4), 0)
-        np.testing.assert_array_equal(b.values["f"], ds.fields["f"][0, 4:8, 0:4, 0:4])
+        np.testing.assert_array_equal(b.values["f"], ds.fields["f", 0][4:8, 0:4, 0:4])
 
     def test_block_is_a_view(self):
         ds = ramp_dataset()
         b = extract_block(ds, (0, 0, 0), (2, 2, 2), 0)
-        assert np.shares_memory(b.values["f"], ds.fields["f"])
+        assert np.shares_memory(b.values["f"], ds.fields["f", 0])
 
     def test_out_of_bounds(self):
         ds = ramp_dataset(8, 8, 8)

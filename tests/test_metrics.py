@@ -29,7 +29,7 @@ def make_dataset(nx=8, seed=0):
     rng = np.random.default_rng(seed)
     return GridDataset(
         dims=GridDims(nx=nx, ny=nx, nz=nx, nt=1, dims=3),
-        fields={"u": rng.normal(size=(1, nx, nx, nx))},
+        fields={("u", 0): rng.normal(size=(nx, nx, nx))},
         input_vars=["u"],
         output_vars=["u"],
         cluster_var="u",
@@ -212,7 +212,7 @@ class TestCoverageReport:
             nxsl=8, nysl=8, nzsl=8, num_hypercubes=1, method="full", seed=0,
         )
         sample = run_pipeline(cfg, ds)
-        report = coverage_report(sample, {"u": ds.fields["u"].ravel()})
+        report = coverage_report(sample, {"u": ds.fields["u", 0].ravel()})
         m = report.per_variable["u"]
         assert m["kl_full_to_sample"] < 1e-9
         assert m["span_ratio"] == 1.0
@@ -221,7 +221,7 @@ class TestCoverageReport:
     def test_metric_ranges(self):
         ds = make_dataset()
         sample = make_sample(dataset=ds)
-        report = coverage_report(sample, {"u": ds.fields["u"].ravel()})
+        report = coverage_report(sample, {"u": ds.fields["u", 0].ravel()})
         m = report.per_variable["u"]
         assert m["kl_full_to_sample"] >= 0.0
         assert 0.0 <= m["occupied_bin_fraction"] <= 1.0
@@ -255,7 +255,7 @@ class TestCoverageReport:
         ds = make_dataset()
         sample = make_sample(dataset=ds)
         with pytest.raises(ValueError, match="missing"):
-            coverage_report(sample, {"zeta": ds.fields["u"].ravel()})
+            coverage_report(sample, {"zeta": ds.fields["u", 0].ravel()})
 
 
 class TestCompareMethods:
@@ -267,7 +267,7 @@ class TestCompareMethods:
             strata=[2, 2, 2], seed=0,
         )
         rows, h_full, histograms = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
-        h_ref = histogram_pdf(ds.fields["u"].ravel(), 100)
+        h_ref = histogram_pdf(ds.fields["u", 0].ravel(), 100)
         np.testing.assert_array_equal(h_full.edges, h_ref.edges)
         np.testing.assert_array_equal(h_full.densities, h_ref.densities)
         first_lhs = run_pipeline(replace(cfg, method="lhs", seed=0), ds)
@@ -292,7 +292,7 @@ class TestCompareMethods:
             nx=32, ny=32, nz=32, input_vars=["u"], output_vars=["u"], cluster_var="u",
             nxsl=16, nysl=16, nzsl=16, num_hypercubes=4, num_samples=4096, seed=0,
         )
-        references = {"u": full_reference([ds.fields["u"][0]])}
+        references = {"u": full_reference([ds.fields["u", 0]])}
         result = _score_cell(cfg, ds, [0], references, ("random", 0))
         assert result[0][0]["points"] >= 10_000
         assert len(pickle.dumps(result)) < 16 * 1024

@@ -29,7 +29,8 @@ from curator.samplers import (
 
 def make_dataset(nx=8, ny=8, nz=8, nt=1, seed=0, extra=None):
     rng = np.random.default_rng(seed)
-    fields = {"u": rng.normal(size=(nt, nx, ny, nz))}
+    u = rng.normal(size=(nt, nx, ny, nz))
+    fields = {("u", t): u[t] for t in range(nt)}
     if extra:
         fields.update(extra)
     return GridDataset(
@@ -44,7 +45,7 @@ def make_dataset(nx=8, ny=8, nz=8, nt=1, seed=0, extra=None):
 def make_block(nx=8, seed=0, values=None):
     if values is not None:
         ds = make_dataset(nx, nx, nx)
-        ds.fields["u"][0] = values
+        ds.fields["u", 0][...] = values
     else:
         ds = make_dataset(nx, nx, nx, seed=seed)
     return extract_block(ds, (0, 0, 0), (nx, nx, nx), 0)
@@ -431,7 +432,7 @@ def blocks(draw):
     else:
         values = rng.integers(0, draw(st.integers(1, 4)), size=extents).astype(float)
     ds = GridDataset(
-        dims=GridDims(*extents, nt=1, dims=3), fields={"u": values[None]},
+        dims=GridDims(*extents, nt=1, dims=3), fields={("u", 0): values},
         input_vars=["u"], output_vars=["u"], cluster_var="u",
     )
     return extract_block(ds, (0, 0, 0), extents, 0)
@@ -480,7 +481,7 @@ class TestSamplersMatchReference:
         # and would stop there; summed per point it rounds above and goes on.
         values = np.concatenate([np.zeros(101), np.ones(61)]).reshape(162, 1, 1)
         ds = GridDataset(
-            dims=GridDims(162, 1, 1, nt=1, dims=3), fields={"u": values[None]},
+            dims=GridDims(162, 1, 1, nt=1, dims=3), fields={("u", 0): values},
             input_vars=["u"], output_vars=["u"], cluster_var="u",
         )
         block = extract_block(ds, (0, 0, 0), (162, 1, 1), 0)
@@ -634,7 +635,7 @@ class TestSampleSet:
         ds = make_dataset()
         for row in range(len(s)):
             t, i, j, k = (int(v) for v in s.data[row, :4])
-            assert s.data[row, 7] == ds.fields["u"][t, i, j, k]
+            assert s.data[row, 7] == ds.fields["u", t][i, j, k]
 
     def test_normalized_coordinates(self):
         s = self.make_sample()
@@ -844,9 +845,11 @@ def test_pipeline_properties(method, hypercubes, case):
     rng = np.random.default_rng(case["seed"])
     shape = (nt, nx, ny, nz)
     s_field = np.full(shape, 2.5) if case["constant"] else rng.lognormal(size=shape)
+    u_field = rng.normal(size=shape)
     ds = GridDataset(
         dims=GridDims(nx=nx, ny=ny, nz=nz, nt=nt, dims=3),
-        fields={"u": rng.normal(size=shape), "s": s_field},
+        fields={(var, t): arr[t] for var, arr in (("u", u_field), ("s", s_field))
+                for t in range(nt)},
         input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
     )
     cfg = RunConfig(

@@ -18,14 +18,14 @@ class TestTaylorGreen:
         ds = gen_taylor_green((16, 16, 16), t=0.0)
         x = 2.0 * np.pi * np.arange(16) / 16
         i, j, k = 3, 5, 2
-        u = ds.fields["u"][0, i, j, k]
+        u = ds.fields["u", 0][i, j, k]
         assert u == pytest.approx(np.sin(x[i]) * np.cos(x[j]) * np.cos(x[k]))
-        wz = ds.fields["wz"][0, i, j, k]
+        wz = ds.fields["wz", 0][i, j, k]
         assert wz == pytest.approx(2.0 * np.sin(x[i]) * np.sin(x[j]) * np.cos(x[k]))
 
     def test_w_zero_and_roles(self):
         ds = gen_taylor_green((8, 8, 8))
-        assert np.all(ds.fields["w"] == 0.0)
+        assert np.all(ds.fields["w", 0] == 0.0)
         assert ds.input_vars == ["u", "v", "w"]
         assert ds.output_vars == ["wz"] and ds.cluster_var == "wz"
 
@@ -33,7 +33,7 @@ class TestTaylorGreen:
         early = gen_taylor_green((8, 8, 8), t=0.0)
         late = gen_taylor_green((8, 8, 8), t=10.0)
         ratio = np.exp(-2.0 * 0.01 * 10.0)
-        np.testing.assert_allclose(late.fields["u"], ratio * early.fields["u"])
+        np.testing.assert_allclose(late.fields["u", 0], ratio * early.fields["u", 0])
 
     def test_divergence_free(self):
         # spectral-exact on the periodic grid: check the analytic identity
@@ -41,7 +41,7 @@ class TestTaylorGreen:
         n = 32
         ds = gen_taylor_green((n, n, n))
         h = 2.0 * np.pi / n
-        u, v = ds.fields["u"][0], ds.fields["v"][0]
+        u, v = ds.fields["u", 0], ds.fields["v", 0]
         dudx = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * h)
         dvdy = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * h)
         assert np.abs(dudx + dvdy).max() < 1e-2
@@ -50,10 +50,10 @@ class TestTaylorGreen:
         n = 64
         ds = gen_taylor_green((n, n, n))
         h = 2.0 * np.pi / n
-        u, v = ds.fields["u"][0], ds.fields["v"][0]
+        u, v = ds.fields["u", 0], ds.fields["v", 0]
         dvdx = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * h)
         dudy = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * h)
-        np.testing.assert_allclose(dvdx - dudy, ds.fields["wz"][0], atol=5e-3)
+        np.testing.assert_allclose(dvdx - dudy, ds.fields["wz", 0], atol=5e-3)
 
     def test_requires_3d(self):
         with pytest.raises(ValueError, match="3D"):
@@ -64,26 +64,26 @@ class TestCylinderWake:
     def test_shape_and_roles(self):
         ds = gen_cylinder_wake((32, 16))
         assert ds.dims.dims == 2 and ds.dims.nz == 1
-        assert ds.fields["u"].shape == (1, 32, 16, 1)
+        assert ds.fields["u", 0].shape == (32, 16, 1)
         assert ds.cluster_var == "wz"
 
     def test_deterministic_per_seed(self):
         a = gen_cylinder_wake((16, 16), seed=3)
         b = gen_cylinder_wake((16, 16), seed=3)
         c = gen_cylinder_wake((16, 16), seed=4)
-        assert a.fields["wz"].tobytes() == b.fields["wz"].tobytes()
-        assert a.fields["wz"].tobytes() != c.fields["wz"].tobytes()
+        assert a.fields["wz", 0].tobytes() == b.fields["wz", 0].tobytes()
+        assert a.fields["wz", 0].tobytes() != c.fields["wz", 0].tobytes()
 
     def test_alternating_signs(self):
         ds = gen_cylinder_wake((64, 64), n_vortices=2, seed=0)
-        wz = ds.fields["wz"][0, :, :, 0]
+        wz = ds.fields["wz", 0][:, :, 0]
         assert wz.max() > 0 and wz.min() < 0
 
     def test_advection_moves_peak_downstream(self):
         x_peak = []
         for t in (0.0, 2.0):
             ds = gen_cylinder_wake((128, 64), n_vortices=1, seed=0, t=t)
-            wz = np.abs(ds.fields["wz"][0, :, :, 0])
+            wz = np.abs(ds.fields["wz", 0][:, :, 0])
             x_peak.append(np.unravel_index(wz.argmax(), wz.shape)[0])
         assert x_peak[1] > x_peak[0]
 
@@ -95,13 +95,13 @@ class TestCylinderWake:
 class TestScalarFields:
     def test_gaussian_moments(self):
         ds = gen_scalar_field("gaussian", (32, 32, 32), {"mean": 2.0, "sigma": 0.5})
-        s = ds.fields["s"]
+        s = ds.fields["s", 0]
         assert abs(s.mean() - 2.0) < 0.02
         assert abs(s.std() - 0.5) < 0.02
 
     def test_lognormal_positive_and_skewed(self):
         ds = gen_scalar_field("lognormal", (32, 32, 32), {"mu": 0.0, "sigma": 1.0})
-        s = ds.fields["s"].ravel()
+        s = ds.fields["s", 0].ravel()
         assert s.min() > 0.0
         assert np.mean(((s - s.mean()) / s.std()) ** 3) > 1.0
 
@@ -110,7 +110,7 @@ class TestScalarFields:
             "bimodal", (32, 32, 32),
             {"means": (-5.0, 5.0), "sigmas": (0.5, 0.5), "weights": (0.5, 0.5)},
         )
-        s = ds.fields["s"].ravel()
+        s = ds.fields["s", 0].ravel()
         lo, hi = (s < 0).mean(), (s > 0).mean()
         assert 0.45 < lo < 0.55 and 0.45 < hi < 0.55
         assert np.abs(s)[s != 0].min() > 1.0  # nothing lands between the modes
@@ -123,10 +123,16 @@ class TestScalarFields:
         with pytest.raises(ValueError, match="unknown"):
             gen_scalar_field("cauchy", (4, 4, 4))
 
+    def test_timesteps_split_one_draw(self):
+        ds = gen_scalar_field("gaussian", GridDims(nx=4, ny=3, nz=2, nt=2), seed=5)
+        draw = np.random.default_rng(5).normal(0.0, 1.0, size=(2, 4, 3, 2))
+        for t in range(2):
+            np.testing.assert_array_equal(ds.fields["s", t], draw[t])
+
     def test_seed_reproducible(self):
         a = gen_scalar_field("gaussian", (8, 8, 8), seed=7)
         b = gen_scalar_field("gaussian", (8, 8, 8), seed=7)
-        assert a.fields["s"].tobytes() == b.fields["s"].tobytes()
+        assert a.fields["s", 0].tobytes() == b.fields["s", 0].tobytes()
 
 
 class TestGenerateDispatch:
@@ -134,7 +140,7 @@ class TestGenerateDispatch:
     def test_every_kind_produces_dataset(self, kind):
         dims = (8, 8) if kind == "cylinder_wake" else (8, 8, 8)
         ds = generate(kind, dims, seed=0)
-        assert ds.cluster_var in ds.fields
+        assert (ds.cluster_var, 0) in ds.fields
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown generator"):
@@ -155,12 +161,12 @@ class TestPersistence:
         cfg = parse_config(cfg_text)
         loaded = load_dataset(cfg)
         for var in ds.role_vars():
-            np.testing.assert_array_equal(loaded.fields[var], ds.fields[var])
+            np.testing.assert_array_equal(loaded.fields[var, 0], ds.fields[var, 0])
 
     def test_file_is_little_endian_x_fastest(self, tmp_path):
         ds = gen_taylor_green((4, 4, 4))
         save_dataset(ds, tmp_path)
         raw = np.fromfile(tmp_path / "u_0.bin", dtype="<f8")
         np.testing.assert_array_equal(
-            raw, ds.fields["u"][0].reshape(-1, order="F")
+            raw, ds.fields["u", 0].reshape(-1, order="F")
         )
