@@ -61,11 +61,7 @@ def _check_run(config: RunConfig) -> RunConfig:
     strided grid, num_hypercubes of them per timestep."""
     if config.method != "full" and config.num_samples is None:
         raise ConfigError(f"num_samples is required for method {config.method!r}")
-    _, cubes = config.strided_grid()
-    if config.num_hypercubes > cubes:
-        raise ConfigError(
-            f"num_hypercubes {config.num_hypercubes} exceeds the {cubes} cubes per timestep"
-        )
+    config.strided_grid()
     return config
 
 
@@ -201,6 +197,10 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"generate t must be a number, got {t!r}")
     if not isinstance(spec.get("params") or {}, dict):
         raise ConfigError(f"generate params must be a mapping, got {spec['params']!r}")
+    if "name" in spec and not (isinstance(spec["name"], str) and spec["name"]):
+        raise ConfigError(f"generate name must be a non-empty string, got {spec['name']!r}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"generate --seed must be an integer >= 0, got {args.seed}")
     subsample = doc.get("subsample") or {}
     check_section("subsample", subsample)
     # generate sets the data path and the seed itself

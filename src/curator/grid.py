@@ -274,14 +274,20 @@ class RunConfig:
     def strided_grid(self) -> tuple[GridDims, int]:
         """One timestep of the grid that load_dataset keeps after the skip
         strides, and the whole cubes per timestep on it.  An extent beyond
-        that grid is a ConfigError that names its key; no file is read."""
+        that grid, or num_hypercubes beyond those cubes, is a ConfigError
+        that names its key; no file is read."""
         dims = GridDims(*(len(range(0, n, skip)) for n, skip in (
             (self.nx, self.nxskip), (self.ny, self.nyskip), (self.nz, self.nzskip),
         )), dims=self.dims)
         for key, extent, n in zip(("nxsl", "nysl", "nzsl"), self.cube_extents, dims.shape[1:]):
             if extent > n:
                 raise ConfigError(f"{key} {extent} exceeds the {n} points of the strided grid")
-        return dims, num_blocks(dims, self.cube_extents)
+        cubes = num_blocks(dims, self.cube_extents)
+        if self.num_hypercubes > cubes:
+            raise ConfigError(
+                f"num_hypercubes {self.num_hypercubes} exceeds the {cubes} cubes per timestep"
+            )
+        return dims, cubes
 
     def format_fileprefix(self) -> str:
         return self.fileprefix.format(

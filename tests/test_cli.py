@@ -685,6 +685,9 @@ class TestConfigFailsBeforeLoading:
         cfg.write_text(case.read_text().replace("nxskip: 1", "nxskip: 4"))
         assert run_cli(["info", cfg]) == 1
         assert "nxsl" in capsys.readouterr().err
+        cfg.write_text(case.read_text().replace("num_hypercubes: 4", "num_hypercubes: 20"))
+        assert run_cli(["info", cfg]) == 1
+        assert "num_hypercubes 20 exceeds the 8 cubes" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -765,7 +768,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("key, value", [
         ("nx", "4.5"), ("ny", "0"), ("nz", "true"), ("t", "abc"), ("params", "[1, 2]"),
-        ("seed", "-1"),
+        ("seed", "-1"), ("name", "[1]"), ("name", "''"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):
         spec = {"kind": "gaussian_field", "nx": 4, "ny": 4, "nz": 4, key: value}
@@ -773,6 +776,13 @@ class TestGenerate:
         cfg.write_text("generate:\n" + "".join(f"  {k}: {v}\n" for k, v in spec.items()))
         assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
         assert f"generate {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text("generate:\n  kind: gaussian_field\n  nx: 4\n  ny: 4\n  nz: 4\n")
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o", "--seed", "-1"]) == 1
+        assert "generate --seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_kind_exits_1(self, tmp_path, capsys):
