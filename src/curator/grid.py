@@ -78,7 +78,7 @@ class GridDataset:
         for name in self.role_vars():
             for t in range(self.dims.nt):
                 if (name, t) not in self.fields:
-                    raise ValueError(f"role variable {name!r} missing from field map at position {t}")
+                    raise ValueError(f"role variable {name!r} has no field at position {t}")
         for key, arr in self.fields.items():
             if arr.shape != self.dims.shape[1:]:
                 raise ValueError(

@@ -418,7 +418,8 @@ class TestPartition:
 class TestTimestepPositions:
     def _dataset(self, timestep_ids=None):
         return GridDataset(
-            dims=GridDims(nx=2, ny=2, nz=2, nt=3), fields={("f", t): np.zeros((2, 2, 2)) for t in range(3)},
+            dims=GridDims(nx=2, ny=2, nz=2, nt=3),
+            fields={("f", t): np.zeros((2, 2, 2)) for t in range(3)},
             input_vars=["f"], output_vars=["f"], cluster_var="f",
             timestep_ids=timestep_ids,
         )
@@ -442,16 +443,14 @@ class TestTimestepPositions:
         with pytest.raises(ValueError, match="2 timestep ids for 3 timesteps"):
             self._dataset([0, 1])
 
-    def test_every_role_variable_has_every_position(self):
-        fields = {("f", t): np.zeros((2, 2, 2)) for t in (0, 2)}
-        with pytest.raises(ValueError, match="'f' missing from field map at position 1"):
+    @pytest.mark.parametrize("fields, message", [
+        ({("f", t): np.zeros((2, 2, 2)) for t in (0, 2)}, "'f' has no field at position 1"),
+        ({("f", t): np.zeros((1, 2, 2, 2)) for t in range(3)},
+         r"has shape \(1, 2, 2, 2\), expected \(2, 2, 2\)"),
+    ])
+    def test_each_role_variable_has_one_field_per_position(self, fields, message):
+        with pytest.raises(ValueError, match=message):
             GridDataset(dims=GridDims(nx=2, ny=2, nz=2, nt=3), fields=fields,
-                        input_vars=["f"], output_vars=["f"], cluster_var="f")
-
-    def test_a_field_holds_one_timestep(self):
-        fields = {("f", 0): np.zeros((1, 2, 2, 2))}
-        with pytest.raises(ValueError, match=r"has shape \(1, 2, 2, 2\), expected \(2, 2, 2\)"):
-            GridDataset(dims=GridDims(nx=2, ny=2, nz=2), fields=fields,
                         input_vars=["f"], output_vars=["f"], cluster_var="f")
 
 
