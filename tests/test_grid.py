@@ -288,35 +288,21 @@ class TestLoadDataset:
         # every timestep is a mapping of its file, not a copy on the heap
         assert held < 0.01 * steps * np.prod(shape) * 4
 
-    def test_one_field_per_role_variable_and_timestep(self, tmp_path):
-        shape, steps = (4, 3, 2), 3
-        rng = np.random.default_rng(0)
-        snaps = {(var, t): rng.normal(size=shape).astype("<f4")
-                 for var in ("u", "s") for t in range(steps)}
-        for (var, t), arr in snaps.items():
-            arr.reshape(-1, order="F").tofile(tmp_path / f"{var}_{t}.bin")
-        cfg = replace(self._config(tmp_path, precision=4), cluster_var="s")
-        ds = load_dataset(cfg)
-        assert sorted(ds.fields) == sorted(snaps)
-        for key, field in ds.fields.items():
-            assert field.shape == shape and field.dtype == np.float32
-            assert not field.flags.writeable
-            np.testing.assert_array_equal(field, snaps[key])
-        assert sum(f.size for f in ds.fields.values()) == steps * np.prod(shape) * 2
-
     @pytest.mark.parametrize("steps", [1, 3])
     def test_fields_keep_the_file_dtype_read_only(self, tmp_path, steps):
         rng = np.random.default_rng(0)
         snaps = [rng.normal(size=(4, 3, 2)).astype("<f4") for _ in range(steps)]
         for t, arr in enumerate(snaps):
             arr.reshape(-1, order="F").tofile(tmp_path / f"u_{t}.bin")
-        ds = load_dataset(self._config(tmp_path, precision=4))
-        assert sorted(ds.fields) == [("u", t) for t in range(steps)]
-        for t, snap in enumerate(snaps):
-            field = ds.fields["u", t]
+            (2 * arr).reshape(-1, order="F").tofile(tmp_path / f"s_{t}.bin")
+        ds = load_dataset(replace(self._config(tmp_path, precision=4), cluster_var="s"))
+        # one (nx, ny, nz) array per role variable and timestep
+        assert sorted(ds.fields) == sorted((var, t) for var in ("u", "s") for t in range(steps))
+        assert sum(f.size for f in ds.fields.values()) == steps * 24 * 2
+        for (var, t), field in ds.fields.items():
             assert field.dtype == np.float32 and not field.flags.writeable
-            np.testing.assert_array_equal(field, snap)
-            assert field.strides == np.asfortranarray(snap).strides  # x-fastest, as on disk
+            np.testing.assert_array_equal(field, snaps[t] * (2 if var == "s" else 1))
+            assert field.strides == np.asfortranarray(snaps[t]).strides  # x-fastest, as on disk
         block = extract_block(ds, (1, 0, 0), (2, 3, 2), steps - 1)
         flat = block.flat_values("u")
         assert flat.dtype == np.float64
