@@ -3,8 +3,9 @@
 `parallel_map` owns every pool rule, and its initializer hands each
 worker the work function, so no start method needs fork's inherited
 memory.  A work unit is a selected cube of a pipeline run or a (method,
-seed) cell of a comparison, whose pipeline runs whole in one worker.
-The Phase-1 model fit and the final merge stay single-threaded.
+seed) cell of a comparison, which samples its seed's selected cubes in
+one worker.  Phase 1 (``samplers.select_cubes``, once per seed in a
+comparison) and the final merge stay single-threaded in the parent.
 Correctness precedes performance: scaling timings are only reported
 after the outputs at every worker count are verified identical to the
 single-worker run.

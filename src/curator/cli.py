@@ -192,6 +192,11 @@ def cmd_generate(args) -> int:
         value = spec.get(key, least)
         if not (_is_int(value) and value >= least):
             raise ConfigError(f"generate {key} must be an integer >= {least}, got {value!r}")
+    # cylinder_wake is 2-D, and taylor_green has no 2-D form to default to
+    if spec["kind"] == "cylinder_wake" and spec.get("nz", 1) != 1:
+        raise ConfigError(f"generate nz must be 1 for kind cylinder_wake, got {spec['nz']!r}")
+    if spec["kind"] == "taylor_green" and "nz" not in spec:
+        raise ConfigError("generate nz is required for kind taylor_green")
     t = spec.get("t", 0.0)
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise ConfigError(f"generate t must be a number, got {t!r}")

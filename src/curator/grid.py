@@ -233,9 +233,15 @@ class RunConfig:
             )
         if self.timesteps != "all" and len(set(self.timesteps)) != len(self.timesteps):
             raise ConfigError(f"timesteps must not repeat, got {self.timesteps}")
-        if self.method == "uips" and len(self.input_vars) > 4:
+        for name in ("input_vars", "output_vars"):
+            names = getattr(self, name)
+            if not (isinstance(names, list) and all(isinstance(v, str) and v for v in names)):
+                raise ConfigError(f"{name} must be a list of non-empty strings, got {names!r}")
+        if not isinstance(self.cluster_var, str):
+            raise ConfigError(f"cluster_var must be a string, got {self.cluster_var!r}")
+        if self.method == "uips" and not 1 <= len(self.input_vars) <= 4:
             raise ConfigError(
-                f"input_vars: uips bins at most 4 variables, got {len(self.input_vars)}"
+                f"input_vars: uips bins 1 to 4 variables, got {len(self.input_vars)}"
             )
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
@@ -376,7 +382,7 @@ def parse_config(text: str) -> RunConfig:
     for role in ("input_vars", "output_vars"):
         if role in kwargs and isinstance(kwargs[role], str):
             kwargs[role] = [kwargs[role]]
-    if isinstance(kwargs.get("cluster_var"), list):
+    if isinstance(kwargs.get("cluster_var"), list) and kwargs["cluster_var"]:
         kwargs["cluster_var"] = kwargs["cluster_var"][0]
     try:
         return RunConfig(**kwargs)
@@ -499,7 +505,10 @@ def _load_csv_dataset(config: RunConfig, path: Path, role_vars: list[str]) -> Gr
         raise IngestionError(f"dataset file not found: {path}")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
     n_expected = config.nx * config.ny
     if data.shape[0] != n_expected:
         raise IngestionError(

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import entropy
 from .bench import parallel_map
-from .grid import GridDataset, RunConfig, flat_copy
-from .samplers import SampleSet, run_pipeline
+from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy
+from .samplers import SampleSet, sample_cubes, select_cubes
 
 
 @dataclass(frozen=True)
@@ -192,15 +192,17 @@ COMPARISON_COLUMNS = [
 
 
 def _score_cell(config: RunConfig, dataset: GridDataset, seeds: list[int],
+                selections: list[tuple[list[HypercubeBlock], float]],
                 references: dict[str, FullReference], cell: tuple[str, int]):
-    """Comparison work unit: the rows of one (method, seed index) pipeline,
-    one per variable, and its sample's cluster-variable histogram.  No
-    sample values cross the pipe."""
+    """Comparison work unit: the rows of one (method, seed index) sample of
+    that seed's selected cubes, one per variable, and its sample's
+    cluster-variable histogram.  No sample values cross the pipe."""
     method, i = cell
+    work, phase1_seconds = selections[i]
     run_cfg = replace(config, method=method, seed=int(seeds[i]))
     t0 = time.perf_counter()
-    sample = run_pipeline(run_cfg, dataset)
-    elapsed = time.perf_counter() - t0
+    sample = sample_cubes(run_cfg, dataset, work)
+    elapsed = phase1_seconds + time.perf_counter() - t0
     report = score_sample(sample, references)
     rows = [
         {
@@ -219,10 +221,10 @@ def compare_methods(
 ) -> tuple[list[dict], PdfHistogram, dict[str, PdfHistogram]]:
     """Run every (method, seed) cell and tabulate coverage metrics.
 
-    The cells share one pool of at most ``config.workers`` processes, and
-    each cell's pipeline runs whole in one worker, so a cell's
-    ``sampling_seconds`` is its wall time there; a lone cell runs in
-    this process and keeps its pipeline's cube pool.
+    Phase 1 runs here, once per seed.  The cells share one pool of at most
+    ``config.workers`` processes, and each samples its seed's cubes in one
+    worker; a lone cell runs in this process and keeps the cube pool.  A
+    cell's ``sampling_seconds`` adds its seed's Phase 1 time to its own.
 
     Returns three things.  The rows: one per (method, seed, variable)
     plus per-method mean and standard-deviation summary rows (seed
@@ -241,8 +243,12 @@ def compare_methods(
         var: full_reference([dataset.fields[var, p] for p in positions])
         for var in dataset.role_vars()
     }
+    selections = []
+    for seed in seeds:
+        t0 = time.perf_counter()
+        selections.append((select_cubes(config, dataset, int(seed)), time.perf_counter() - t0))
     cells = [(method, i) for method in methods for i in range(len(seeds))]
-    score_cell = partial(_score_cell, config, dataset, seeds, references)
+    score_cell = partial(_score_cell, config, dataset, seeds, selections, references)
     by_cell = dict(zip(cells, parallel_map(score_cell, cells, config.workers)))
     rows: list[dict] = []
     for method in methods:

@@ -500,11 +500,11 @@ def _dispatch_sampler(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _sample_cube(config: RunConfig, dataset: GridDataset, seed: int,
-                 work: list[HypercubeBlock], item: int) -> np.ndarray:
+def _sample_cube(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
+                 item: int) -> np.ndarray:
     """Phase 2 work unit: the rows sampled from the item-th selected cube."""
     block = work[item]
-    flat_idx = _dispatch_sampler(config, block, cube_rng(seed, block.timestep, block.index))
+    flat_idx = _dispatch_sampler(config, block, cube_rng(config.seed, block.timestep, block.index))
     d = dataset.dims
     role_vars = dataset.role_vars()
     gidx = block.local_to_global(flat_idx)
@@ -527,42 +527,37 @@ def config_digest(config: RunConfig) -> str:
     ).hexdigest()
 
 
-def run_pipeline(
-    config: RunConfig, dataset: GridDataset, workers: int | None = None
-) -> SampleSet:
-    """Partition, Phase-1 cube selection, Phase-2 point sampling, merge.
-
-    One pool samples the cubes selected at every timestep.  Output is
-    invariant to worker count and cube processing order; the merge is an
-    ordered concatenation by (timestep, cube index).
-    """
-    from .bench import parallel_map
-
-    workers = config.workers if workers is None else workers
-    seed = config.seed
-    role_vars = dataset.role_vars()
+def select_cubes(config: RunConfig, dataset: GridDataset, seed: int) -> list[HypercubeBlock]:
+    """Phase 1: the cubes selected at each timestep in use, in (timestep,
+    cube index) order.  The draw depends on the seed, not on the method."""
     m = config.num_hypercubes
-
-    t0 = time.perf_counter()
     work: list[HypercubeBlock] = []
     for ts in dataset.positions(config.timesteps):
         blocks = partition_hypercubes(dataset, config.cube_extents, ts)
         if m > len(blocks):
-            raise ValueError(
-                f"num_hypercubes={m} exceeds available blocks ({len(blocks)})"
-            )
+            raise ValueError(f"num_hypercubes={m} exceeds available blocks ({len(blocks)})")
         phase1_rng = cube_rng(seed, ts, _PHASE1_TAG)
         if config.hypercubes == "maxent":
-            selected = select_hypercubes_maxent(
-                blocks, config.cluster_var, config.num_clusters, m, phase1_rng
-            )
+            selected = select_hypercubes_maxent(blocks, config.cluster_var,
+                                                config.num_clusters, m, phase1_rng)
         else:
             selected = select_hypercubes_random(blocks, m, phase1_rng)
         work.extend(blocks[c] for c in np.sort(selected))
-    phase1_seconds = time.perf_counter() - t0
+    return work
+
+
+def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
+                 workers: int | None = None) -> SampleSet:
+    """Phase 2: one pool samples every selected cube with ``config.method``.
+    Output is invariant to worker count and cube processing order; the
+    merge is an ordered concatenation by (timestep, cube index)."""
+    from .bench import parallel_map
+
+    workers = config.workers if workers is None else workers
+    role_vars = dataset.role_vars()
 
     t0 = time.perf_counter()
-    sample_cube = partial(_sample_cube, config, dataset, seed, work)
+    sample_cube = partial(_sample_cube, config, dataset, work)
     pieces = parallel_map(sample_cube, list(range(len(work))), workers)
     phase2_seconds = time.perf_counter() - t0
 
@@ -576,14 +571,26 @@ def run_pipeline(
     provenance = {
         "method": config.method,
         "hypercube_method": config.hypercubes,
-        "seed": seed,
+        "seed": config.seed,
         "config_sha256": config_digest(config),
         "grid_dims": {
             "nx": dataset.dims.nx, "ny": dataset.dims.ny,
             "nz": dataset.dims.nz, "nt": dataset.dims.nt,
         },
         "cube_ranges": cube_ranges,
-        "phase_seconds": {"phase1": phase1_seconds, "phase2": phase2_seconds},
+        "phase_seconds": {"phase2": phase2_seconds},
         "workers": workers,
     }
     return SampleSet(columns=columns, data=data, provenance=provenance)
+
+
+def run_pipeline(
+    config: RunConfig, dataset: GridDataset, workers: int | None = None
+) -> SampleSet:
+    """Partition, Phase-1 cube selection, Phase-2 point sampling, merge."""
+    t0 = time.perf_counter()
+    work = select_cubes(config, dataset, config.seed)
+    phase1 = time.perf_counter() - t0
+    sample = sample_cubes(config, dataset, work, workers)
+    sample.provenance["phase_seconds"] = {"phase1": phase1, **sample.provenance["phase_seconds"]}
+    return sample

@@ -225,8 +225,11 @@ class TestSubsample:
         ("num_clusters: 20", "num_clusters: x", "num_clusters"),
         ("dims: 3", "dims: 5", "dims"),
         ("subsample:", "train: [1, 2]\nsubsample:", "train"),
+        ("input_vars:\n  - u\n", "input_vars:\n  - 1\n", "input_vars"),
+        ("output_vars:\n  - wz\n", "output_vars: 5\n", "output_vars"),
+        ("cluster_var: wz", "cluster_var: [5]", "cluster_var"),
     ], ids=["dtype", "fileprefix", "timesteps-empty", "timesteps-int", "num_samples",
-            "num_clusters", "dims", "train"])
+            "num_clusters", "dims", "train", "input_vars", "output_vars", "cluster_var"])
     def test_bad_value_fails_before_loading(self, case, tmp_path, capsys, old, new, key):
         # with a data file gone, only a check made before loading names the key
         (case.parent / "data" / "u_0.bin").unlink()
@@ -387,6 +390,18 @@ class TestCompare:
             "compare", cfg, "--output-dir", tmp_path / "o", "--methods", "random,uips",
         ]) == 1
         assert "error: input_vars" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_uips_without_input_vars_fails_before_loading(self, case, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", lambda config: pytest.fail("data loaded"))
+        cfg = tmp_path / "none.yaml"
+        cfg.write_text(case.read_text().replace(
+            "input_vars:\n  - u\n  - v\n  - w\n", "input_vars: []\n"))
+        assert run_cli([
+            "compare", cfg, "--output-dir", tmp_path / "o", "--methods", "random,uips",
+        ]) == 1
+        assert "error: input_vars: uips bins 1 to 4 variables, got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, methods, seeds", [
@@ -776,6 +791,16 @@ class TestGenerate:
         cfg.write_text("generate:\n" + "".join(f"  {k}: {v}\n" for k, v in spec.items()))
         assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
         assert f"generate {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, nz", [("cylinder_wake", "  nz: 5\n"), ("taylor_green", "")],
+                             ids=["cylinder_wake", "taylor_green"])
+    def test_nz_must_suit_the_kind(self, tmp_path, capsys, kind, nz):
+        # cylinder_wake wrote nz: 1 for nz: 5; taylor_green without nz made an 8x8x1 grid
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(f"generate:\n  kind: {kind}\n  nx: 8\n  ny: 8\n{nz}")
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert "generate nz" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_names_it(self, tmp_path, capsys):

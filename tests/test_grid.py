@@ -133,6 +133,9 @@ class TestParseConfig:
         ("timesteps", []), ("timesteps", 0), ("timesteps", [0, "1"]),
         ("num_samples", 8.5), ("num_clusters", "x"), ("nx", True), ("workers", 2.0),
         ("train", [1, 2]), ("precision", 8.0), ("dims", 3.0),
+        ("input_vars", [1, "s"]), ("output_vars", 5),
+        ("output_vars", ["u", ""]), ("cluster_var", 5),
+        ("input_vars", dict(method="uips", input_vars=[])),
     ])
     def test_bad_value_names_its_key(self, key, value):
         overrides = value if isinstance(value, dict) else {key: value}
@@ -358,6 +361,17 @@ class TestLoadDataset:
             nxsl=1, nysl=1, nzsl=1,
         )
         with pytest.raises(IngestionError, match=r"'u' at index \(0, 1, 1, 0\)"):
+            load_dataset(cfg)
+
+
+    def test_csv_bad_value_names_the_file(self, tmp_path):
+        (tmp_path / "pts.csv").write_text("x,y,u\n0,0,1\n1,0,abc\n0,1,3\n1,1,4\n")
+        cfg = RunConfig(
+            dtype="csv", path=str(tmp_path / "pts.csv"), dims=2, nx=2, ny=2,
+            input_vars=["u"], output_vars=["u"], cluster_var="u",
+            nxsl=1, nysl=1, nzsl=1,
+        )
+        with pytest.raises(IngestionError, match=r"pts\.csv: could not convert"):
             load_dataset(cfg)
 
 

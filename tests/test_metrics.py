@@ -1,4 +1,5 @@
 import pickle
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curator import metrics, samplers
 from curator.entropy import bin_edges
 from curator.grid import GridDataset, GridDims, RunConfig
 from curator.metrics import (
@@ -22,7 +24,7 @@ from curator.metrics import (
     _score_cell,
     _search,
 )
-from curator.samplers import run_pipeline
+from curator.samplers import run_pipeline, select_cubes
 
 
 def make_dataset(nx=8, seed=0):
@@ -293,9 +295,57 @@ class TestCompareMethods:
             nxsl=16, nysl=16, nzsl=16, num_hypercubes=4, num_samples=4096, seed=0,
         )
         references = {"u": full_reference([ds.fields["u", 0]])}
-        result = _score_cell(cfg, ds, [0], references, ("random", 0))
+        selections = [(select_cubes(cfg, ds, 0), 0.0)]
+        result = _score_cell(cfg, ds, [0], selections, references, ("random", 0))
         assert result[0][0]["points"] >= 10_000
         assert len(pickle.dumps(result)) < 16 * 1024
+
+    def test_phase1_runs_once_per_seed_and_timestep(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        ds = GridDataset(
+            dims=GridDims(nx=8, ny=8, nz=8, nt=2),
+            fields={("u", t): rng.lognormal(size=(8, 8, 8)) for t in range(2)},
+            input_vars=["u"], output_vars=["u"], cluster_var="u",
+        )
+        cfg = RunConfig(
+            nx=8, ny=8, nz=8, input_vars=["u"], output_vars=["u"], cluster_var="u",
+            nxsl=4, nysl=4, nzsl=4, hypercubes="maxent", num_hypercubes=3,
+            num_samples=16, num_clusters=4, seed=0,
+        )
+        calls = []
+        real = samplers.select_hypercubes_maxent
+
+        def counting(blocks, *args):
+            calls.append(blocks[0].timestep)
+            return real(blocks, *args)
+
+        monkeypatch.setattr(samplers, "select_hypercubes_maxent", counting)
+        compare_methods(cfg, ds, ["random", "lhs", "maxent"], [5, 6])
+        assert sorted(calls) == [0, 0, 1, 1]  # 2 seeds x 2 timesteps, not x 3 methods
+
+    def test_sampling_seconds_include_the_seed_phase1(self, monkeypatch):
+        ds = make_dataset()
+        cfg = RunConfig(
+            nx=8, ny=8, nz=8, input_vars=["u"], output_vars=["u"], cluster_var="u",
+            nxsl=4, nysl=4, nzsl=4, num_hypercubes=4, num_samples=16, seed=0,
+        )
+        phase1 = {}
+        real = metrics.select_cubes
+
+        def slow_select(config, dataset, seed):
+            t0 = time.perf_counter()
+            if seed == 3:  # a Phase 1 far slower than any cell's Phase 2
+                time.sleep(0.2)
+            work = real(config, dataset, seed)
+            phase1[seed] = time.perf_counter() - t0
+            return work
+
+        monkeypatch.setattr(metrics, "select_cubes", slow_select)
+        rows, _, _ = compare_methods(cfg, ds, ["random", "lhs"], [3, 4])
+        cells = [r for r in rows if isinstance(r["seed"], int)]
+        assert len(cells) == 4
+        for row in cells:
+            assert row["sampling_seconds"] >= phase1[row["seed"]]
 
     def test_empty_inputs_rejected(self):
         ds = make_dataset()
