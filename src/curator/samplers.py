@@ -538,8 +538,9 @@ def select_cubes(config: RunConfig, dataset: GridDataset, seed: int) -> list[Hyp
             raise ValueError(f"num_hypercubes={m} exceeds available blocks ({len(blocks)})")
         phase1_rng = cube_rng(seed, ts, _PHASE1_TAG)
         if config.hypercubes == "maxent":
-            selected = select_hypercubes_maxent(blocks, config.cluster_var,
-                                                config.num_clusters, m, phase1_rng)
+            selected = select_hypercubes_maxent(
+                blocks, config.cluster_var, config.num_clusters, m, phase1_rng
+            )
         else:
             selected = select_hypercubes_random(blocks, m, phase1_rng)
         work.extend(blocks[c] for c in np.sort(selected))

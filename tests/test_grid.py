@@ -363,7 +363,6 @@ class TestLoadDataset:
         with pytest.raises(IngestionError, match=r"'u' at index \(0, 1, 1, 0\)"):
             load_dataset(cfg)
 
-
     def test_csv_bad_value_names_the_file(self, tmp_path):
         (tmp_path / "pts.csv").write_text("x,y,u\n0,0,1\n1,0,abc\n0,1,3\n1,1,4\n")
         cfg = RunConfig(
