@@ -103,7 +103,7 @@ def weighted_sample(
     if w.sum() == 0.0:
         warnings.warn("all weights zero; falling back to uniform sampling", stacklevel=2)
         w = np.ones(N)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     out = np.empty(n, dtype=np.int64)
     for draw in range(n):

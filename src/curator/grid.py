@@ -115,17 +115,6 @@ class HypercubeBlock:
         sx, sy, sz = self.extents
         return sx * sy * sz
 
-    def local_to_global(self, local_flat: np.ndarray) -> np.ndarray:
-        """Map x-fastest flat indices within the block to (i, j, k) grid indices."""
-        sx, sy, sz = self.extents
-        local_flat = np.asarray(local_flat, dtype=np.int64)
-        i = local_flat % sx
-        j = (local_flat // sx) % sy
-        k = local_flat // (sx * sy)
-        return np.stack(
-            [i + self.origin[0], j + self.origin[1], k + self.origin[2]], axis=1
-        )
-
     def flat_values(self, var: str) -> np.ndarray:
         """Block values of one variable in x-fastest order, as a float64 copy."""
         return flat_copy([self.values[var]], np.float64)

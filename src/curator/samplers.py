@@ -97,12 +97,6 @@ def rate_to_count(rate: float, volume: int) -> int:
     return int(np.floor(rate * volume + 0.5))
 
 
-def _rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def cube_rng(seed: int, timestep: int, cube_index: int) -> np.random.Generator:
     """Stable per-cube stream; independent of execution order and workers."""
     return np.random.default_rng(
@@ -120,7 +114,7 @@ def select_hypercubes_random(
     """Uniform sample of m block indices without replacement."""
     if m > len(blocks):
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return rng.choice(len(blocks), size=m, replace=False)
 
 
@@ -139,7 +133,7 @@ def select_hypercubes_maxent(
     """
     if m > len(blocks):
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     # The fit sorts its input and label counts ignore order, so each cube's
     # view is copied into one float64 buffer, which the fit sorts in place,
     # and its labels are counted in memory order (order="K").
@@ -172,7 +166,7 @@ def sample_random(
     """Uniform sample without replacement over the block's grid points."""
     if n > block.volume:
         raise ValueError(f"cannot sample {n} of {block.volume} points")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return rng.choice(block.volume, size=n, replace=False).astype(np.int64)
 
 
@@ -193,7 +187,7 @@ def sample_stratified(
     sx, sy, sz = block.extents
     if gx > sx or gy > sy or gz > sz:
         raise ValueError(f"strata {strata} exceed block extents {block.extents}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
 
     # each stratum is a box of the block; slicing its box out of the grid
     # of flat indices and raveling x-fastest lists its points in order
@@ -238,7 +232,7 @@ def sample_lhs(
     """
     if n > block.volume:
         raise ValueError(f"cannot sample {n} of {block.volume} points")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     coords = lhs_design(n, rng)
 
     sx, sy, sz = block.extents
@@ -343,7 +337,7 @@ def sample_uips(
         raise ValueError(f"cannot sample {n} of {block.volume} points")
     if not 1 <= len(feature_vars) <= 4:
         raise ValueError("uips supports 1 to 4 feature variables")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     feats = [block.flat_values(v) for v in feature_vars]
     lo = np.array([f.min() for f in feats])
     hi = np.array([f.max() for f in feats])
@@ -413,7 +407,7 @@ def sample_maxent_points(
     """
     if n > block.volume:
         raise ValueError(f"cannot sample {n} of {block.volume} points")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     values = block.flat_values(cluster_var)
     centroids = clustering.kmeans_fit(values, num_clusters, seed=int(rng.integers(2**63)))
     labels = clustering.assign(centroids, values)
@@ -476,46 +470,36 @@ def temporal_select(
 # Pipeline
 
 
-def _dispatch_sampler(
-    config: RunConfig, block: HypercubeBlock, rng: np.random.Generator
-) -> np.ndarray:
-    method = config.method
-    if method == "full":
-        return sample_full(block)
-    n = config.num_samples
-    if n is None:
-        raise ValueError(f"num_samples is required for method {method!r}")
-    if method == "random":
-        return sample_random(block, n, rng)
-    if method == "stratified":
-        return sample_stratified(block, n, tuple(config.strata), rng)
-    if method == "lhs":
-        return sample_lhs(block, n, rng)
-    if method == "uips":
-        return sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
-    if method == "maxent":
-        return sample_maxent_points(
-            block, config.cluster_var, config.num_clusters, n, rng
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _sample_cube(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
                  item: int) -> np.ndarray:
     """Phase 2 work unit: the rows sampled from the item-th selected cube."""
     block = work[item]
-    flat_idx = _dispatch_sampler(config, block, cube_rng(config.seed, block.timestep, block.index))
-    d = dataset.dims
+    rng = cube_rng(config.seed, block.timestep, block.index)
+    method, n = config.method, config.num_samples
+    if method == "full":
+        flat_idx = sample_full(block)
+    elif n is None:
+        raise ValueError(f"num_samples is required for method {method!r}")
+    elif method == "random":
+        flat_idx = sample_random(block, n, rng)
+    elif method == "stratified":
+        flat_idx = sample_stratified(block, n, tuple(config.strata), rng)
+    elif method == "lhs":
+        flat_idx = sample_lhs(block, n, rng)
+    elif method == "uips":
+        flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
+    else:  # maxent, the last of RunConfig's VALID_METHODS
+        flat_idx = sample_maxent_points(block, config.cluster_var, config.num_clusters, n, rng)
     role_vars = dataset.role_vars()
-    gidx = block.local_to_global(flat_idx)
+    local = np.unravel_index(flat_idx, block.extents, order="F")
     rows = np.empty((flat_idx.size, 7 + len(role_vars)))
     rows[:, 0] = dataset.timestep_ids[block.timestep]
-    rows[:, 1:4] = gidx
-    rows[:, 4] = gidx[:, 0] / max(d.nx - 1, 1)
-    rows[:, 5] = gidx[:, 1] / max(d.ny - 1, 1)
-    rows[:, 6] = gidx[:, 2] / max(d.nz - 1, 1)
+    for axis, (idx, origin, size) in enumerate(zip(local, block.origin, dataset.dims.shape[1:])):
+        rows[:, 1 + axis] = idx + origin
+        rows[:, 4 + axis] = rows[:, 1 + axis] / max(size - 1, 1)
+    # gathered from the cube's view in the field's dtype; the rows widen it
     for col, var in enumerate(role_vars):
-        rows[:, 7 + col] = block.flat_values(var)[flat_idx]
+        rows[:, 7 + col] = block.values[var][local]
     return rows
 
 
