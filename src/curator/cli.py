@@ -25,6 +25,7 @@ from .grid import (
     RunConfig,
     _int_list,
     _is_int,
+    _is_number,
     _one_int,
     check_section,
     load_dataset,
@@ -66,7 +67,7 @@ def _check_run(config: RunConfig) -> RunConfig:
 
 
 def _output_dir(args) -> Path:
-    out = Path(args.output_dir) if args.output_dir else Path("./snapshots")
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -175,6 +176,32 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _check_params(kind: str, params: dict) -> None:
+    """Each generate param is one the kind takes: n_vortices an integer
+    >= 0, bimodal_field's means, sigmas and weights lists of numbers of one
+    length (its defaults' where absent), any other a number.  An error
+    names generate params.<name>."""
+    valid = synthetic.GENERATOR_PARAMS[kind]
+    for name, value in params.items():
+        if name not in valid:
+            raise ConfigError(f"generate params.{name} is not a param of kind {kind}; "
+                              f"valid: {', '.join(valid)}")
+        if name in synthetic.BIMODAL_DEFAULTS:
+            ok, what = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+        elif name == "n_vortices":
+            ok, what = _is_int(value) and value >= 0, "an integer >= 0"
+        else:
+            ok, what = _is_number(value), "a number"
+        if not ok:
+            raise ConfigError(f"generate params.{name} must be {what}, got {value!r}")
+    if kind == "bimodal_field":
+        lengths = {f"generate params.{name}": len(params.get(name, v))
+                   for name, v in synthetic.BIMODAL_DEFAULTS.items()}
+        if len(set(lengths.values())) > 1:
+            raise ConfigError(f"{', '.join(lengths)} must be of one length, "
+                              f"got {list(lengths.values())}")
+
+
 def cmd_generate(args) -> int:
     """Write a synthetic raw-binary dataset and config."""
     path = Path(args.config)
@@ -188,20 +215,27 @@ def cmd_generate(args) -> int:
     for req in ("kind", "nx", "ny"):
         if req not in spec:
             raise ConfigError(f"missing required key: {req}")
+    kind = spec["kind"]
+    if kind not in synthetic.GENERATOR_KINDS:
+        raise ConfigError(
+            f"unknown generator kind {kind!r}; valid: {', '.join(synthetic.GENERATOR_KINDS)}"
+        )
     for key, least in (("nx", 1), ("ny", 1), ("nz", 1), ("seed", 0)):
         value = spec.get(key, least)
         if not (_is_int(value) and value >= least):
             raise ConfigError(f"generate {key} must be an integer >= {least}, got {value!r}")
-    # cylinder_wake is 2-D, and taylor_green has no 2-D form to default to
-    if spec["kind"] == "cylinder_wake" and spec.get("nz", 1) != 1:
+    # cylinder_wake is 2-D; every other kind is 3-D, with no 2-D form to default to
+    if kind == "cylinder_wake" and spec.get("nz", 1) != 1:
         raise ConfigError(f"generate nz must be 1 for kind cylinder_wake, got {spec['nz']!r}")
-    if spec["kind"] == "taylor_green" and "nz" not in spec:
-        raise ConfigError("generate nz is required for kind taylor_green")
+    if kind != "cylinder_wake" and "nz" not in spec:
+        raise ConfigError(f"generate nz is required for kind {kind}")
     t = spec.get("t", 0.0)
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
+    if not _is_number(t):
         raise ConfigError(f"generate t must be a number, got {t!r}")
-    if not isinstance(spec.get("params") or {}, dict):
-        raise ConfigError(f"generate params must be a mapping, got {spec['params']!r}")
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"generate params must be a mapping, got {params!r}")
+    _check_params(kind, params)
     if "name" in spec and not (isinstance(spec["name"], str) and spec["name"]):
         raise ConfigError(f"generate name must be a non-empty string, got {spec['name']!r}")
     if args.seed is not None and args.seed < 0:
@@ -210,14 +244,13 @@ def cmd_generate(args) -> int:
     check_section("subsample", subsample)
     # generate sets the data path and the seed itself
     subsample = {k: v for k, v in subsample.items() if k not in ("path", "seed")}
-    kind = spec["kind"]
     seed = args.seed if args.seed is not None else spec.get("seed", 0)
     dataset = synthetic.generate(
-        kind, (spec["nx"], spec["ny"], spec.get("nz", 1)), seed=seed,
-        t=float(t), params=spec.get("params"),
+        kind, (spec["nx"], spec["ny"], spec.get("nz", 1)), seed=seed, t=float(t), params=params,
     )
 
-    data_dir = _output_dir(args) / spec.get("name", kind)
+    # the case config is checked before save_dataset makes any directory
+    data_dir = Path(args.output_dir) / spec.get("name", kind)
     cfg_text = synthetic.dataset_config(dataset, data_dir, seed=seed, **subsample)
     written = synthetic.save_dataset(dataset, data_dir)
     cfg_path = data_dir / "case.yaml"
@@ -267,7 +300,7 @@ _FLAGS = {
     "workers": dict(help="worker count (bench: comma list)"),
     "num-samples": dict(type=int, help="samples per cube override"),
     "timesteps": dict(help="comma-separated timestep list override"),
-    "output-dir": dict(help="output directory (default ./snapshots)"),
+    "output-dir": dict(default="./snapshots", help="output directory (default ./snapshots)"),
     "methods": dict(help="comma-separated method list"),
     "seeds": dict(help="comma-separated seed list"),
     "repeats": dict(type=int, default=3, help="timed runs per worker count"),

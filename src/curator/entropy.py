@@ -25,11 +25,16 @@ class EntropyGraph:
 
 def bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
     """bins + 1 equal-width edges over the min-max range of values;
-    constant data spans [v, v + 1], so one bin holds all of it."""
+    constant data spans [v, v + 1], so one bin holds all of it, or
+    [v, v + |v|] where large |v| leaves [v, v + 1] no room for the bins
+    (at |v| >= 2^53, v + 1 rounds back to v)."""
     lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, bins + 1)
+    if hi > lo:
+        return np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, lo + 1.0, bins + 1)
+    if np.any(edges[1:] <= edges[:-1]):
+        edges = np.linspace(lo, lo + abs(lo), bins + 1)
+    return edges
 
 
 def bin_index(edges: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -141,6 +141,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Everything needed to drive one sampling run, parsed from YAML."""
@@ -176,7 +180,8 @@ class RunConfig:
     # execution; __post_init__ settles seed to an int
     seed: int | str = 0
     workers: int = 1
-    # train section is retained verbatim but functionally inert
+    # train section, kept verbatim: params and epochs feed the cost proxy,
+    # window the fileprefix; other keys are not read
     train: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -215,6 +220,10 @@ class RunConfig:
         self.seed = int(self.seed)
         if not isinstance(self.train, dict):
             raise ConfigError("section train must be a mapping")
+        for key in ("params", "epochs"):  # the cost proxy's p and e
+            value = self.train.get(key, 0)
+            if not (_is_number(value) and value >= 0):
+                raise ConfigError(f"train.{key} must be a number >= 0, got {value!r}")
         if self.timesteps != "all" and not (isinstance(self.timesteps, list) and self.timesteps
                                             and all(_is_int(t) for t in self.timesteps)):
             raise ConfigError(
@@ -342,9 +351,10 @@ def parse_config(text: str) -> RunConfig:
 
     The document must contain a ``shared`` section and at least one of
     ``subsample`` / ``train``.  An unknown key under ``shared`` or
-    ``subsample`` is an error; keys under ``train`` are retained but
-    ignored.  The seed is a ``seed`` under ``subsample`` or ``shared``,
-    else ``CURATOR_SEED``, else 0.
+    ``subsample`` is an error; keys under ``train`` are retained, and
+    only ``params``, ``epochs`` and ``window`` are read.  The seed is a
+    ``seed`` under ``subsample`` or ``shared``, else ``CURATOR_SEED``,
+    else 0.
     """
     doc = yaml.safe_load(text)
     if not isinstance(doc, dict):

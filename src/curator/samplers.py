@@ -290,13 +290,14 @@ def _nearest_free(taken: np.ndarray, center: tuple[int, int, int]) -> tuple[int,
 
     Ties in squared distance d^2 break to the smallest x, then y, then z.
     The search scans cubes of growing radius around center and stops at
-    the first radius whose best free point has d^2 <= (radius + 1)^2:
-    anything outside the scanned cube is at least radius + 1 away.
+    the first radius whose best free point has d^2 < (radius + 1)^2:
+    anything outside the scanned cube is at least radius + 1 away, so at
+    d^2 = (radius + 1)^2 a point outside may tie and win on x, y, z.
+    Each cube contains the last, so its best replaces the last one's.
     """
     sx, sy, sz = taken.shape
     ci, cj, ck = center
     best = None
-    best_d2 = None
     for radius in range(1, max(sx, sy, sz)):
         ilo, ihi = max(ci - radius, 0), min(ci + radius, sx - 1)
         jlo, jhi = max(cj - radius, 0), min(cj + radius, sy - 1)
@@ -306,12 +307,9 @@ def _nearest_free(taken: np.ndarray, center: tuple[int, int, int]) -> tuple[int,
         if free.size:
             pts = free + np.array([ilo, jlo, klo])
             d2 = np.sum((pts - np.array(center)) ** 2, axis=1)
-            order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], d2))
-            cand = pts[order[0]]
-            cand_d2 = d2[order[0]]
-            if best is None or cand_d2 < best_d2:
-                best, best_d2 = cand, cand_d2
-            if best_d2 <= (radius + 1) ** 2:
+            first = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], d2))[0]
+            best = pts[first]
+            if d2[first] < (radius + 1) ** 2:
                 break
     if best is None:
         raise ValueError("no free grid point left")

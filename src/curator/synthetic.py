@@ -13,9 +13,16 @@ import numpy as np
 
 from .grid import GridDataset, GridDims, RunConfig, emit_config
 
-GENERATOR_KINDS = (
-    "taylor_green", "cylinder_wake", "lognormal_field", "bimodal_field", "gaussian_field"
-)
+BIMODAL_DEFAULTS = {"means": (-5.0, 5.0), "sigmas": (0.5, 0.5), "weights": (0.5, 0.5)}
+# each generator kind and the params it takes
+GENERATOR_PARAMS = {
+    "taylor_green": ("nu",),
+    "cylinder_wake": ("n_vortices", "strength", "core_radius", "advection_speed"),
+    "lognormal_field": ("mu", "sigma"),
+    "bimodal_field": tuple(BIMODAL_DEFAULTS),
+    "gaussian_field": ("mean", "sigma"),
+}
+GENERATOR_KINDS = tuple(GENERATOR_PARAMS)
 
 
 def gen_taylor_green(dims: GridDims | tuple[int, int, int], t: float = 0.0,
@@ -67,6 +74,8 @@ def gen_cylinder_wake(
         dims = GridDims(nx=dims[0], ny=dims[1], nz=1, nt=1, dims=2)
     if dims.dims != 2:
         raise ValueError("cylinder_wake requires a 2D grid")
+    if core_radius <= 0:
+        raise ValueError(f"core_radius must be positive, got {core_radius}")
     rng = np.random.default_rng(seed)
     x = np.arange(dims.nx) / max(dims.nx - 1, 1)
     y = np.arange(dims.ny) / max(dims.ny - 1, 1)
@@ -126,9 +135,8 @@ def gen_scalar_field(
             raise ValueError(f"sigma must be positive, got {sigma}")
         s = rng.lognormal(float(params.get("mu", 0.0)), sigma, size=shape)
     elif kind == "bimodal":
-        means = params.get("means", (-5.0, 5.0))
-        sigmas = params.get("sigmas", (0.5, 0.5))
-        weights = np.asarray(params.get("weights", (0.5, 0.5)), dtype=np.float64)
+        means, sigmas, weights = (params.get(k, v) for k, v in BIMODAL_DEFAULTS.items())
+        weights = np.asarray(weights, dtype=np.float64)
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must be nonnegative and sum to 1, got {weights}")
         if any(sg <= 0 for sg in sigmas):
@@ -150,10 +158,9 @@ def generate(kind: str, dims, seed: int = 0, t: float = 0.0,
              params: dict | None = None) -> GridDataset:
     """Dispatch on generator kind."""
     if kind == "taylor_green":
-        return gen_taylor_green(dims, t=t)
+        return gen_taylor_green(dims, t=t, **(params or {}))
     if kind == "cylinder_wake":
-        params = params or {}
-        return gen_cylinder_wake(dims, seed=seed, t=t, **params)
+        return gen_cylinder_wake(dims, seed=seed, t=t, **(params or {}))
     if kind in ("lognormal_field", "bimodal_field", "gaussian_field"):
         return gen_scalar_field(kind.removesuffix("_field"), dims, params, seed)
     raise ValueError(f"unknown generator kind {kind!r}; valid: {', '.join(GENERATOR_KINDS)}")

@@ -228,8 +228,11 @@ class TestSubsample:
         ("input_vars:\n  - u\n", "input_vars:\n  - 1\n", "input_vars"),
         ("output_vars:\n  - wz\n", "output_vars: 5\n", "output_vars"),
         ("cluster_var: wz", "cluster_var: [5]", "cluster_var"),
+        ("subsample:", "train: {params: abc}\nsubsample:", "train.params"),
+        ("subsample:", "train: {epochs: -5}\nsubsample:", "train.epochs"),
     ], ids=["dtype", "fileprefix", "timesteps-empty", "timesteps-int", "num_samples",
-            "num_clusters", "dims", "train", "input_vars", "output_vars", "cluster_var"])
+            "num_clusters", "dims", "train", "input_vars", "output_vars", "cluster_var",
+            "train-params", "train-epochs"])
     def test_bad_value_fails_before_loading(self, case, tmp_path, capsys, old, new, key):
         # with a data file gone, only a check made before loading names the key
         (case.parent / "data" / "u_0.bin").unlink()
@@ -793,15 +796,58 @@ class TestGenerate:
         assert f"generate {key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("kind, nz", [("cylinder_wake", "  nz: 5\n"), ("taylor_green", "")],
-                             ids=["cylinder_wake", "taylor_green"])
+    @pytest.mark.parametrize("kind, nz", [
+        ("cylinder_wake", "  nz: 5\n"), ("taylor_green", ""), ("gaussian_field", ""),
+        ("lognormal_field", ""), ("bimodal_field", ""),
+    ], ids=["cylinder_wake", "taylor_green", "gaussian_field", "lognormal_field",
+            "bimodal_field"])
     def test_nz_must_suit_the_kind(self, tmp_path, capsys, kind, nz):
-        # cylinder_wake wrote nz: 1 for nz: 5; taylor_green without nz made an 8x8x1 grid
+        # cylinder_wake wrote nz: 1 for nz: 5; a 3-D kind without nz made an 8x8x1 grid
         cfg = tmp_path / "g.yaml"
         cfg.write_text(f"generate:\n  kind: {kind}\n  nx: 8\n  ny: 8\n{nz}")
         assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
         assert "generate nz" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("cylinder_wake", "{foo: 1}", "foo"),
+        ("cylinder_wake", "{n_vortices: x}", "n_vortices"),
+        ("cylinder_wake", "{n_vortices: 2.5}", "n_vortices"),
+        ("gaussian_field", "{sigm: 2}", "sigm"),
+        ("gaussian_field", "{sigma: abc}", "sigma"),
+        ("taylor_green", "{nu: true}", "nu"),
+        ("bimodal_field", "{means: [0, x]}", "means"),
+        ("bimodal_field", "{means: [-1, 0, 1]}", "means"),
+        ("bimodal_field", "{sigmas: [1, 1, 1], weights: [0.5, 0.5]}", "sigmas"),
+    ])
+    def test_bad_param_names_it(self, tmp_path, capsys, kind, params, name):
+        nz = "" if kind == "cylinder_wake" else "  nz: 4\n"
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(f"generate:\n  kind: {kind}\n  nx: 4\n  ny: 4\n{nz}  params: {params}\n")
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert f"generate params.{name}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_case_config_makes_no_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(
+            "generate:\n  kind: gaussian_field\n  nx: 4\n  ny: 4\n  nz: 4\n"
+            "subsample:\n  num_hypercubes: 0\n"
+        )
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert "num_hypercubes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_taylor_green_takes_nu(self, tmp_path):
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(
+            "generate:\n  kind: taylor_green\n  nx: 4\n  ny: 4\n  nz: 4\n  t: 1.0\n"
+            "  params: {nu: 0.5}\n"
+        )
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 0
+        raw = np.fromfile(tmp_path / "o" / "taylor_green" / "wz_0.bin", dtype="<f8")
+        want = gen_taylor_green((4, 4, 4), t=1.0, nu=0.5).fields["wz", 0]
+        np.testing.assert_array_equal(raw, want.reshape(-1, order="F"))
 
     def test_negative_seed_flag_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "g.yaml"

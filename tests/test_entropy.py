@@ -51,6 +51,10 @@ class TestBinning:
 
     def test_constant_data_spans_one_unit(self):
         assert np.array_equal(bin_edges(np.full(5, 2.0), 4), np.linspace(2.0, 3.0, 5))
+        # where [v, v + 1] has no room for the bins, the span is [v, v + |v|]
+        for v, bins in ((2.0**53, 4), (-2.0**60, 4), (2.0**50, 100)):
+            edges = bin_edges(np.full(5, v), bins)
+            assert np.array_equal(edges, np.linspace(v, v + abs(v), bins + 1))
 
     def test_out_of_range_values_clip_to_the_end_bins(self):
         assert bin_index(np.linspace(0.0, 1.0, 5), np.array([-1.0, 2.0])).tolist() == [0, 3]

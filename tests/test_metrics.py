@@ -74,9 +74,13 @@ class TestHistogramPdf:
         assert h.probabilities.sum() == pytest.approx(1.0)
 
     def test_constant_data(self):
-        h = histogram_pdf(np.full(10, 3.0), bins=5)
-        assert h.probabilities.sum() == pytest.approx(1.0)
-        assert h.occupied_fraction == 0.2
+        # at 2^60, v + 1 rounds back to v; at -2^53, [v, v + 1] has no room for 5 bins
+        for value in (3.0, 2.0**60, -2.0**53):
+            h = histogram_pdf(np.full(10, value), bins=5)
+            assert h.probabilities.sum() == pytest.approx(1.0)
+            assert h.occupied_fraction == 0.2
+            ref = full_reference([np.full(10, value)], bins=5).histogram
+            assert np.array_equal(ref.densities, h.densities)
 
     def test_empty_and_invalid(self):
         h = histogram_pdf(np.array([]), bins=4)

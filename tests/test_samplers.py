@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from curator import bench
 from curator.clustering import assign, kmeans_fit
 from curator.entropy import adjacency_matrix, allocate_counts, kl_divergence, weighted_sample
-from curator.grid import GridDataset, GridDims, RunConfig, extract_block
+from curator.grid import GridDataset, GridDims, RunConfig, extract_block, load_dataset
 from curator.samplers import (
     SampleSet,
+    _nearest_free,
     cube_rng,
     lhs_design,
     rate_to_count,
@@ -290,27 +291,10 @@ class TestSampleUips:
 
 
 def ref_nearest_free(taken, center):
-    sx, sy, sz = taken.shape
-    ci, cj, ck = center
-    best = None
-    best_d2 = None
-    for radius in range(1, max(sx, sy, sz)):
-        ilo, ihi = max(ci - radius, 0), min(ci + radius, sx - 1)
-        jlo, jhi = max(cj - radius, 0), min(cj + radius, sy - 1)
-        klo, khi = max(ck - radius, 0), min(ck + radius, sz - 1)
-        sub = taken[ilo:ihi + 1, jlo:jhi + 1, klo:khi + 1]
-        free = np.argwhere(~sub)
-        if free.size:
-            pts = free + np.array([ilo, jlo, klo])
-            d2 = np.sum((pts - np.array(center)) ** 2, axis=1)
-            order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], d2))
-            cand = pts[order[0]]
-            cand_d2 = d2[order[0]]
-            if best is None or cand_d2 < best_d2:
-                best, best_d2 = cand, cand_d2
-            if best_d2 <= (radius + 1) ** 2:
-                break
-    return int(best[0]), int(best[1]), int(best[2])
+    """Every free cell, sorted by squared distance to center, then x, y, z."""
+    free = np.argwhere(~taken)
+    d2 = np.sum((free - np.array(center)) ** 2, axis=1)
+    return tuple(int(c) for c in free[np.lexsort((free[:, 2], free[:, 1], free[:, 0], d2))[0]])
 
 
 def ref_sample_lhs(block, n, seed):
@@ -452,6 +436,16 @@ class TestSamplersMatchReference:
         idx = sample_lhs(block, 18, seed=0)
         assert np.array_equal(idx, ref_sample_lhs(block, 18, 0))
         assert np.unique(idx).size == 18
+
+    def test_nearest_free_tie_outside_the_scanned_cube(self):
+        # (7,7,6) lies in the radius-2 cube at d^2 = 9 = (2 + 1)^2; (2,5,5)
+        # lies just outside it at the same d^2 and wins on x
+        taken = np.ones((11, 11, 11), dtype=bool)
+        taken[7, 7, 6] = taken[2, 5, 5] = False
+        assert _nearest_free(taken, (5, 5, 5)) == ref_nearest_free(taken, (5, 5, 5)) == (2, 5, 5)
+        # a 3x5x4 LHS sample whose collisions reach such a tie
+        block = extract_block(make_dataset(3, 5, 4), (0, 0, 0), (3, 5, 4), 0)
+        assert np.array_equal(sample_lhs(block, 58, 1), ref_sample_lhs(block, 58, 1))
 
     @settings(max_examples=150, deadline=None)
     @given(blocks(), st.data(), st.integers(0, 2**32 - 1))
@@ -630,12 +624,32 @@ class TestSampleSet:
         assert s.columns == ["t", "i", "j", "k", "x", "y", "z", "u"]
         assert s.data.shape == (16, 8)
 
-    def test_values_match_grid(self):
+    def test_values_match_grid(self, tmp_path):
         s = self.make_sample()
         ds = make_dataset()
         for row in range(len(s)):
             t, i, j, k = (int(v) for v in s.data[row, :4])
             assert s.data[row, 7] == ds.fields["u", t][i, j, k]
+
+        # float32 files loaded through skip strides: each row holds the
+        # widened value at (i * 2, j * 3, k * 2) of its file, and x, y, z
+        # are i, j, k over the strided grid's 6 x 4 x 4 points
+        rng = np.random.default_rng(3)
+        raw = {var: rng.normal(size=(2, 12, 10, 8)).astype("<f4") for var in ("u", "s")}
+        for var, arr in raw.items():
+            for t in range(2):
+                arr[t].reshape(-1, order="F").tofile(tmp_path / f"{var}_{t}.bin")
+        cfg = base_config(
+            path=str(tmp_path), nx=12, ny=10, nz=8, nxskip=2, nyskip=3, nzskip=2, precision=4,
+            input_vars=["u", "s"], output_vars=["s"], cluster_var="s",
+            nxsl=3, nysl=2, nzsl=2, num_hypercubes=3, num_samples=8,
+        )
+        s = run_pipeline(cfg, load_dataset(cfg))
+        assert s.columns[7:] == ["u", "s"] and len(s) == 2 * 3 * 8
+        for row in s.data:
+            t, i, j, k = (int(v) for v in row[:4])
+            assert row[4:7].tolist() == [i / 5, j / 3, k / 3]
+            assert row[7:].tolist() == [float(raw[var][t, i * 2, j * 3, k * 2]) for var in ("u", "s")]
 
     def test_normalized_coordinates(self):
         s = self.make_sample()

@@ -91,6 +91,11 @@ class TestCylinderWake:
         with pytest.raises(ValueError, match="2D"):
             gen_cylinder_wake(GridDims(nx=8, ny=8, nz=8, dims=3))
 
+    def test_core_radius_must_be_positive(self):
+        # core_radius 0 divided by zero and escaped curator generate as a traceback
+        with pytest.raises(ValueError, match="core_radius must be positive"):
+            gen_cylinder_wake((8, 8), core_radius=0)
+
 
 class TestScalarFields:
     def test_gaussian_moments(self):
