@@ -20,6 +20,7 @@ import yaml
 from . import bench, metrics, synthetic
 from .bench import OutputMismatchError
 from .grid import (
+    VALID_METHODS,
     ConfigError,
     IngestionError,
     RunConfig,
@@ -34,6 +35,7 @@ from .grid import (
 from .samplers import config_digest, run_pipeline
 
 DEFAULT_COMPARE_METHODS = ["random", "stratified", "lhs", "uips", "maxent"]
+_GENERATE_KEYS = "kind name nx ny nz t params seed".split()
 
 
 def _load_config(args) -> RunConfig:
@@ -67,16 +69,22 @@ def _check_run(config: RunConfig) -> RunConfig:
 
 
 def _output_dir(args) -> Path:
+    """The --output-dir path, checked before any data file is read: the
+    nearest part of it that exists must be a directory.  A run makes it
+    once it has data to write."""
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--output-dir {out}: {existing} is not a directory")
     return out
 
 
 def cmd_subsample(args) -> int:
     """Run the sampling pipeline and write a sample set."""
     config = _check_run(_load_config(args))
-    dataset = load_dataset(config)
     out_dir = _output_dir(args)
+    dataset = load_dataset(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     sample = run_pipeline(config, dataset)
@@ -119,10 +127,15 @@ def cmd_compare(args) -> int:
     for flag, values in (("--methods", methods), ("--seeds", seeds)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{flag} must not repeat, got {values}")
-    for m in methods:
-        _check_run(replace(config, method=m))  # checks each method before loading
-    dataset = load_dataset(config)
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be integers >= 0, got {seeds}")
+    for m in methods:  # each method is checked before loading
+        if m not in VALID_METHODS:
+            raise ConfigError(f"--methods: unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")
+        _check_run(replace(config, method=m))
     out_dir = _output_dir(args)
+    dataset = load_dataset(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows, h_full, histograms = metrics.compare_methods(config, dataset, methods, seeds)
     # wall-clock lives in the sidecar so the CSV payload stays byte-stable
@@ -159,12 +172,13 @@ def cmd_bench(args) -> int:
     """Strong-scaling study over worker counts."""
     config = _check_run(_load_config(args))
     worker_counts = _bench_worker_counts(args)
-    dataset = load_dataset(config)
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be an integer >= 1, got {args.repeats}")
     out_dir = _output_dir(args)
+    dataset = load_dataset(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = bench.run_scaling_study(
-        config, dataset, worker_counts, repeats=max(args.repeats, 1)
-    )
+    result = bench.run_scaling_study(config, dataset, worker_counts, repeats=args.repeats)
     result.to_csv(out_dir / "scaling.csv")
     (out_dir / "knee.json").write_text(
         json.dumps({"knee_workers": result.knee_workers, "threshold": bench.KNEE_THRESHOLD},
@@ -211,7 +225,7 @@ def cmd_generate(args) -> int:
     spec = doc.get("generate")
     if not isinstance(spec, dict):
         raise ConfigError("missing required section: generate")
-    check_section("generate", spec, "kind name nx ny nz t params seed".split())
+    check_section("generate", spec, _GENERATE_KEYS)
     for req in ("kind", "nx", "ny"):
         if req not in spec:
             raise ConfigError(f"missing required key: {req}")
@@ -250,7 +264,7 @@ def cmd_generate(args) -> int:
     )
 
     # the case config is checked before save_dataset makes any directory
-    data_dir = Path(args.output_dir) / spec.get("name", kind)
+    data_dir = _output_dir(args) / spec.get("name", kind)
     cfg_text = synthetic.dataset_config(dataset, data_dir, seed=seed, **subsample)
     written = synthetic.save_dataset(dataset, data_dir)
     cfg_path = data_dir / "case.yaml"

@@ -2,8 +2,9 @@
 
 The pipeline clusters one scalar, so every nearest-centroid cell is an
 interval bounded by the midpoints of neighbouring centroids.  After one
-sort, a Lloyd iteration finds each cell boundary with one
-``searchsorted`` and each cell mean as a prefix-sum difference.
+sort, a Lloyd iteration finds the cell boundaries with one
+``searchsorted`` into a preallocated bounds array and each cell mean as
+a difference of the prefix sums gathered at those bounds.
 Centroids are seeded by k-means++ on a random subset of the values, so
 the result is deterministic given the seed.
 """
@@ -16,6 +17,20 @@ import numpy as np
 
 _SEED_VALUES = 1024  # k-means++ seeds from at most this many random values
 _MAX_ITERS = 100
+_DISTINCT_SLAB = 1 << 16  # values compared at once when counting distinct ones
+
+
+def _count_distinct(x: np.ndarray, stop: int) -> int:
+    """Distinct values in the sorted x, counted up to at least ``stop``: the
+    count is exact when it is below ``stop``.  Neighbours are compared one
+    slab at a time, so no array of x's length is made."""
+    distinct = 1
+    for start in range(0, x.size - 1, _DISTINCT_SLAB):
+        end = min(start + _DISTINCT_SLAB, x.size - 1)
+        distinct += int(np.count_nonzero(x[start + 1:end + 1] != x[start:end]))
+        if distinct >= stop:
+            break
+    return distinct
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,7 +79,7 @@ def kmeans_fit(
         raise ValueError("non-finite values in clustering input")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    distinct = 1 + int(np.count_nonzero(x[1:] != x[:-1]))
+    distinct = _count_distinct(x, stop=k)
     if distinct < k:
         warnings.warn(
             f"only {distinct} distinct values; reducing cluster count from {k}",
@@ -76,18 +91,27 @@ def kmeans_fit(
     prefix = np.empty(n + 1)
     prefix[0] = 0.0
     np.cumsum(x, out=prefix[1:])
+    # cell c holds x[bounds[c]:bounds[c + 1]]; the inner bounds are the cuts
+    bounds = np.empty(k + 1, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, n
+    lo, hi = bounds[:-1], bounds[1:]
+    mids = np.empty(k - 1)
     for _ in range(_MAX_ITERS):
-        # cell c holds x[lo[c]:hi[c]]; a value on a midpoint joins the lower cell
-        cuts = np.searchsorted(x, (centroids[:-1] + centroids[1:]) / 2, side="right")
-        lo = np.concatenate(([0], cuts))
-        hi = np.concatenate((cuts, [n]))
-        filled = hi > lo
-        means = (prefix[hi] - prefix[lo]) / np.maximum(hi - lo, 1)
+        # a value on a midpoint joins the lower cell
+        np.add(centroids[:-1], centroids[1:], out=mids)
+        mids /= 2
+        bounds[1:-1] = np.searchsorted(x, mids, side="right")
+        sizes = hi - lo
+        sums = prefix[bounds]
+        means = sums[1:] - sums[:-1]
+        means /= np.maximum(sizes, 1)
         # a prefix-sum difference can round past the cell's own values;
-        # clipping keeps the centroids sorted
-        means = np.clip(means, x[np.minimum(lo, n - 1)], x[hi - 1])
-        updated = np.where(filled, means, centroids)
-        if np.array_equal(updated, centroids):
+        # clipping keeps the centroids sorted.  The clip bounds differ from
+        # x[lo] and x[hi - 1] only in empty cells, which keep their centroid.
+        np.maximum(means, x.take(lo, mode="clip"), out=means)
+        np.minimum(means, x.take(hi - 1, mode="clip"), out=means)
+        updated = np.where(sizes > 0, means, centroids)
+        if (updated == centroids).all():
             break
         centroids = updated
     return centroids

@@ -7,6 +7,7 @@ empirical histograms with empty bins stay on a shared label space.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,24 +24,54 @@ class EntropyGraph:
     strengths: np.ndarray
 
 
+def _linspace(lo: float, hi: float, bins: int) -> np.ndarray:
+    """np.linspace(lo, hi, bins + 1) for finite lo < hi.  Where hi - lo
+    overflows it runs on the halves, which halving and doubling keep
+    exact at such magnitudes.  Its last step may overflow before it sets
+    the last edge to hi, so that overflow is ignored."""
+    scale = 1.0 if hi - lo < math.inf else 2.0
+    with np.errstate(over="ignore"):
+        return np.linspace(lo / scale, hi / scale, bins + 1) * scale
+
+
 def bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """bins + 1 equal-width edges over the min-max range of values;
-    constant data spans [v, v + 1], so one bin holds all of it, or
-    [v, v + |v|] where large |v| leaves [v, v + 1] no room for the bins
-    (at |v| >= 2^53, v + 1 rounds back to v)."""
+    """bins + 1 finite, strictly increasing, equal-width edges spanning
+    the finite values.
+
+    The span is the min-max range [lo, hi].  Where that gives no such
+    edges (constant data, or a range too narrow for the bins at its
+    magnitude), it is the first of [lo, lo + 1], [lo, lo + |lo|] and
+    [lo - |lo|, hi] that covers hi and does: constant data fills one bin,
+    and at |lo| >= 2^53, lo + 1 rounds back to lo."""
     lo, hi = float(values.min()), float(values.max())
-    if hi > lo:
-        return np.linspace(lo, hi, bins + 1)
-    edges = np.linspace(lo, lo + 1.0, bins + 1)
-    if np.any(edges[1:] <= edges[:-1]):
-        edges = np.linspace(lo, lo + abs(lo), bins + 1)
-    return edges
+    for a, b in ((lo, hi), (lo, lo + 1.0), (lo, lo + abs(lo)), (lo - abs(lo), hi)):
+        if -math.inf < a < b < math.inf and hi <= b:
+            edges = _linspace(a, b, bins)
+            if np.all(edges[1:] > edges[:-1]):
+                return edges
+    raise ValueError(f"no {bins} bins of equal width span [{lo!r}, {hi!r}]")
 
 
 def bin_index(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Each value's bin under np.histogram's rule: half-open bins, the last
-    one closed.  Values outside the edges clip to the end bins."""
-    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 2)
+    one closed.  Values outside the edges clip to the end bins.
+
+    As in np.histogram's uniform-bin path, each index is first computed
+    arithmetically.  A value that does not lie in ``[edges[i], edges[i + 1])``
+    of its computed bin i (rounding near an edge, a value outside the
+    edges, or on the last edge) takes the ``searchsorted`` rule instead, so
+    every index equals that rule's for sorted edges."""
+    last = edges.size - 2
+    # a range or value far outside the edges can overflow; fmax/fmin send
+    # the NaN that follows to bin 0, where the edge check rejects it
+    with np.errstate(all="ignore"):
+        guess = (values - edges[0]) * ((last + 1) / (edges[-1] - edges[0]))
+    np.floor(guess, out=guess)
+    np.fmin(np.fmax(guess, 0, out=guess), last, out=guess)
+    idx = guess.astype(np.intp)
+    miss = (values < edges.take(idx)) | (values >= edges[1:].take(idx))
+    idx[miss] = np.clip(np.searchsorted(edges, values[miss], side="right") - 1, 0, last)
+    return idx
 
 
 def smooth(p: np.ndarray, epsilon: float) -> np.ndarray:

@@ -235,6 +235,10 @@ class RunConfig:
             names = getattr(self, name)
             if not (isinstance(names, list) and all(isinstance(v, str) and v for v in names)):
                 raise ConfigError(f"{name} must be a list of non-empty strings, got {names!r}")
+        if not isinstance(self.path, str):
+            raise ConfigError(f"path must be a string, got {self.path!r}")
+        if self.gravity not in ("x", "y", "z"):
+            raise ConfigError(f"gravity must be one of x, y, z, got {self.gravity!r}")
         if not isinstance(self.cluster_var, str):
             raise ConfigError(f"cluster_var must be a string, got {self.cluster_var!r}")
         if self.method == "uips" and not 1 <= len(self.input_vars) <= 4:

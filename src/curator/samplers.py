@@ -422,8 +422,10 @@ def sample_maxent_points(
             "all node strengths zero; allocating samples uniformly", stacklevel=2
         )
     counts = entropy.allocate_counts(strengths, n, capacities=sizes)
-    # each cluster's members in ascending index order
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    # each cluster's members in ascending index order; numpy radix-sorts
+    # labels cast to the smallest unsigned type that holds k - 1
+    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    members = np.split(order, np.cumsum(sizes)[:-1])
     chosen = [
         rng.choice(members[c], size=int(counts[c]), replace=False)
         for c in range(k) if counts[c]

@@ -11,7 +11,7 @@ import yaml
 
 from curator import bench, cli, samplers
 from curator.cli import main
-from curator.grid import GridDataset, GridDims
+from curator.grid import _SECTIONS, GridDataset, GridDims
 from curator.synthetic import gen_taylor_green, save_dataset, dataset_config
 
 
@@ -911,3 +911,153 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for cmd in ("subsample", "compare", "bench", "generate", "info"):
             assert cmd in proc.stdout
+
+
+@pytest.fixture(scope="session")
+def _open_recorders():
+    """The lists that record each file opened while they are active.  An
+    audit hook cannot be removed, so one serves the whole session."""
+    active: list[list[str]] = []
+
+    def hook(event, args):
+        if event == "open" and active:
+            active[-1].append(str(args[0]))
+
+    sys.addaudithook(hook)
+    return active
+
+
+@pytest.fixture()
+def opened(_open_recorders):
+    """The paths of the files opened during the test."""
+    paths: list[str] = []
+    _open_recorders.append(paths)
+    yield paths
+    _open_recorders.remove(paths)
+
+
+# One bad value for every config key, (section, key, value, what the error names).
+BAD_KEYS = [
+    ("shared", "dtype", "hdf5", "dtype"),
+    ("shared", "path", 5, "path"),
+    ("shared", "dims", 5, "dims"),
+    ("shared", "nx", 0, "nx"),
+    ("shared", "ny", "x", "ny"),
+    ("shared", "nz", 2.5, "nz"),
+    ("shared", "input_vars", [1], "input_vars"),
+    ("shared", "output_vars", 5, "output_vars"),
+    ("shared", "cluster_var", 5, "cluster_var"),
+    ("shared", "gravity", "w", "gravity"),
+    ("shared", "timesteps", [], "timesteps"),
+    ("shared", "nxskip", 0, "nxskip"),
+    ("shared", "nyskip", -1, "nyskip"),
+    ("shared", "nzskip", "a", "nzskip"),
+    ("shared", "precision", 2, "precision"),
+    ("shared", "fileprefix", "run-{foo}", "fileprefix"),
+    ("subsample", "hypercubes", "bogus", "hypercubes"),
+    ("subsample", "method", "bogus", "method"),
+    ("subsample", "num_hypercubes", 0, "num_hypercubes"),
+    ("subsample", "num_samples", 8.5, "num_samples"),
+    ("subsample", "num_clusters", 0, "num_clusters"),
+    ("subsample", "nxsl", 0, "nxsl"),
+    ("subsample", "nysl", "a", "nysl"),
+    ("subsample", "nzsl", 100, "nzsl"),
+    ("subsample", "strata", [1, 2], "strata"),
+    ("subsample", "uips_bins", 0, "uips_bins"),
+    ("subsample", "seed", -1, "seed"),
+    ("subsample", "workers", 0, "workers"),
+    ("generate", "kind", "perlin", "kind"),
+    ("generate", "name", "", "generate name"),
+    ("generate", "nx", 4.5, "generate nx"),
+    ("generate", "ny", 0, "generate ny"),
+    ("generate", "nz", True, "generate nz"),
+    ("generate", "t", "abc", "generate t"),
+    ("generate", "params", [1, 2], "generate params"),
+    ("generate", "seed", -1, "generate seed"),
+]
+# One bad value for every flag of every command that takes it,
+# (command, flag, value, what the error names).  "FILE" stands for a
+# regular file in the test's directory.
+BAD_FLAGS = [
+    ("subsample", "--method", "bogus", "method"),
+    ("subsample", "--seed", "-1", "seed"),
+    ("subsample", "--workers", "0", "workers"),
+    ("subsample", "--num-samples", "0", "num_samples"),
+    ("subsample", "--timesteps", "0,z", "--timesteps"),
+    ("subsample", "--output-dir", "FILE", "--output-dir"),
+    ("compare", "--output-dir", "FILE/o", "--output-dir"),
+    ("compare", "--methods", "random,bogus", "--methods"),
+    ("compare", "--seeds", "3,-1", "--seeds"),
+    ("bench", "--output-dir", "FILE", "--output-dir"),
+    ("bench", "--workers", "2,0", "--workers"),
+    ("bench", "--repeats", "0", "--repeats"),
+    ("info", "--method", "bogus", "method"),
+    ("info", "--timesteps", "1,1", "timesteps"),
+    ("generate", "--seed", "-1", "--seed"),
+    ("generate", "--output-dir", "FILE", "--output-dir"),
+]
+
+
+class TestConfigTable:
+    """Every bad config value or flag exits 1 with an error that names it,
+    makes no output directory and opens no data file."""
+
+    @staticmethod
+    def _run(command, cfg, tmp_path, output_dir, extra, opened, capsys):
+        # info writes nothing, so it takes no --output-dir
+        out = [] if command == "info" else ["--output-dir", output_dir]
+        if command == "compare" and "--methods" not in extra:
+            extra = [*extra, "--methods", "random,lhs"]
+        assert run_cli([command, cfg, *out, *extra]) == 1
+        data = str(tmp_path / "data")
+        assert not [p for p in opened if p.startswith(data)]
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["subsample", "compare", "bench", "info"])
+    @pytest.mark.parametrize("section, key, value, named",
+                             [row for row in BAD_KEYS if row[0] != "generate"],
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_run_config_key(self, case, tmp_path, capsys, opened, command, section, key,
+                            value, named):
+        doc = yaml.safe_load(case.read_text())
+        doc[section][key] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        err = self._run(command, cfg, tmp_path, tmp_path / "o", [], opened, capsys)
+        assert named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, value, named",
+                             [row for row in BAD_KEYS if row[0] == "generate"],
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_generate_key(self, tmp_path, capsys, opened, section, key, value, named):
+        spec = {"kind": "gaussian_field", "nx": 4, "ny": 4, "nz": 4, key: value}
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(yaml.safe_dump({"generate": spec}))
+        err = self._run("generate", cfg, tmp_path, tmp_path / "o", [], opened, capsys)
+        assert named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, value, named", BAD_FLAGS)
+    def test_flag(self, case, tmp_path, capsys, opened, command, flag, value, named):
+        if command == "generate":
+            case.write_text("generate:\n  kind: gaussian_field\n  nx: 4\n  ny: 4\n  nz: 4\n")
+        (tmp_path / "FILE").write_text("")
+        out = tmp_path / "o"
+        if flag == "--output-dir":
+            out, extra = tmp_path / value, []
+        else:
+            extra = [flag, value]
+        err = self._run(command, case, tmp_path, out, extra, opened, capsys)
+        assert named in err
+        assert not out.exists() or out.is_file()
+
+    def test_table_covers_every_key_and_flag(self):
+        keys = {(section, key) for section, key, *_ in BAD_KEYS}
+        want = {(section, key) for section, names in _SECTIONS.items() for key in names}
+        want |= {("generate", key) for key in cli._GENERATE_KEYS}
+        assert keys == want
+        flags = {(command, flag) for command, flag, *_ in BAD_FLAGS}
+        assert {flag for _, flag in flags} == {f"--{name}" for name in cli._FLAGS}
+        for command, (_, names) in cli._COMMANDS.items():
+            assert {flag for c, flag in flags if c == command} <= {f"--{n}" for n in names.split()}

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curator import clustering
 from curator.clustering import _kmeanspp_init, assign, kmeans_fit
 
 
@@ -180,3 +182,92 @@ def test_overwrite_input_sorts_the_buffer_to_the_same_fit(values, k, seed):
         in_place = kmeans_fit(x, k, seed, overwrite_input=True)
     assert np.array_equal(in_place, copied)
     assert np.array_equal(x, np.sort(np.frombuffer(before)))
+
+
+def ref_kmeans_fit(values, k, seed=0):
+    """kmeans_fit's Lloyd loop as it was before its preallocated form, kept
+    as the reference; also reports whether some cell emptied."""
+    x = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    n = x.size
+    distinct = 1 + int(np.count_nonzero(x[1:] != x[:-1]))
+    k = min(k, distinct)
+    centroids = _kmeanspp_init(x, k, np.random.default_rng(seed))
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(x, out=prefix[1:])
+    emptied = False
+    for _ in range(100):
+        cuts = np.searchsorted(x, (centroids[:-1] + centroids[1:]) / 2, side="right")
+        lo = np.concatenate(([0], cuts))
+        hi = np.concatenate((cuts, [n]))
+        filled = hi > lo
+        emptied |= not filled.all()
+        means = (prefix[hi] - prefix[lo]) / np.maximum(hi - lo, 1)
+        means = np.clip(means, x[np.minimum(lo, n - 1)], x[hi - 1])
+        updated = np.where(filled, means, centroids)
+        if np.array_equal(updated, centroids):
+            break
+        centroids = updated
+    return centroids, emptied
+
+
+class TestKmeansFitMatchesReference:
+    CASES = {
+        "normal": lambda rng: rng.normal(size=3000),
+        "lognormal": lambda rng: rng.lognormal(sigma=2.0, size=3000),
+        "duplicates": lambda rng: rng.choice([0.0, -0.0, 1.0, 2.5, 2.5, 7.0], size=500),
+        "levels": lambda rng: rng.integers(0, 12, size=800).astype(float) ** 3,
+        "outliers": lambda rng: np.concatenate([rng.normal(size=400), [-1e17, 1e17]]),
+        "few": lambda rng: rng.normal(size=7),
+        # neighbouring floats: a midpoint rounds onto the upper centroid, whose
+        # values then join the lower cell and leave its own empty
+        "ulps": lambda rng: rng.choice(1.0 + np.arange(12) * np.spacing(1.0), size=300),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    def test_bit_equal(self, case, k):
+        emptied = False
+        for seed in range(6):
+            values = self.CASES[case](np.random.default_rng(seed))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # k reduced to the distinct count
+                got = kmeans_fit(values, k, seed=seed)
+            want, e = ref_kmeans_fit(values, k, seed=seed)
+            emptied |= e
+            assert got.tobytes() == want.tobytes()
+        if (case, k) == ("ulps", 20):
+            assert emptied  # the case reaches the empty-cell rule
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(_TIED | st.floats(-1e6, 1e6), min_size=1, max_size=200),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_on_any_values(self, values, k, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = kmeans_fit(values, k, seed=seed)
+        assert got.tobytes() == ref_kmeans_fit(values, k, seed=seed)[0].tobytes()
+
+
+def test_distinct_count_needs_no_array_of_the_input_length(monkeypatch):
+    # the distinct count runs before the k-means++ seeding, so the traced
+    # peak at that call is the count's; the fit sorts its float64 input in place
+    n = 1 << 21
+    values = np.random.default_rng(0).normal(size=n)
+    peaks = []
+    seed_centroids = clustering._kmeanspp_init
+
+    def record_peak(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return seed_centroids(*args)
+
+    monkeypatch.setattr(clustering, "_kmeanspp_init", record_peak)
+    tracemalloc.start()
+    try:
+        kmeans_fit(values, 20, seed=0, overwrite_input=True)
+    finally:
+        tracemalloc.stop()
+    assert peaks and peaks[0] < n // 8

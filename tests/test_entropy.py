@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from curator.entropy import (
     kl_divergence,
     weighted_sample,
 )
+from curator.metrics import histogram_pdf
 
 
 def kl_oracle(p, q, eps=1e-10):
@@ -58,6 +60,85 @@ class TestBinning:
 
     def test_out_of_range_values_clip_to_the_end_bins(self):
         assert bin_index(np.linspace(0.0, 1.0, 5), np.array([-1.0, 2.0])).tolist() == [0, 3]
+
+    @pytest.mark.parametrize("values", [
+        [2.0**60, 2.0**60 + 256],  # linspace rounds 99 of its edges onto the two values
+        [1e308],  # [v, v + |v|] overflows
+        [-1.7e308, 1.7e308],  # hi - lo overflows
+        [-2.0**60 - 256, -2.0**60],
+        [np.finfo(float).max],
+        [-np.finfo(float).max, np.finfo(float).max],
+        [0.0, 5e-324],
+    ])
+    @pytest.mark.parametrize("bins", [2, 100])
+    def test_edges_are_finite_and_strictly_increasing(self, values, bins):
+        values = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = bin_edges(values, bins)
+            assert edges.size == bins + 1 and np.all(np.isfinite(edges))
+            assert np.all(edges[1:] > edges[:-1])
+            assert edges[0] <= values.min() and values.max() <= edges[-1]
+            assert np.array_equal(bin_index(edges, values), searchsorted_bins(edges, values))
+            assert histogram_pdf(values, bins=bins).probabilities.sum() == pytest.approx(1.0)
+
+
+def searchsorted_bins(edges, values):
+    """The bin rule that bin_index computes by arithmetic."""
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 2)
+
+
+def around(edges):
+    """Each edge, its finite float neighbours, and values beyond either end."""
+    with np.errstate(over="ignore"):
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return np.concatenate([near[np.isfinite(near)], [edges[0] - 1.0, edges[-1] + 1.0, -1e300, 1e300]])
+
+
+class TestBinIndexMatchesSearchsorted:
+    @pytest.mark.parametrize("bins", [1, 2, 7, 20, 100])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_on_every_edge_and_beyond_the_ends(self, bins, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.lognormal(size=500) * 10.0 ** rng.integers(-5, 6)
+        edges = bin_edges(data, bins)
+        values = np.concatenate([data, around(edges)])
+        assert np.array_equal(bin_index(edges, values), searchsorted_bins(edges, values))
+
+    @pytest.mark.parametrize("v", [-1.25, 0.0, 3.0, 2.0**53, -2.0**60])
+    def test_constant_data(self, v):
+        edges = bin_edges(np.full(4, v), 10)
+        values = np.concatenate([np.full(4, v), around(edges)])
+        assert np.array_equal(bin_index(edges, values), searchsorted_bins(edges, values))
+
+    @pytest.mark.parametrize("edges", [
+        [0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0],
+        [5.0, 5.0, 5.0],
+        [-1.0, -1.0, 0.0, 4.0],
+    ])
+    def test_zero_width_edges(self, edges):
+        edges = np.array(edges)
+        values = around(edges)
+        assert np.array_equal(bin_index(edges, values), searchsorted_bins(edges, values))
+
+    def test_float32_widened_values(self):
+        x32 = np.random.default_rng(2).standard_normal(4000).astype(np.float32)
+        edges = bin_edges(x32.astype(np.float64), 100)
+        # values at and next to the edges, rounded to float32
+        near = around(edges)[:-2].astype(np.float32)
+        for values in (x32, x32.astype(np.float64), near, near.astype(np.float64)):
+            assert np.array_equal(bin_index(edges, values), searchsorted_bins(edges, values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        st.integers(1, 120),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10),
+    )
+    def test_any_finite_values(self, data, bins, extra):
+        edges = bin_edges(np.array(data), bins)
+        values = np.concatenate([data, extra, around(edges)])
+        assert np.array_equal(bin_index(edges, values), searchsorted_bins(edges, values))
 
 
 class TestKlDivergence:

@@ -513,6 +513,19 @@ class TestSamplersMatchReference:
                 ref = ref_sample_maxent_points(block, "u", 6, 100, seed, num_bins=10)
             assert np.array_equal(fast, ref)
 
+    @pytest.mark.parametrize("k", [1, 20, 256, 257, 300])
+    def test_maxent_points_many_clusters(self, k):
+        # the members are grouped by a stable argsort of the labels cast to
+        # uint8 up to k = 256 and to uint16 beyond; the reference groups
+        # them as the int64 stable argsort does, in ascending index order
+        block = make_block(8, values=np.random.default_rng(k).lognormal(size=(8, 8, 8)))
+        for seed in range(3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # one cluster has all-zero strengths
+                fast = sample_maxent_points(block, "u", k, 400, seed, num_bins=50)
+                ref = ref_sample_maxent_points(block, "u", k, 400, seed, 50)
+            assert np.array_equal(fast, ref)
+
 
 class TestSampleMaxentPoints:
     def test_exact_unique_sorted(self):
