@@ -50,7 +50,6 @@ from .metrics import (
     compare_methods,
     cost_estimate,
     coverage_report,
-    histogram_pdf,
 )
 from .synthetic import (
     gen_cylinder_wake,

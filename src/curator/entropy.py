@@ -1,8 +1,10 @@
 """Information-theoretic kernel: histogram bins, KL divergence, pairwise
 KL graph, node strengths, entropy-weighted selection, proportional allocation.
+``bin_edges`` and ``bin_index`` are the pipeline's one histogram rule,
+np.histogram's; the samplers and ``metrics`` bin with nothing else.
 
 All divergences use the natural logarithm (nats).  Zero bins are handled
-by epsilon-smoothing with renormalization, (v + eps) / (1 + k*eps), so
+by smoothing with renormalization, (v + EPSILON) / (1 + k*EPSILON), so
 empirical histograms with empty bins stay on a shared label space.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_EPSILON = 1e-10
+EPSILON = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,19 @@ def bin_index(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     return idx
 
 
-def smooth(p: np.ndarray, epsilon: float) -> np.ndarray:
-    """Epsilon-smooth and renormalize each distribution along the last axis."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return (p + epsilon) / (1.0 + p.shape[-1] * epsilon)
+def smooth(p: np.ndarray) -> np.ndarray:
+    """Smooth by EPSILON and renormalize each distribution along the last axis."""
+    return (p + EPSILON) / (1.0 + p.shape[-1] * EPSILON)
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> float:
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Kullback-Leibler divergence D(p || q) in nats between two discrete
-    distributions on a shared label space, after epsilon-smoothing."""
+    distributions on a shared label space, after smoothing."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return float(kl_rows(smooth(p, epsilon), smooth(q, epsilon)))
+    return float(kl_rows(smooth(p), smooth(q)))
 
 
 def kl_rows(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -97,12 +97,12 @@ def kl_rows(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.maximum(np.sum(ps * np.log(ps / qs), axis=-1), 0.0)
 
 
-def adjacency_matrix(dists: list[np.ndarray], epsilon: float = DEFAULT_EPSILON) -> EntropyGraph:
+def adjacency_matrix(dists: list[np.ndarray]) -> EntropyGraph:
     """Pairwise KL divergences A_ij = D(dists[i] || dists[j]), zero diagonal,
     with node strengths as row sums.
 
-    Each entry equals ``kl_divergence(dists[i], dists[j], epsilon)`` bit
-    for bit: both sum along the contiguous last axis in ``kl_rows``.
+    Each entry equals ``kl_divergence(dists[i], dists[j])`` bit for
+    bit: both sum along the contiguous last axis in ``kl_rows``.
     """
     if len(dists) == 0:
         raise ValueError("need at least one distribution")
@@ -110,7 +110,7 @@ def adjacency_matrix(dists: list[np.ndarray], epsilon: float = DEFAULT_EPSILON) 
     for i, d in enumerate(dists):
         if np.asarray(d).size != length:
             raise ValueError(f"distribution {i} has length {np.asarray(d).size}, expected {length}")
-    S = smooth(np.stack([np.asarray(d, dtype=np.float64) for d in dists]), epsilon)
+    S = smooth(np.stack([np.asarray(d, dtype=np.float64) for d in dists]))
     A = np.empty((len(dists), len(dists)))
     # one row at a time keeps the temporaries at n*L, not n*n*L
     for i, s in enumerate(S):
@@ -125,8 +125,8 @@ def weighted_sample(
     """Draw n distinct indices with probability proportional to weight.
 
     Draws are sequential: each chosen index is removed and the remaining
-    weights renormalized.  Indices are returned in draw order.  All-zero
-    weights fall back to uniform with a warning.
+    weights renormalized.  Indices are returned in draw order.  Once no
+    weight is left the draws go on uniformly; all-zero weights warn.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
     if np.any(w < 0.0):
@@ -136,17 +136,16 @@ def weighted_sample(
     N = w.size
     if n > N:
         raise ValueError(f"cannot draw {n} of {N} indices without replacement")
-    if w.sum() == 0.0:
-        warnings.warn("all weights zero; falling back to uniform sampling", stacklevel=2)
-        w = np.ones(N)
     rng = np.random.default_rng(seed)
 
     out = np.empty(n, dtype=np.int64)
     for draw in range(n):
         total = w.sum()
         if total == 0.0:
-            # remaining weights exhausted before n draws; continue uniformly
-            w = np.where(w >= 0.0, 1.0, 0.0)
+            # no weight left, from the start or before n draws: go on uniformly
+            if draw == 0:
+                warnings.warn("all weights zero; falling back to uniform sampling", stacklevel=2)
+            w = np.ones(N)
             w[out[:draw]] = 0.0
             total = w.sum()
         out[draw] = rng.choice(N, p=w / total)

@@ -385,7 +385,8 @@ def parse_config(text: str) -> RunConfig:
     for role in ("input_vars", "output_vars"):
         if role in kwargs and isinstance(kwargs[role], str):
             kwargs[role] = [kwargs[role]]
-    if isinstance(kwargs.get("cluster_var"), list) and kwargs["cluster_var"]:
+    # one scalar is clustered, so only a list of one is read as its entry
+    if isinstance(kwargs.get("cluster_var"), list) and len(kwargs["cluster_var"]) == 1:
         kwargs["cluster_var"] = kwargs["cluster_var"][0]
     try:
         return RunConfig(**kwargs)

@@ -1,14 +1,15 @@
 """Sampling-quality metrics, method comparison, and the training-cost proxy.
 
-Coverage is judged against density-normalized histograms anchored to the
-full data's min-max range, so bin occupancy is comparable across
-methods.  The KL direction is D(full || sample): a sample is penalized
-for missing regions where the full data has mass.  All divergences are
-reported in nats.  The full-data side of a variable's scores, its
-histogram and its per-bin tail counts, is a ``FullReference``: built
-once per variable and shared by every sample scored against it.  Costs
-are wall-clock seconds plus a proxy term; no hardware energy counters
-are involved, and reports label units as "proxy units".
+Coverage is judged against density-normalized histograms on the full
+data's ``entropy.bin_edges``; a sample is binned on those same edges by
+``entropy.bin_index``, so bin occupancy is comparable across methods.
+The KL direction is D(full || sample): a sample is penalized for missing
+regions where the full data has mass.  All divergences are in nats.  The
+full-data side of a variable's scores, its histogram and its per-bin
+tail counts, is a ``FullReference``: built once per variable and shared
+by every sample scored against it.  Costs are wall-clock seconds plus a
+proxy term; no hardware energy counters are involved, and reports label
+units as "proxy units".
 """
 from __future__ import annotations
 
@@ -55,24 +56,10 @@ class CoverageReport:
     histograms: dict[str, PdfHistogram]  # on the full data's bins
 
 
-def histogram_pdf(
-    values: np.ndarray, bins: int = 100, value_range: tuple[float, float] | None = None
-) -> PdfHistogram:
-    """Density-normalized histogram over an explicit or observed range."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if value_range is None:
-        edges = entropy.bin_edges(values if values.size else np.array([0.0, 1.0]), bins)
-    else:
-        lo, hi = value_range
-        if hi <= lo:
-            raise ValueError(f"histogram range must have hi > lo, got ({lo}, {hi})")
-        edges = np.linspace(lo, hi, bins + 1)
-    if values.size == 0:
-        return PdfHistogram(edges=edges, densities=np.zeros(bins), count=0)
-    densities, _ = np.histogram(values, bins=edges, density=True)
-    return PdfHistogram(edges=edges, densities=densities, count=values.size)
+def _pdf(edges: np.ndarray, counts: np.ndarray) -> PdfHistogram:
+    """np.histogram's ``density=True`` histogram of ``counts`` on ``edges``."""
+    return PdfHistogram(edges=edges, densities=counts / np.diff(edges) / counts.sum(),
+                        count=int(counts.sum()))
 
 
 @dataclass(frozen=True)
@@ -90,11 +77,13 @@ def _search(x: np.ndarray, keys, side: str) -> np.ndarray:
     keeps ``x < key`` (side "left") or ``x <= key`` (side "right") true of
     exactly the same values, so x is searched in its own dtype."""
     keys = np.asarray(keys, dtype=np.float64)
-    k = keys.astype(x.dtype)
-    if side == "left":  # the least value of x's dtype that is >= key
-        k = np.where(k < keys, np.nextafter(k, np.inf), k)
-    else:  # the greatest value of x's dtype that is <= key
-        k = np.where(k > keys, np.nextafter(k, -np.inf), k)
+    # a key past the dtype's range rounds to an infinity, which x orders as the key
+    with np.errstate(over="ignore"):
+        k = keys.astype(x.dtype)
+        if side == "left":  # the least value of x's dtype that is >= key
+            np.nextafter(k, np.inf, out=k, where=k < keys)
+        else:  # the greatest value of x's dtype that is <= key
+            np.nextafter(k, -np.inf, out=k, where=k > keys)
     return x.searchsorted(k, side=side)
 
 
@@ -116,12 +105,12 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
 
     Everything comes from one sorted ``flat_copy`` of the parts in the
     data's own floating dtype, the only allocation the size of the data.
-    The counts follow np.histogram's rule (half-open bins, the last
-    closed) and the densities repeat its ``density=True`` arithmetic, so
-    the result equals ``histogram_pdf`` of the concatenated parts bit for
-    bit.  The 1st and 99th percentiles equal np.percentile's of the
-    float64 data, and the tail points beyond them are a prefix and a
-    suffix of the sorted copy.
+    On ``entropy.bin_edges``' edges, the counts follow np.histogram's rule
+    (half-open bins, the last closed) and the densities its ``density=True``
+    arithmetic, so the histogram equals np.histogram's of the concatenated
+    parts bit for bit.  The 1st and 99th percentiles equal np.percentile's
+    of the float64 data, and the tail points beyond them are a prefix and
+    a suffix of the sorted copy.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -133,13 +122,11 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
     bounds = np.concatenate([[0], _search(x, edges[1:-1], "left"), [n]])
     counts = np.diff(bounds)
-    h_full = PdfHistogram(edges=edges, densities=counts / np.diff(edges) / counts.sum(),
-                          count=n)
     lo = _search(x, _percentile(x, 1.0), "left")  # the points below the 1st percentile
     hi = _search(x, _percentile(x, 99.0), "right")  # from here on, above the 99th
     # bin b holds x[bounds[b]:bounds[b + 1]], so it holds this many of x[:lo] and x[hi:]
     tail_counts = np.diff(np.minimum(bounds, lo)) + np.diff(np.maximum(bounds, hi))
-    return FullReference(histogram=h_full, tail_counts=tail_counts)
+    return FullReference(histogram=_pdf(edges, counts), tail_counts=tail_counts)
 
 
 def coverage_report(
@@ -158,7 +145,8 @@ def coverage_report(
 
 
 def score_sample(sample: SampleSet, references: dict[str, FullReference]) -> CoverageReport:
-    """coverage_report's scores of a sample against prebuilt references."""
+    """coverage_report's scores of a sample against prebuilt references.  The
+    sample, drawn from the full data, is binned on its reference's edges."""
     if len(sample) == 0:
         raise ValueError("sample is empty")
     per_variable, histograms = {}, {}
@@ -167,8 +155,13 @@ def score_sample(sample: SampleSet, references: dict[str, FullReference]) -> Cov
             raise ValueError(f"variable {var!r} missing from sample")
         sampled = sample.var_values(var)
         h_full = ref.histogram
+        counts = np.bincount(entropy.bin_index(h_full.edges, sampled),
+                             minlength=h_full.densities.size)
+        h_sample = histograms[var] = _pdf(h_full.edges, counts)
         lo, hi = h_full.edges[[0, -1]].tolist()
-        h_sample = histograms[var] = histogram_pdf(sampled, h_full.densities.size, (lo, hi))
+        # halves keep a span past the largest float exact, as in entropy._linspace
+        scale = 2.0 if np.isinf(hi - lo) else 1.0
+        span = float(sampled.max()) / scale - float(sampled.min()) / scale
         tail_total = int(ref.tail_counts.sum())
         tail_capture = (
             float(ref.tail_counts[h_sample.densities > 0.0].sum() / tail_total)
@@ -179,7 +172,7 @@ def score_sample(sample: SampleSet, references: dict[str, FullReference]) -> Cov
                 h_full.probabilities, h_sample.probabilities
             ),
             "occupied_bin_fraction": h_sample.occupied_fraction,
-            "span_ratio": min(float(sampled.max() - sampled.min()) / (hi - lo), 1.0),
+            "span_ratio": min(span / (hi / scale - lo / scale), 1.0),
             "tail_capture": tail_capture,
         }
     return CoverageReport(per_variable=per_variable, histograms=histograms)

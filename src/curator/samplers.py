@@ -437,9 +437,7 @@ def sample_maxent_points(
 # Temporal selection
 
 
-def temporal_select(
-    snapshot_pdfs: np.ndarray, budget: int, epsilon: float = entropy.DEFAULT_EPSILON
-) -> list[int]:
+def temporal_select(snapshot_pdfs: np.ndarray, budget: int) -> list[int]:
     """Greedy novelty-first selection of snapshot indices.
 
     Starts from the snapshot of maximal self-entropy, then repeatedly
@@ -453,13 +451,13 @@ def temporal_select(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if budget > T:
         raise ValueError(f"budget {budget} exceeds snapshot count {T}")
-    S = entropy.smooth(pdfs, epsilon)
+    S = entropy.smooth(pdfs)
     entropies = -np.sum(S * np.log(S), axis=1)
     selected = [int(np.argmax(entropies))]
     while len(selected) < budget:
-        mixture = entropy.smooth(pdfs[selected].mean(axis=0), epsilon)
-        # gains[t] equals kl_divergence(pdfs[t], pdfs[selected].mean(axis=0),
-        # epsilon) bit for bit, as adjacency_matrix's rows do
+        mixture = entropy.smooth(pdfs[selected].mean(axis=0))
+        # gains[t] equals kl_divergence(pdfs[t], pdfs[selected].mean(axis=0))
+        # bit for bit, as adjacency_matrix's rows do
         gains = entropy.kl_rows(S, mixture)
         gains[selected] = -np.inf
         selected.append(int(np.argmax(gains)))

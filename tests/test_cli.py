@@ -228,11 +228,12 @@ class TestSubsample:
         ("input_vars:\n  - u\n", "input_vars:\n  - 1\n", "input_vars"),
         ("output_vars:\n  - wz\n", "output_vars: 5\n", "output_vars"),
         ("cluster_var: wz", "cluster_var: [5]", "cluster_var"),
+        ("cluster_var: wz", "cluster_var: [wz, u]", "cluster_var"),
         ("subsample:", "train: {params: abc}\nsubsample:", "train.params"),
         ("subsample:", "train: {epochs: -5}\nsubsample:", "train.epochs"),
     ], ids=["dtype", "fileprefix", "timesteps-empty", "timesteps-int", "num_samples",
             "num_clusters", "dims", "train", "input_vars", "output_vars", "cluster_var",
-            "train-params", "train-epochs"])
+            "cluster_var-two", "train-params", "train-epochs"])
     def test_bad_value_fails_before_loading(self, case, tmp_path, capsys, old, new, key):
         # with a data file gone, only a check made before loading names the key
         (case.parent / "data" / "u_0.bin").unlink()

@@ -13,18 +13,19 @@ from curator.entropy import bin_edges
 from curator.grid import GridDataset, GridDims, RunConfig
 from curator.metrics import (
     COMPARISON_COLUMNS,
+    PdfHistogram,
     compare_methods,
     comparison_to_csv,
     cost_estimate,
     coverage_report,
     full_reference,
     histogram_comparison_csv,
-    histogram_pdf,
+    score_sample,
     _percentile,
     _score_cell,
     _search,
 )
-from curator.samplers import run_pipeline, select_cubes
+from curator.samplers import SampleSet, run_pipeline, select_cubes
 
 
 def make_dataset(nx=8, seed=0):
@@ -47,55 +48,74 @@ def make_sample(method="random", num_samples=32, seed=0, dataset=None):
     return run_pipeline(cfg, dataset if dataset is not None else make_dataset())
 
 
+def sample_of(values):
+    """A sample whose variable u holds the given values."""
+    data = np.zeros((len(values), 8))
+    data[:, 7] = values
+    return SampleSet(columns=["t", "i", "j", "k", "x", "y", "z", "u"], data=data)
+
+
+def np_pdf(values, edges):
+    """np.histogram's density histogram of the values on the given edges."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    return PdfHistogram(edges=edges, densities=np.histogram(values, edges, density=True)[0],
+                        count=values.size)
+
+
 class TestHistogramPdf:
+    """The density histograms that full_reference builds for the full data
+    and score_sample for a sample on the same bins."""
+
     def test_uniform_data_density(self):
         # density of U(0, 2) is 0.5 everywhere
         vals = np.linspace(0.0, 2.0, 10001)
-        h = histogram_pdf(vals, bins=10, value_range=(0.0, 2.0))
+        h = full_reference([vals], bins=10).histogram
         np.testing.assert_allclose(h.densities, 0.5, rtol=0.01)
         assert h.count == 10001
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
-        h = histogram_pdf(rng.normal(size=5000), bins=37)
-        assert abs(h.probabilities.sum() - 1.0) < 1e-9
+        full = rng.normal(size=5000)
+        ref = full_reference([full], bins=37)
+        h = score_sample(sample_of(full[:300]), {"u": ref}).histograms["u"]
+        for hist in (ref.histogram, h):
+            assert abs(hist.probabilities.sum() - 1.0) < 1e-9
 
     def test_integral_is_one(self):
         rng = np.random.default_rng(1)
-        h = histogram_pdf(rng.lognormal(size=2000), bins=50)
-        assert abs(np.sum(h.densities * h.widths) - 1.0) < 1e-9
+        full = rng.lognormal(size=2000)
+        ref = full_reference([full], bins=50)
+        h = score_sample(sample_of(full[::7]), {"u": ref}).histograms["u"]
+        for hist in (ref.histogram, h):
+            assert abs(np.sum(hist.densities * hist.widths) - 1.0) < 1e-9
 
     def test_occupied_fraction(self):
-        h = histogram_pdf(np.array([0.05, 0.95]), bins=10, value_range=(0.0, 1.0))
+        ref = full_reference([np.linspace(0.0, 1.0, 11)], bins=10)
+        h = score_sample(sample_of([0.05, 0.95]), {"u": ref}).histograms["u"]
         assert h.occupied_fraction == 0.2
-
-    def test_out_of_range_values_dropped(self):
-        h = histogram_pdf(np.array([0.5, 5.0]), bins=4, value_range=(0.0, 1.0))
-        assert h.probabilities.sum() == pytest.approx(1.0)
 
     def test_constant_data(self):
         # at 2^60, v + 1 rounds back to v; at -2^53, [v, v + 1] has no room for 5 bins
         for value in (3.0, 2.0**60, -2.0**53):
-            h = histogram_pdf(np.full(10, value), bins=5)
-            assert h.probabilities.sum() == pytest.approx(1.0)
-            assert h.occupied_fraction == 0.2
-            ref = full_reference([np.full(10, value)], bins=5).histogram
-            assert np.array_equal(ref.densities, h.densities)
+            ref = full_reference([np.full(10, value)], bins=5)
+            h = score_sample(sample_of(np.full(10, value)), {"u": ref}).histograms["u"]
+            for hist in (ref.histogram, h):
+                assert hist.probabilities.sum() == pytest.approx(1.0)
+                assert hist.occupied_fraction == 0.2
+            assert np.array_equal(ref.histogram.densities, h.densities)
 
     def test_empty_and_invalid(self):
-        h = histogram_pdf(np.array([]), bins=4)
-        assert h.count == 0 and np.all(h.densities == 0.0)
         with pytest.raises(ValueError, match="bins"):
-            histogram_pdf(np.ones(3), bins=0)
-        with pytest.raises(ValueError, match="hi > lo"):
-            histogram_pdf(np.ones(3), bins=4, value_range=(1.0, 1.0))
+            full_reference([np.ones(3)], bins=0)
+        with pytest.raises(ValueError, match="empty"):
+            score_sample(sample_of([]), {"u": full_reference([np.ones(3)])})
 
 
 def ref_full_reference(full, bins):
-    """Histograms a raveled copy and masks the tails beyond np.percentile's
-    1st and 99th percentiles."""
+    """np.histogram of a raveled copy on bin_edges' edges, and a mask of the
+    tails beyond np.percentile's 1st and 99th percentiles."""
     full = np.asarray(full, dtype=np.float64).ravel()
-    h_full = histogram_pdf(full, bins)
+    h_full = np_pdf(full, bin_edges(full, bins))
     q01, q99 = np.percentile(full, [1.0, 99.0])
     tail_points = full[(full < q01) | (full > q99)]
     tail_bins = np.clip(np.searchsorted(h_full.edges, tail_points, side="right") - 1, 0, bins - 1)
@@ -146,6 +166,17 @@ class TestFullReference:
         with pytest.raises(ValueError, match="bins"):
             full_reference([np.ones(3)], bins=0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_largest_float(self, dtype, sign):
+        # its percentiles are the largest value of the dtype, and float32's
+        # edges run past it: no search key may overflow into a warning
+        values = np.full(3, sign * np.finfo(dtype).max, dtype=dtype)
+        ref = full_reference([values], bins=100)
+        h_ref, tails_ref = ref_full_reference(values, 100)
+        assert np.array_equal(ref.histogram.densities, h_ref.densities)
+        assert np.array_equal(ref.tail_counts, tails_ref)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["fortran", "strided", "subset"])
     def test_allocates_one_copy_of_the_field(self, dtype, layout):
@@ -162,6 +193,38 @@ class TestFullReference:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * sum(p.nbytes for p in parts)
+
+
+class TestScoreSample:
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-5, 5).map(float),  # ties
+                st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            ),
+            min_size=1, max_size=80,
+        ),
+        st.integers(1, 40),
+        st.sampled_from([np.float64, np.float32]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0.0, 1.0], 4, np.float64, 0)
+    @example([0.1, 0.7, 0.3], 7, np.float32, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_histogram_on_the_reference_edges(self, values, bins, dtype, seed):
+        full = np.array(values, dtype=dtype)
+        if full.min() < full.max():
+            # each interior edge, rounded into the dtype, is also a value
+            full = np.concatenate([full, bin_edges(full, bins)[1:-1].astype(dtype)])
+        ref = full_reference([full], bins)
+        edges = ref.histogram.edges
+        rng = np.random.default_rng(seed)
+        sampled = rng.choice(full, size=int(rng.integers(1, full.size + 1)), replace=False)
+        h = score_sample(sample_of(sampled), {"u": ref}).histograms["u"]
+        want = np_pdf(sampled, edges)
+        assert np.array_equal(h.edges, edges)
+        assert np.array_equal(h.densities, want.densities)
+        assert h.count == want.count
 
 
 def _data(kind, n, dtype, rng):
@@ -238,24 +301,24 @@ class TestCoverageReport:
         # a sample concentrated in the middle of the value range scores
         # strictly worse than one spanning it
         full = np.linspace(-3.0, 3.0, 4096)
-        cols = ["t", "i", "j", "k", "x", "y", "z", "u"]
-
-        def fake_sample(values):
-            data = np.zeros((values.size, 8))
-            data[:, 7] = values
-            from curator.samplers import SampleSet
-            return SampleSet(columns=cols, data=data)
-
         narrow = coverage_report(
-            fake_sample(np.linspace(-0.5, 0.5, 200)), {"u": full}
+            sample_of(np.linspace(-0.5, 0.5, 200)), {"u": full}
         ).per_variable["u"]
         wide = coverage_report(
-            fake_sample(np.linspace(-3.0, 3.0, 200)), {"u": full}
+            sample_of(np.linspace(-3.0, 3.0, 200)), {"u": full}
         ).per_variable["u"]
         assert narrow["kl_full_to_sample"] > wide["kl_full_to_sample"]
         assert narrow["span_ratio"] < wide["span_ratio"]
         assert narrow["occupied_bin_fraction"] < wide["occupied_bin_fraction"]
         assert narrow["tail_capture"] == 0.0 and wide["tail_capture"] == 1.0
+
+    def test_range_that_overflows(self):
+        # hi - lo of the full data, and of the full sample, is past the largest float
+        full = np.array([-1.7e308, 0.0, 1.7e308])
+        whole = coverage_report(sample_of(full), {"u": full}).per_variable["u"]
+        half = coverage_report(sample_of(full[:2]), {"u": full}).per_variable["u"]
+        assert whole["span_ratio"] == 1.0 and whole["kl_full_to_sample"] == 0.0
+        assert half["span_ratio"] == 0.5
 
     def test_missing_variable(self):
         ds = make_dataset()
@@ -273,11 +336,12 @@ class TestCompareMethods:
             strata=[2, 2, 2], seed=0,
         )
         rows, h_full, histograms = compare_methods(cfg, ds, ["random", "lhs"], [0, 1])
-        h_ref = histogram_pdf(ds.fields["u", 0].ravel(), 100)
+        u = ds.fields["u", 0].ravel()
+        h_ref = np_pdf(u, bin_edges(u, 100))
         np.testing.assert_array_equal(h_full.edges, h_ref.edges)
         np.testing.assert_array_equal(h_full.densities, h_ref.densities)
         first_lhs = run_pipeline(replace(cfg, method="lhs", seed=0), ds)
-        h_lhs = histogram_pdf(first_lhs.var_values("u"), 100, tuple(h_ref.edges[[0, -1]]))
+        h_lhs = np_pdf(first_lhs.var_values("u"), h_ref.edges)
         np.testing.assert_array_equal(histograms["lhs"].densities, h_lhs.densities)
         # per method: 2 seeds x 1 variable + mean + std rows
         assert len(rows) == 2 * (2 + 2)
@@ -380,8 +444,8 @@ class TestHistogramComparisonCsv:
     def test_schema_and_lengths(self, tmp_path):
         rng = np.random.default_rng(0)
         full = rng.normal(size=2000)
-        h_full = histogram_pdf(full, 25)
-        h_sample = histogram_pdf(full[:100], 25, tuple(h_full.edges[[0, -1]]))
+        h_full = np_pdf(full, bin_edges(full, 25))
+        h_sample = np_pdf(full[:100], h_full.edges)
         histogram_comparison_csv(h_full, h_sample, tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,density_full,density_sample"

@@ -593,9 +593,9 @@ class TestTemporalSelect:
             temporal_select(np.ones((2, 4)) / 4, 3)
 
     @staticmethod
-    def select_by_pairwise_kl(pdfs, budget, epsilon=1e-10):
+    def select_by_pairwise_kl(pdfs, budget):
         """Per-snapshot reference: one kl_divergence call per candidate."""
-        smoothed = [(p + epsilon) / (1.0 + p.size * epsilon) for p in pdfs]
+        smoothed = [(p + 1e-10) / (1.0 + p.size * 1e-10) for p in pdfs]
         entropies = [float(-np.sum(ps * np.log(ps))) for ps in smoothed]
         selected = [int(np.argmax(entropies))]
         while len(selected) < budget:
@@ -603,7 +603,7 @@ class TestTemporalSelect:
             gains = np.full(len(pdfs), -np.inf)
             for t in range(len(pdfs)):
                 if t not in selected:
-                    gains[t] = kl_divergence(pdfs[t], mixture, epsilon)
+                    gains[t] = kl_divergence(pdfs[t], mixture)
             selected.append(int(np.argmax(gains)))
         return selected
 
@@ -620,11 +620,6 @@ class TestTemporalSelect:
         pdfs = np.divide(pdfs, sums, out=np.zeros_like(pdfs), where=sums > 0)
         for budget in (1, T // 2 + 1, T):
             assert temporal_select(pdfs, budget) == self.select_by_pairwise_kl(pdfs, budget)
-
-    @pytest.mark.parametrize("budget", [1, 2])
-    def test_nonpositive_epsilon_rejected(self, budget):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            temporal_select(np.ones((3, 4)) / 4, budget, epsilon=0.0)
 
 
 class TestSampleSet:
