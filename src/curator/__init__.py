@@ -1,63 +1,21 @@
 """curator: entropy-guided curation of sparse training subsets from
-gridded spatiotemporal datasets.
-
-The core workflow is two-phase: select information-rich hypercubes from
-the grid (random or entropy-weighted), then select points within each
-cube (full, random, stratified, lhs, uips, or maxent).  Supporting
-modules provide coverage metrics, synthetic data generators, and a
-parallel scaling harness.
+gridded spatiotemporal datasets.  Phase 1 selects hypercubes of the grid,
+Phase 2 selects points within each.  The package exports exactly README's
+Library API; every other name is imported from its module.
 """
 
-from .grid import (
-    ConfigError,
-    GridDataset,
-    GridDims,
-    HypercubeBlock,
-    IngestionError,
-    RunConfig,
-    emit_config,
-    extract_block,
-    load_dataset,
-    num_blocks,
-    parse_config,
-    partition_hypercubes,
-)
+from .bench import detect_knee, run_scaling_study
 from .clustering import assign, kmeans_fit
-from .entropy import (
-    EntropyGraph,
-    adjacency_matrix,
-    allocate_counts,
-    kl_divergence,
-    weighted_sample,
-)
-from .samplers import (
-    SampleSet,
-    rate_to_count,
-    run_pipeline,
-    sample_full,
-    sample_lhs,
-    sample_maxent_points,
-    sample_random,
-    sample_stratified,
-    sample_uips,
-    select_hypercubes_maxent,
-    select_hypercubes_random,
-    temporal_select,
-)
-from .metrics import (
-    CoverageReport,
-    PdfHistogram,
-    compare_methods,
-    cost_estimate,
-    coverage_report,
-)
-from .synthetic import (
-    gen_cylinder_wake,
-    gen_scalar_field,
-    gen_taylor_green,
-    generate,
-    save_dataset,
-)
-from .bench import ScalingResult, detect_knee, run_scaling_study
+from .entropy import adjacency_matrix, allocate_counts, kl_divergence
+from .grid import load_dataset, parse_config
+from .metrics import compare_methods, cost_estimate, coverage_report
+from .samplers import run_pipeline
+from .synthetic import gen_cylinder_wake, gen_scalar_field, gen_taylor_green
 
+__all__ = [
+    "parse_config", "load_dataset", "run_pipeline", "kl_divergence", "adjacency_matrix",
+    "allocate_counts", "kmeans_fit", "assign", "coverage_report", "compare_methods",
+    "cost_estimate", "gen_taylor_green", "gen_cylinder_wake", "gen_scalar_field",
+    "run_scaling_study", "detect_knee",
+]
 __version__ = "0.1.0"

@@ -75,7 +75,7 @@ class GridDataset:
         self.timestep_ids = [int(t) for t in ids]
         if len(ids) != self.dims.nt:
             raise ValueError(f"{len(ids)} timestep ids for {self.dims.nt} timesteps")
-        for name in self.role_vars():
+        for name in role_vars(self):
             for t in range(self.dims.nt):
                 if (name, t) not in self.fields:
                     raise ValueError(f"role variable {name!r} has no field at position {t}")
@@ -84,10 +84,6 @@ class GridDataset:
                 raise ValueError(
                     f"field {key!r} has shape {arr.shape}, expected {self.dims.shape[1:]}"
                 )
-
-    def role_vars(self) -> list[str]:
-        """Input, output, and cluster variables, deduplicated in order."""
-        return role_vars(self)
 
     def positions(self, timesteps: str | list[int]) -> list[int]:
         """Time-axis positions of timestep ids, in order; "all" gives every position."""
@@ -576,7 +572,7 @@ def extract_block(
         raise ValueError(f"timestep {timestep} out of range [0, {d.nt})")
     values = {
         var: dataset.fields[var, timestep][i0:i0 + sx, j0:j0 + sy, k0:k0 + sz]
-        for var in dataset.role_vars()
+        for var in role_vars(dataset)
     }
     return HypercubeBlock(
         origin=(i0, j0, k0), extents=(sx, sy, sz), timestep=timestep,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import entropy
 from .bench import parallel_map
-from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy
+from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy, role_vars
 from .samplers import SampleSet, sample_cubes, select_cubes
 
 
@@ -234,12 +234,13 @@ def compare_methods(
     # once, from one copy of the snapshots in use
     references = {
         var: full_reference([dataset.fields[var, p] for p in positions])
-        for var in dataset.role_vars()
+        for var in role_vars(dataset)
     }
     selections = []
     for seed in seeds:
         t0 = time.perf_counter()
-        selections.append((select_cubes(config, dataset, int(seed)), time.perf_counter() - t0))
+        work = select_cubes(replace(config, seed=int(seed)), dataset)
+        selections.append((work, time.perf_counter() - t0))
     cells = [(method, i) for method in methods for i in range(len(seeds))]
     score_cell = partial(_score_cell, config, dataset, seeds, selections, references)
     by_cell = dict(zip(cells, parallel_map(score_cell, cells, config.workers)))

@@ -19,13 +19,15 @@ import heapq
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from . import clustering, entropy
-from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy, partition_hypercubes
+from .grid import (
+    GridDataset, HypercubeBlock, RunConfig, flat_copy, partition_hypercubes, role_vars,
+)
 
 _PHASE1_TAG = 0x51C1E
 # rows per formatting call in SampleSet.to_csv; bounds the Python cell
@@ -488,15 +490,15 @@ def _sample_cube(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
         flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
     else:  # maxent, the last of RunConfig's VALID_METHODS
         flat_idx = sample_maxent_points(block, config.cluster_var, config.num_clusters, n, rng)
-    role_vars = dataset.role_vars()
+    names = role_vars(dataset)
     local = np.unravel_index(flat_idx, block.extents, order="F")
-    rows = np.empty((flat_idx.size, 7 + len(role_vars)))
+    rows = np.empty((flat_idx.size, 7 + len(names)))
     rows[:, 0] = dataset.timestep_ids[block.timestep]
     for axis, (idx, origin, size) in enumerate(zip(local, block.origin, dataset.dims.shape[1:])):
         rows[:, 1 + axis] = idx + origin
         rows[:, 4 + axis] = rows[:, 1 + axis] / max(size - 1, 1)
     # gathered from the cube's view in the field's dtype; the rows widen it
-    for col, var in enumerate(role_vars):
+    for col, var in enumerate(names):
         rows[:, 7 + col] = block.values[var][local]
     return rows
 
@@ -509,16 +511,16 @@ def config_digest(config: RunConfig) -> str:
     ).hexdigest()
 
 
-def select_cubes(config: RunConfig, dataset: GridDataset, seed: int) -> list[HypercubeBlock]:
+def select_cubes(config: RunConfig, dataset: GridDataset) -> list[HypercubeBlock]:
     """Phase 1: the cubes selected at each timestep in use, in (timestep,
-    cube index) order.  The draw depends on the seed, not on the method."""
+    cube index) order.  The draw depends on ``config.seed``, not on the method."""
     m = config.num_hypercubes
     work: list[HypercubeBlock] = []
     for ts in dataset.positions(config.timesteps):
         blocks = partition_hypercubes(dataset, config.cube_extents, ts)
         if m > len(blocks):
             raise ValueError(f"num_hypercubes={m} exceeds available blocks ({len(blocks)})")
-        phase1_rng = cube_rng(seed, ts, _PHASE1_TAG)
+        phase1_rng = cube_rng(config.seed, ts, _PHASE1_TAG)
         if config.hypercubes == "maxent":
             selected = select_hypercubes_maxent(
                 blocks, config.cluster_var, config.num_clusters, m, phase1_rng
@@ -529,19 +531,16 @@ def select_cubes(config: RunConfig, dataset: GridDataset, seed: int) -> list[Hyp
     return work
 
 
-def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
-                 workers: int | None = None) -> SampleSet:
-    """Phase 2: one pool samples every selected cube with ``config.method``.
-    Output is invariant to worker count and cube processing order; the
-    merge is an ordered concatenation by (timestep, cube index)."""
+def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock]) -> SampleSet:
+    """Phase 2: a pool of ``config.workers`` samples every selected cube with
+    ``config.method``.  Output is invariant to worker count and cube
+    processing order; the merge is an ordered concatenation by (timestep,
+    cube index)."""
     from .bench import parallel_map
-
-    workers = config.workers if workers is None else workers
-    role_vars = dataset.role_vars()
 
     t0 = time.perf_counter()
     sample_cube = partial(_sample_cube, config, dataset, work)
-    pieces = parallel_map(sample_cube, list(range(len(work))), workers)
+    pieces = parallel_map(sample_cube, list(range(len(work))), config.workers)
     phase2_seconds = time.perf_counter() - t0
 
     sizes = [rows.shape[0] for rows in pieces]
@@ -549,8 +548,7 @@ def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
         [dataset.timestep_ids[b.timestep], b.index, int(end - size), int(end)]
         for b, size, end in zip(work, sizes, np.cumsum(sizes))
     ]
-    data = np.concatenate(pieces, axis=0) if pieces else np.empty((0, 7 + len(role_vars)))
-    columns = ["t", "i", "j", "k", "x", "y", "z", *role_vars]
+    columns = ["t", "i", "j", "k", "x", "y", "z", *role_vars(dataset)]
     provenance = {
         "method": config.method,
         "hypercube_method": config.hypercubes,
@@ -562,18 +560,21 @@ def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
         },
         "cube_ranges": cube_ranges,
         "phase_seconds": {"phase2": phase2_seconds},
-        "workers": workers,
+        "workers": config.workers,
     }
-    return SampleSet(columns=columns, data=data, provenance=provenance)
+    return SampleSet(columns=columns, data=np.concatenate(pieces), provenance=provenance)
 
 
 def run_pipeline(
     config: RunConfig, dataset: GridDataset, workers: int | None = None
 ) -> SampleSet:
-    """Partition, Phase-1 cube selection, Phase-2 point sampling, merge."""
+    """Partition, Phase-1 cube selection, Phase-2 point sampling, merge.
+    ``workers``, if given, replaces ``config.workers``."""
+    if workers is not None:
+        config = replace(config, workers=workers)
     t0 = time.perf_counter()
-    work = select_cubes(config, dataset, config.seed)
+    work = select_cubes(config, dataset)
     phase1 = time.perf_counter() - t0
-    sample = sample_cubes(config, dataset, work, workers)
+    sample = sample_cubes(config, dataset, work)
     sample.provenance["phase_seconds"] = {"phase1": phase1, **sample.provenance["phase_seconds"]}
     return sample

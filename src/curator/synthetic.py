@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridDataset, GridDims, RunConfig, emit_config
+from .grid import GridDataset, GridDims, RunConfig, emit_config, role_vars
 
 BIMODAL_DEFAULTS = {"means": (-5.0, 5.0), "sigmas": (0.5, 0.5), "weights": (0.5, 0.5)}
 # each generator kind and the params it takes
@@ -171,7 +171,7 @@ def save_dataset(dataset: GridDataset, path) -> list[Path]:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     written = []
-    for var in dataset.role_vars():
+    for var in role_vars(dataset):
         for ts in range(dataset.dims.nt):
             out = path / f"{var}_{ts}.bin"
             arr = np.asarray(dataset.fields[var, ts], dtype="<f8")

@@ -363,7 +363,7 @@ class TestCompareMethods:
             nxsl=16, nysl=16, nzsl=16, num_hypercubes=4, num_samples=4096, seed=0,
         )
         references = {"u": full_reference([ds.fields["u", 0]])}
-        selections = [(select_cubes(cfg, ds, 0), 0.0)]
+        selections = [(select_cubes(cfg, ds), 0.0)]
         result = _score_cell(cfg, ds, [0], selections, references, ("random", 0))
         assert result[0][0]["points"] >= 10_000
         assert len(pickle.dumps(result)) < 16 * 1024
@@ -400,12 +400,12 @@ class TestCompareMethods:
         phase1 = {}
         real = metrics.select_cubes
 
-        def slow_select(config, dataset, seed):
+        def slow_select(config, dataset):
             t0 = time.perf_counter()
-            if seed == 3:  # a Phase 1 far slower than any cell's Phase 2
+            if config.seed == 3:  # a Phase 1 far slower than any cell's Phase 2
                 time.sleep(0.2)
-            work = real(config, dataset, seed)
-            phase1[seed] = time.perf_counter() - t0
+            work = real(config, dataset)
+            phase1[config.seed] = time.perf_counter() - t0
             return work
 
         monkeypatch.setattr(metrics, "select_cubes", slow_select)

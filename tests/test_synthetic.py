@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curator.grid import GridDims, load_dataset, parse_config
+from curator.grid import GridDims, load_dataset, parse_config, role_vars
 from curator.synthetic import (
     GENERATOR_KINDS,
     dataset_config,
@@ -165,7 +165,7 @@ class TestPersistence:
         )
         cfg = parse_config(cfg_text)
         loaded = load_dataset(cfg)
-        for var in ds.role_vars():
+        for var in role_vars(ds):
             np.testing.assert_array_equal(loaded.fields[var, 0], ds.fields[var, 0])
 
     def test_file_is_little_endian_x_fastest(self, tmp_path):
