@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 EPSILON = 1e-10
+# the narrowest bin bin_edges gives: no int64 count divided by it overflows
+MIN_BIN_WIDTH = 2.0**63 / np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -37,20 +39,22 @@ def _linspace(lo: float, hi: float, bins: int) -> np.ndarray:
 
 
 def bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """bins + 1 finite, strictly increasing, equal-width edges spanning
-    the finite values.
+    """bins + 1 finite, equal-width edges spanning the finite values, each
+    bin at least MIN_BIN_WIDTH wide (a width past the largest float counts
+    as wide enough).
 
     The span is the min-max range [lo, hi].  Where that gives no such
     edges (constant data, or a range too narrow for the bins at its
-    magnitude), it is the first of [lo, lo + 1], [lo, lo + |lo|] and
-    [lo - |lo|, hi] that covers hi and does: constant data fills one bin,
-    and at |lo| >= 2^53, lo + 1 rounds back to lo."""
+    magnitude or in absolute terms), it is the first of [lo, lo + 1],
+    [lo, lo + |lo|] and [lo - |lo|, hi] that covers hi and does: constant
+    data fills one bin, and at |lo| >= 2^53, lo + 1 rounds back to lo."""
     lo, hi = float(values.min()), float(values.max())
     for a, b in ((lo, hi), (lo, lo + 1.0), (lo, lo + abs(lo)), (lo - abs(lo), hi)):
         if -math.inf < a < b < math.inf and hi <= b:
             edges = _linspace(a, b, bins)
-            if np.all(edges[1:] > edges[:-1]):
-                return edges
+            with np.errstate(over="ignore"):
+                if np.all(np.diff(edges) >= MIN_BIN_WIDTH):
+                    return edges
     raise ValueError(f"no {bins} bins of equal width span [{lo!r}, {hi!r}]")
 
 

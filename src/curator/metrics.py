@@ -120,6 +120,10 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
     x.sort()
     n = x.size
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
+    with np.errstate(over="ignore"):  # a density needs a finite bin width
+        if np.any(np.diff(edges) == np.inf):
+            lo, hi = edges[[0, -1]].tolist()
+            raise ValueError(f"a bin of [{lo!r}, {hi!r}] is wider than the largest float")
     bounds = np.concatenate([[0], _search(x, edges[1:-1], "left"), [n]])
     counts = np.diff(bounds)
     lo = _search(x, _percentile(x, 1.0), "left")  # the points below the 1st percentile

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curator.entropy import (
+    MIN_BIN_WIDTH,
     adjacency_matrix,
     allocate_counts,
     bin_edges,
@@ -68,6 +69,7 @@ class TestBinning:
         [np.finfo(float).max],
         [-np.finfo(float).max, np.finfo(float).max],
         [0.0, 5e-324],
+        [0.0, 1e-300],  # finite densities need bins at least MIN_BIN_WIDTH wide
     ])
     @pytest.mark.parametrize("bins", [2, 100])
     def test_edges_are_finite_and_strictly_increasing(self, values, bins):
@@ -77,6 +79,7 @@ class TestBinning:
             edges = bin_edges(values, bins)
             assert edges.size == bins + 1 and np.all(np.isfinite(edges))
             assert np.all(edges[1:] > edges[:-1])
+            assert np.all(np.diff(edges) >= MIN_BIN_WIDTH)
             assert edges[0] <= values.min() and values.max() <= edges[-1]
             assert np.array_equal(bin_index(edges, values), searchsorted_bins(edges, values))
             densities = np.histogram(values, edges, density=True)[0]

@@ -1,6 +1,7 @@
 import pickle
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,7 @@ class TestFullReference:
     @example([1.0, -1.0], 1, False, "strided", np.float64)
     @example([0.0, 4.0, 4.0], 4, False, "fortran", np.float64)
     @example([0.1, 0.7, 0.3], 7, False, "contiguous", np.float32)
+    @example([0.0, 2.2250738585072014e-308], 2, False, "contiguous", np.float64)  # 1e-308 bins
     @settings(max_examples=300, deadline=None)
     def test_matches_the_unsorted_reference(self, values, bins, constant, layout, dtype):
         values = np.array(values[:1] * len(values) if constant else values, dtype=dtype)
@@ -165,6 +167,19 @@ class TestFullReference:
     def test_invalid_bins(self):
         with pytest.raises(ValueError, match="bins"):
             full_reference([np.ones(3)], bins=0)
+
+    def test_range_of_subnormals(self):
+        # a bin 5e-324 wide would give an infinite density; [0, 1] is taken instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = full_reference([np.array([0.0, 5e-324])], bins=1).histogram
+        assert h.edges.tolist() == [0.0, 1.0] and h.densities.tolist() == [1.0]
+
+    def test_one_bin_past_the_largest_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\[-1.7e\+308, 1.7e\+308\]"):
+                full_reference([np.array([-1.7e308, 1.7e308])], bins=1)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("sign", [1, -1])
