@@ -8,12 +8,14 @@ one worker.  Phase 1 (``samplers.select_cubes``, once per seed in a
 comparison) and the final merge stay single-threaded in the parent.
 Correctness precedes performance: scaling timings are only reported
 after the outputs at every worker count are verified identical to the
-single-worker run.
+single-worker run.  A warning raised in a work unit reaches the caller
+once per distinct (category, message), whichever process ran the unit.
 """
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +33,17 @@ def _install(fn) -> None:
     _work_fn = fn
 
 
+def _recorded(fn, item):
+    """One work unit's result and the (category, message) of each warning
+    it raised.  The caller's filters still apply, so one they turn into an
+    error raises here."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(item)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 def _trampoline(item):
-    return _work_fn(item)
+    return _recorded(_work_fn, item)
 
 
 def parallel_map(fn, items: list, workers: int) -> list:
@@ -41,13 +52,19 @@ def parallel_map(fn, items: list, workers: int) -> list:
     It runs in-process for one process or inside a pool worker (a daemon
     has no children).  Results are identical either way because each work
     unit derives its own random stream and touches no shared mutable state.
+    The warnings raised by the work units are re-raised here, in either
+    case, each distinct (category, message) once in the order first seen.
     """
     workers = min(workers, len(items))
     if workers <= 1 or mp.current_process().daemon:
-        return [fn(item) for item in items]
-    chunksize = max(1, len(items) // (4 * workers))
-    with mp.get_context("fork").Pool(workers, initializer=_install, initargs=(fn,)) as pool:
-        return pool.map(_trampoline, items, chunksize=chunksize)
+        outcomes = [_recorded(fn, item) for item in items]
+    else:
+        chunksize = max(1, len(items) // (4 * workers))
+        with mp.get_context("fork").Pool(workers, initializer=_install, initargs=(fn,)) as pool:
+            outcomes = pool.map(_trampoline, items, chunksize=chunksize)
+    for category, message in dict.fromkeys(w for _, caught in outcomes for w in caught):
+        warnings.warn(message, category, stacklevel=2)
+    return [result for result, _ in outcomes]
 
 
 class OutputMismatchError(RuntimeError):

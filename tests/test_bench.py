@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from curator.bench import (
     run_scaling_study,
 )
 from curator.grid import GridDataset, GridDims, RunConfig
+from curator.metrics import compare_methods
+from curator.samplers import run_pipeline
+from curator.synthetic import gen_taylor_green
 
 
 def make_dataset(nx=8, seed=0):
@@ -65,6 +70,55 @@ class TestParallelMap:
     def test_empty_and_single(self):
         assert parallel_map(_square, [], workers=4) == []
         assert parallel_map(_square, [5], workers=4) == [25]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warnings_reach_the_caller_once_in_first_seen_order(self, workers):
+        def warn(i):
+            warnings.warn(f"odd {i % 2}", UserWarning if i < 4 else RuntimeWarning)
+            return i
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert parallel_map(warn, list(range(6)), workers) == list(range(6))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "odd 0"), (UserWarning, "odd 1"),
+            (RuntimeWarning, "odd 0"), (RuntimeWarning, "odd 1"),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_warning_filtered_into_an_error_raises_in_the_work_unit(self, workers):
+        def warn(i):
+            warnings.warn("unit", UserWarning)
+            raise AssertionError("the warning did not raise")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="unit"):
+                parallel_map(warn, [0, 1], workers)
+
+
+class TestWorkerWarnings:
+    """A warning raised in Phase 2 reaches the caller once, at any worker
+    count: uips falls back on every 8^3 cube, whose w is constant."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("entry", ["run_pipeline", "compare_methods"])
+    def test_one_warning_per_message(self, entry, workers):
+        ds = gen_taylor_green((32, 32, 32))
+        cfg = RunConfig(
+            nx=32, ny=32, nz=32, input_vars=ds.input_vars, output_vars=ds.output_vars,
+            cluster_var=ds.cluster_var, method="uips", nxsl=8, nysl=8, nzsl=8,
+            num_hypercubes=4, num_samples=64, seed=0, workers=workers,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if entry == "run_pipeline":
+                run_pipeline(cfg, ds)
+            else:
+                compare_methods(cfg, ds, ["uips", "random"], [0, 1])
+        assert [str(w.message) for w in caught] == [
+            "degenerate feature range for ['w']; falling back to random sampling"
+        ]
 
 
 class TestDetectKnee:
