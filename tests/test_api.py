@@ -1,0 +1,40 @@
+"""The package surface: README's Library API is the whole top-level API,
+and no module imports a name it does not use."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import curator
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(curator.__file__).resolve().parent
+
+
+def library_api_block() -> str:
+    """The python code block of README's Library API section."""
+    section = README.read_text().split("## Library API", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_all_is_the_readme_library_api():
+    (node,) = ast.parse(library_api_block()).body
+    assert isinstance(node, ast.ImportFrom) and node.module == "curator"
+    assert curator.__all__ == [alias.name for alias in node.names]
+    exec(library_api_block(), {})  # every name imports
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(curator.__all__)
+    assert sorted(imported - used) == []
