@@ -30,6 +30,7 @@ from .grid import (
     _one_int,
     check_section,
     load_dataset,
+    load_yaml,
     parse_config,
 )
 from .samplers import config_digest, run_pipeline
@@ -38,10 +39,21 @@ DEFAULT_COMPARE_METHODS = ["random", "stratified", "lhs", "uips", "maxent"]
 _GENERATE_KEYS = "kind name nx ny nz t params seed".split()
 
 
-def _load_config(args) -> RunConfig:
-    path = Path(args.config)
+def _read_config(path: Path, parse):
+    """parse(the text of the config file at path).  An error about the
+    file as a whole, missing or not YAML, names the file."""
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        return parse(path.read_text())
+    except ConfigError as exc:
+        if isinstance(exc.__cause__, yaml.YAMLError):
+            raise ConfigError(f"{path}: {exc}") from None
+        raise
+
+
+def _load_config(args) -> RunConfig:
+    config = _read_config(Path(args.config), parse_config)
     # one replace, so the config is checked with every override at once
     # (e.g. --method stratified with the --num-samples its strata need)
     overrides = {}
@@ -55,7 +67,7 @@ def _load_config(args) -> RunConfig:
         overrides["timesteps"] = _int_list("--timesteps", args.timesteps)
     if args.workers is not None and args.command != "bench":
         overrides["workers"] = _one_int("--workers", args.workers)
-    return replace(parse_config(path.read_text()), **overrides)
+    return replace(config, **overrides)
 
 
 def _check_run(config: RunConfig) -> RunConfig:
@@ -218,10 +230,7 @@ def _check_params(kind: str, params: dict) -> None:
 
 def cmd_generate(args) -> int:
     """Write a synthetic raw-binary dataset and config."""
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    doc = yaml.safe_load(path.read_text()) or {}
+    doc = _read_config(Path(args.config), load_yaml) or {}
     spec = doc.get("generate")
     if not isinstance(spec, dict):
         raise ConfigError("missing required section: generate")

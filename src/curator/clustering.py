@@ -43,7 +43,10 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     while len(centroids) < k:
         total = d2.sum()
         if total > 0.0:
-            centroids.append(pool[rng.choice(pool.size, p=d2 / total)])
+            # rng.choice(pool.size, p=d2 / total)'s draw and stream, inline
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            centroids.append(pool[cdf.searchsorted(rng.random(), side="right")])
             d2 = np.minimum(d2, (pool - centroids[-1]) ** 2)
         elif pool is not x:
             # the subset holds fewer than k distinct values; all of x holds enough

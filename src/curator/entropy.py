@@ -1,5 +1,8 @@
 """Information-theoretic kernel: histogram bins, KL divergence, pairwise
 KL graph, node strengths, entropy-weighted selection, proportional allocation.
+``node_strengths`` gives the graph's row sums in closed form, in O(nL)
+time and memory, without the n x n matrix that ``adjacency_matrix``
+builds; Phase 1 weights its cubes with it.
 ``bin_edges`` and ``bin_index`` are the pipeline's one histogram rule,
 np.histogram's; the samplers and ``metrics`` bin with nothing else.
 
@@ -123,6 +126,23 @@ def adjacency_matrix(dists: list[np.ndarray]) -> EntropyGraph:
     return EntropyGraph(A=A, strengths=A.sum(axis=1))
 
 
+def node_strengths(dists: np.ndarray) -> np.ndarray:
+    """The row sums of ``adjacency_matrix(dists).A``, without the matrix.
+
+    With S the smoothed rows, strength_i = sum_j sum_l S_il (log S_il -
+    log S_jl) = n sum_l S_il log S_il - sum_l S_il sum_j log S_jl,
+    clamped at zero.  It differs from the matrix row sums in the last
+    bits only, except where every row equals the first: there the matrix
+    is exactly zero, and so are these strengths.
+    """
+    S = smooth(np.asarray(dists, dtype=np.float64))
+    if (S == S[0]).all():
+        return np.zeros(S.shape[0])
+    log_s = np.log(S)
+    strengths = S.shape[0] * np.sum(S * log_s, axis=-1) - np.sum(S * log_s.sum(axis=0), axis=-1)
+    return np.maximum(strengths, 0.0)
+
+
 def weighted_sample(
     weights: np.ndarray, n: int, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
@@ -152,7 +172,10 @@ def weighted_sample(
             w = np.ones(N)
             w[out[:draw]] = 0.0
             total = w.sum()
-        out[draw] = rng.choice(N, p=w / total)
+        # rng.choice(N, p=w / total)'s draw and stream, inline
+        cdf = np.cumsum(w / total)
+        cdf /= cdf[-1]
+        out[draw] = cdf.searchsorted(rng.random(), side="right")
         w[out[draw]] = 0.0
     return out
 

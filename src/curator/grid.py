@@ -346,6 +346,19 @@ def check_section(name: str, section, keys=None) -> None:
         raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
 
 
+def load_yaml(text: str):
+    """The YAML document in text.  Malformed YAML is a ConfigError that
+    names the problem and its line, raised from the YAMLError."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # a ReaderError (a character YAML forbids) has a position, not a mark
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line if mark else text.count("\n", 0, getattr(exc, "position", 0))
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"malformed YAML at line {line + 1}: {problem}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML run configuration into a RunConfig.
 
@@ -356,7 +369,7 @@ def parse_config(text: str) -> RunConfig:
     ``seed`` under ``subsample`` or ``shared``, else ``CURATOR_SEED``,
     else 0.
     """
-    doc = yaml.safe_load(text)
+    doc = load_yaml(text)
     if not isinstance(doc, dict):
         raise ConfigError("config must be a YAML mapping")
     if "shared" not in doc:

@@ -668,6 +668,20 @@ class TestFlagErrors:
         assert exc.value.code == 0
         assert "--num-samples" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["subsample", "compare", "info", "generate"])
+    @pytest.mark.parametrize("text, line, problem", [
+        ("shared: [1, 2\n", 2, "expected ',' or ']'"),
+        ("generate:\n  kind: a: b\n", 2, "mapping values are not allowed here"),
+        ("shared:\n  path: \"\x01\"\n", 2, "unacceptable character #x0001"),
+    ], ids=["unclosed", "mapping", "control"])
+    def test_malformed_yaml_names_the_file(self, tmp_path, capsys, command, text, line, problem):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert run_cli([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: malformed YAML at line {line}: {problem}")
+        assert "Traceback" not in err and "<unicode string>" not in err
+
     def test_yaml_workers_below_one_exits_1(self, case, tmp_path, capsys):
         cfg = tmp_path / "zero.yaml"
         cfg.write_text(case.read_text().replace("workers: 1", "workers: 0"))

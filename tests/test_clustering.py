@@ -211,6 +211,41 @@ def ref_kmeans_fit(values, k, seed=0):
     return centroids, emptied
 
 
+def ref_kmeanspp_init(x, k, rng):
+    """_kmeanspp_init drawing each centroid with rng.choice(p=...)."""
+    pool = x[rng.choice(x.size, size=min(1024, x.size), replace=False)]
+    centroids = [pool[rng.integers(pool.size)]]
+    d2 = (pool - centroids[0]) ** 2
+    while len(centroids) < k:
+        total = d2.sum()
+        if total > 0.0:
+            centroids.append(pool[rng.choice(pool.size, p=d2 / total)])
+            d2 = np.minimum(d2, (pool - centroids[-1]) ** 2)
+        elif pool is not x:
+            pool = x
+            d2 = np.min([(x - c) ** 2 for c in centroids], axis=0)
+        else:
+            centroids.append(x[np.isin(x, centroids, invert=True)][0])
+    return np.sort(np.array(centroids))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(_TIED | st.floats(-1e6, 1e6), min_size=1, max_size=1500),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeanspp_draws_as_rng_choice_does(values, k, seed):
+    # tied values give zero weights; the centroids and the generator's state
+    # after the seeding equal rng.choice's
+    x = np.sort(np.array(values))
+    k = min(k, np.unique(x).size)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeanspp_init(x, k, got_rng)
+    assert got.tobytes() == ref_kmeanspp_init(x, k, want_rng).tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestKmeansFitMatchesReference:
     CASES = {
         "normal": lambda rng: rng.normal(size=3000),

@@ -13,6 +13,7 @@ from curator.entropy import (
     bin_edges,
     bin_index,
     kl_divergence,
+    node_strengths,
     weighted_sample,
 )
 
@@ -252,6 +253,40 @@ class TestAdjacencyMatrix:
         assert np.array_equal(g.strengths, want.sum(axis=1))
 
 
+class TestNodeStrengths:
+    @given(
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=1, max_value=120),
+        st.sampled_from([0.0, 0.5, 0.9]),
+        st.sampled_from([0.0, 0.2]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_matrix_row_sums(self, n, length, empty_bins, empty_rows, seed):
+        # adjacency_matrix's cases: histograms with empty bins, all-zero
+        # rows, and n = 1, where the one row equals the first
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 50, size=(n, length)).astype(float)
+        counts[rng.uniform(size=(n, length)) < empty_bins] = 0.0
+        counts[rng.uniform(size=n) < empty_rows] = 0.0
+        sums = counts.sum(axis=1, keepdims=True)
+        dists = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+        want = adjacency_matrix(dists).strengths
+        got = node_strengths(dists)
+        assert np.all(got >= 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_equal_rows_give_exact_zeros(self, seed):
+        # as the matrix does; the closed form's two terms need not cancel
+        # exactly, so without the equal-row rule some of these read > 0
+        rng = np.random.default_rng(seed)
+        row = rng.integers(0, 9, size=rng.integers(2, 30)).astype(float)
+        dists = np.tile(row / max(row.sum(), 1.0), (int(rng.integers(1, 40)), 1))
+        assert np.array_equal(node_strengths(dists), adjacency_matrix(dists).strengths)
+        assert not node_strengths(dists).any()
+
+
 def ref_weighted_sample(weights, n, seed=0):
     """weighted_sample with its two uniform fallbacks: an all-zero reset up
     front, and a reset of the weights left when they run out mid-draw."""
@@ -278,15 +313,19 @@ class TestWeightedSample:
         ([0.0, 0.0, 0.0, 0.0, 0.0], 5),  # all zero
         ([0, 0, 1, 0], 3),  # runs out after the first draw
         ([0.0, 2.0, 0.0, 1.0, 0.0, 0.0], 5),  # and after the second
+        ([0.0, 0.3, 1e-12, 0.0, 7.0, 2.5, 0.0, 1.0], 4),  # never runs out
     ])
     @pytest.mark.parametrize("seed", range(20))
     def test_draws_and_warnings_match_two_fallbacks(self, weights, n, seed):
+        # the reference draws with rng.choice; the generator's state after
+        # the draws must match too
         draws = []
         for fn in (weighted_sample, ref_weighted_sample):
+            rng = np.random.default_rng(seed)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                out = fn(weights, n, seed=seed)
-            draws.append((out.tolist(), [str(w.message) for w in caught]))
+                out = fn(weights, n, seed=rng)
+            draws.append((out.tolist(), [str(w.message) for w in caught], rng.bit_generator.state))
         assert draws[0] == draws[1]
 
     def test_one_hot_weight(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curator import bench
+from curator import bench, clustering, entropy
 from curator.clustering import assign, kmeans_fit
 from curator.entropy import adjacency_matrix, allocate_counts, kl_divergence, weighted_sample
-from curator.grid import GridDataset, GridDims, RunConfig, extract_block, load_dataset
+from curator.grid import (
+    GridDataset, GridDims, RunConfig, extract_block, load_dataset, partition_hypercubes,
+)
 from curator.samplers import (
+    _PHASE1_TAG,
     SampleSet,
     _nearest_free,
     cube_rng,
@@ -22,6 +26,7 @@ from curator.samplers import (
     sample_random,
     sample_stratified,
     sample_uips,
+    select_cubes,
     select_hypercubes_maxent,
     select_hypercubes_random,
     temporal_select,
@@ -87,6 +92,20 @@ class TestCubeRng:
             assert not np.array_equal(cube_rng(*key).uniform(size=5), base)
 
 
+def ref_select_hypercubes_maxent(blocks, cluster_var, k, m, seed):
+    """select_hypercubes_maxent as a per-block loop: one fit on the pooled
+    values, each cube's labels counted, the strengths from the full matrix."""
+    rng = np.random.default_rng(seed)
+    pooled = np.concatenate([b.flat_values(cluster_var) for b in blocks])
+    centroids = kmeans_fit(pooled, k, seed=int(rng.integers(2**63)))
+    dists = [
+        np.bincount(assign(centroids, b.flat_values(cluster_var)), minlength=centroids.size)
+        / b.volume
+        for b in blocks
+    ]
+    return weighted_sample(adjacency_matrix(dists).strengths, m, seed=rng)
+
+
 class TestHypercubeSelection:
     def test_random_without_replacement(self):
         blocks = [make_block(2, seed=s) for s in range(10)]
@@ -122,7 +141,7 @@ class TestHypercubeSelection:
             hits += int(sel[0]) == 9
         assert hits / trials > 0.3  # 3x the uniform baseline
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(20))
     def test_maxent_matches_per_block_loop(self, seed):
         # blocks of unequal extents; m = len(blocks) records the whole draw order
         ds = make_dataset(8, 8, 8, seed=seed)
@@ -130,18 +149,78 @@ class TestHypercubeSelection:
                   ((0, 0, 4), (8, 1, 1)), ((4, 4, 4), (4, 4, 4)), ((1, 6, 2), (5, 2, 3))]
         blocks = [extract_block(ds, o, e, 0, i) for i, (o, e) in enumerate(shapes)]
         k, m = 5, len(blocks)
-
-        rng = np.random.default_rng(seed)
-        pooled = np.concatenate([b.flat_values("u") for b in blocks])
-        centroids = kmeans_fit(pooled, k, seed=int(rng.integers(2**63)))
-        dists = [
-            np.bincount(assign(centroids, b.flat_values("u")), minlength=centroids.size)
-            / b.volume
-            for b in blocks
-        ]
-        expected = weighted_sample(adjacency_matrix(dists).strengths, m, seed=rng)
-
+        expected = ref_select_hypercubes_maxent(blocks, "u", k, m, seed)
         got = select_hypercubes_maxent(blocks, "u", k, m, np.random.default_rng(seed))
+        assert np.array_equal(got, expected)
+
+    def test_maxent_builds_no_matrix_and_no_labels(self, monkeypatch):
+        ds = make_dataset(8, 8, 8, nt=2, seed=3)
+        config = base_config(hypercubes="maxent", nxsl=2, nysl=2, nzsl=2,
+                             num_hypercubes=10, num_clusters=6, num_samples=4, seed=4)
+        expected = []
+        for ts in range(2):
+            blocks = partition_hypercubes(ds, (2, 2, 2), ts)
+            selected = ref_select_hypercubes_maxent(
+                blocks, "u", 6, 10, cube_rng(4, ts, _PHASE1_TAG))
+            expected += [(ts, blocks[c].index) for c in np.sort(selected)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Phase 1 called a per-point or pairwise kernel")
+
+        monkeypatch.setattr(entropy, "adjacency_matrix", forbidden)
+        monkeypatch.setattr(clustering, "assign", forbidden)
+        assert [(b.timestep, b.index) for b in select_cubes(config, ds)] == expected
+
+    def test_maxent_memory_does_not_grow_with_cube_pairs(self):
+        # 2048 cubes of 2^3 points: the n x n matrix alone would be 32 MiB
+        blocks = partition_hypercubes(make_dataset(32, 32, 16, seed=1), (2, 2, 2), 0)
+        assert len(blocks) == 2048
+        tracemalloc.start()
+        try:
+            select_hypercubes_maxent(blocks, "u", 20, 16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxent_counts_values_on_midpoints_as_assign_does(self, monkeypatch, dtype):
+        # every float32 rounding of these midpoints lies above the midpoint,
+        # so counting against narrowed midpoints would move those values down
+        c = np.array([-1.0, 0.1, 0.7, 3.0])
+        mids = (c[:-1] + c[1:]) / 2
+        assert np.all(mids.astype(np.float32) > mids)
+        near = [np.nextafter(mids.astype(dtype), d) for d in (-np.inf, np.inf)]
+        candidates = np.concatenate([mids.astype(dtype), *near, c.astype(dtype)])
+        rng = np.random.default_rng(0)
+        ds = make_dataset(4, 4, 4)
+        ds.fields["u", 0] = rng.choice(candidates, size=(4, 4, 4)).astype(dtype)
+        blocks = partition_hypercubes(ds, (2, 2, 2), 0)
+        seen = []
+        strengths = entropy.node_strengths
+
+        def record(dists):
+            seen.append(dists)
+            return strengths(dists)
+
+        monkeypatch.setattr(clustering, "kmeans_fit", lambda *args, **kwargs: c)
+        monkeypatch.setattr(entropy, "node_strengths", record)
+        select_hypercubes_maxent(blocks, "u", c.size, 2, seed=0)
+        counts = np.array([
+            np.bincount(assign(c, b.values["u"].ravel()), minlength=c.size) for b in blocks
+        ])
+        assert np.array_equal(seen[0], counts / counts.sum(axis=1, keepdims=True))
+
+    def test_maxent_equal_cubes_warn_and_draw_uniformly(self):
+        # a cluster field with the cube's period: every cube's distribution
+        # is the same, so every strength is zero, as in the matrix
+        pattern = np.random.default_rng(2).normal(size=(2, 2, 2))
+        blocks = partition_hypercubes(
+            make_dataset(8, 8, 8, extra={("u", 0): np.tile(pattern, (4, 4, 4))}), (2, 2, 2), 0)
+        with pytest.warns(UserWarning, match="all weights zero"):
+            expected = ref_select_hypercubes_maxent(blocks, "u", 4, 5, 6)
+        with pytest.warns(UserWarning, match="all weights zero"):
+            got = select_hypercubes_maxent(blocks, "u", 4, 5, seed=6)
         assert np.array_equal(got, expected)
 
     def test_maxent_too_many(self):
