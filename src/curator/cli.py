@@ -172,12 +172,8 @@ def _bench_worker_counts(args) -> list[int]:
         if min(counts) < 1:
             raise ConfigError(f"--workers counts must be >= 1, got {args.workers!r}")
         return sorted(set(counts) | {1})
-    counts, w = [], 1
-    host = os.cpu_count() or 1
-    while w <= host:
-        counts.append(w)
-        w *= 2
-    return counts
+    # the powers of two up to the host's core count
+    return [2**i for i in range((os.cpu_count() or 1).bit_length())]
 
 
 def cmd_bench(args) -> int:
@@ -289,9 +285,7 @@ def cmd_info(args) -> int:
     dims, cubes = config.strided_grid()
     cube_volume = config.nxsl * config.nysl * config.nzsl
     per_cube = cube_volume if config.method == "full" else config.num_samples
-    n_steps = (
-        len(config.timesteps) if isinstance(config.timesteps, list) else None
-    )
+    n_steps = len(config.timesteps) if isinstance(config.timesteps, list) else None
 
     print("Effective config:")
     for key, value in asdict(config).items():

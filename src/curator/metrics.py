@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from . import entropy
+from . import clustering, entropy
 from .bench import parallel_map
 from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy, role_vars
 from .samplers import SampleSet, sample_cubes, select_cubes
@@ -40,8 +40,7 @@ class PdfHistogram:
     @property
     def probabilities(self) -> np.ndarray:
         """Per-bin probability mass (density times width)."""
-        mass = self.densities * self.widths
-        return mass
+        return self.densities * self.widths
 
     @property
     def occupied_fraction(self) -> float:
@@ -69,22 +68,6 @@ class FullReference:
 
     histogram: PdfHistogram  # over the full data's min-max range
     tail_counts: np.ndarray  # per bin, the full-data points beyond the 1st/99th percentiles
-
-
-def _search(x: np.ndarray, keys, side: str) -> np.ndarray:
-    """``x.searchsorted(keys, side)`` of float64 keys, as if x were widened
-    to float64.  Each key is rounded into x's dtype toward the side that
-    keeps ``x < key`` (side "left") or ``x <= key`` (side "right") true of
-    exactly the same values, so x is searched in its own dtype."""
-    keys = np.asarray(keys, dtype=np.float64)
-    # a key past the dtype's range rounds to an infinity, which x orders as the key
-    with np.errstate(over="ignore"):
-        k = keys.astype(x.dtype)
-        if side == "left":  # the least value of x's dtype that is >= key
-            np.nextafter(k, np.inf, out=k, where=k < keys)
-        else:  # the greatest value of x's dtype that is <= key
-            np.nextafter(k, -np.inf, out=k, where=k > keys)
-    return x.searchsorted(k, side=side)
 
 
 def _percentile(x: np.ndarray, q: float) -> float:
@@ -124,10 +107,11 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
         if np.any(np.diff(edges) == np.inf):
             lo, hi = edges[[0, -1]].tolist()
             raise ValueError(f"a bin of [{lo!r}, {hi!r}] is wider than the largest float")
-    bounds = np.concatenate([[0], _search(x, edges[1:-1], "left"), [n]])
+    bounds = np.concatenate([[0], clustering.search_sorted(x, edges[1:-1], "left"), [n]])
     counts = np.diff(bounds)
-    lo = _search(x, _percentile(x, 1.0), "left")  # the points below the 1st percentile
-    hi = _search(x, _percentile(x, 99.0), "right")  # from here on, above the 99th
+    # x[:lo] lies below the 1st percentile, and x[hi:] above the 99th
+    lo = clustering.search_sorted(x, _percentile(x, 1.0), "left")
+    hi = clustering.search_sorted(x, _percentile(x, 99.0), "right")
     # bin b holds x[bounds[b]:bounds[b + 1]], so it holds this many of x[:lo] and x[hi:]
     tail_counts = np.diff(np.minimum(bounds, lo)) + np.diff(np.maximum(bounds, hi))
     return FullReference(histogram=_pdf(edges, counts), tail_counts=tail_counts)

@@ -1,16 +1,15 @@
 """Point- and hypercube-selection strategies and the two-phase pipeline.
 
-Phase 1 picks hypercubes, either uniformly at random or by entropy
-(one-dimensional k-means on the cluster-variable values pooled across
-all cubes, count each cube's values per k-means cell from a sorted copy
-of the cube, take each cube's node strength in the pairwise-KL graph in
-closed form, then draw cubes without replacement weighted by node
-strength).  Phase 2 samples points within each selected cube with one
-of: full, random, stratified, lhs, uips, maxent; maxent runs the same
-one-dimensional k-means on the cube's own cluster-variable values.  It
-keeps the k x k KL matrix: ``allocate_counts`` splits by its strengths,
-and where two of them tie exactly, the closed form's last bits can break
-the tie the other way.
+Phase 1 picks hypercubes, uniformly at random or by entropy: one k-means
+fit on the cluster variable pooled over all cubes, each cube's counts per
+cell (``clustering.cell_counts``), each cube's node strength in the
+pairwise-KL graph in closed form, then a draw of cubes without replacement
+weighted by node strength.  Phase 2 samples points within each selected
+cube with one of: full, random, stratified, lhs, uips, maxent; maxent runs
+the same one-dimensional k-means on the cube's own cluster-variable
+values.  It keeps the k x k KL matrix: ``allocate_counts`` splits by its
+strengths, and where two of them tie exactly, the closed form's last bits
+can break the tie the other way.
 
 Every per-cube random stream is seeded from (run seed, time-axis
 position, cube index), so output is bit-identical regardless of worker
@@ -141,28 +140,11 @@ def select_hypercubes_maxent(
     if m > len(blocks):
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
     rng = np.random.default_rng(seed)
-    # The fit sorts its input, so each cube's view is copied into one
-    # float64 buffer, which the fit sorts in place.
+    # one float64 copy of every cube's values, which the fit sorts in place
     views = [b.values[cluster_var] for b in blocks]
-    centroids = clustering.kmeans_fit(
-        flat_copy(views, np.float64), num_clusters, seed=int(rng.integers(2**63)),
-        overwrite_input=True,
-    )
-    # A cube's counts per cell are the right-sided searchsorted positions of
-    # assign's midpoints in a sorted float64 copy of the cube, read in memory
-    # order, so a value on a midpoint joins the lower cell as in assign.  The
-    # rows are stacked after the loop: a counts array allocated before it
-    # raised the tg112-cubes343 benchmark's fresh-process peak RSS by 0.4 MB.
-    mids = (centroids[:-1] + centroids[1:]) / 2
-    bounds = np.zeros(centroids.size + 1, dtype=np.int64)
-    rows = []
-    for v in views:
-        x = v.astype(np.float64, order="K").ravel(order="K")
-        x.sort()
-        bounds[1:-1] = np.searchsorted(x, mids, side="right")
-        bounds[-1] = x.size
-        rows.append(np.diff(bounds))
-    counts = np.array(rows)
+    centroids = clustering.kmeans_fit(flat_copy(views, np.float64), num_clusters,
+                                      seed=int(rng.integers(2**63)), overwrite_input=True)
+    counts = clustering.cell_counts(centroids, views)
     strengths = entropy.node_strengths(counts / counts.sum(axis=1, keepdims=True))
     return entropy.weighted_sample(strengths, m, seed=rng)
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curator import clustering
-from curator.clustering import _kmeanspp_init, assign, kmeans_fit
+from curator.clustering import _kmeanspp_init, assign, cell_counts, kmeans_fit, search_sorted
 
 
 def two_blobs(seed=0, n=1000, sep=10.0, sigma=0.1):
@@ -152,6 +152,41 @@ class TestAssign:
         values = np.random.default_rng(3).normal(size=100)
         centroids = kmeans_fit(values, k=3, seed=0)
         np.testing.assert_array_equal(assign(centroids, values), assign(centroids, values))
+
+
+class TestCellCounts:
+    def test_a_float32_part_is_counted_in_float32(self):
+        # a float64 copy of the cube would take twice the cube's bytes
+        cube = np.random.default_rng(0).normal(size=(64, 64, 64)).astype(np.float32)[:, :, :32]
+        centroids = np.array([-1.0, 0.0, 1.0])
+        tracemalloc.start()
+        try:
+            got = cell_counts(centroids, [cube])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * cube.nbytes
+        want = np.bincount(assign(centroids, cube.ravel()), minlength=3)
+        assert np.array_equal(got, [want])
+        # parts of two dtypes, and one cell
+        assert np.array_equal(cell_counts(centroids, [cube, cube.astype(np.float64)]), [want] * 2)
+        assert np.array_equal(cell_counts([0.5], [cube]), [[cube.size]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=200),
+    keys=st.lists(st.floats(allow_nan=False), max_size=20),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_search_sorted_decides_as_the_float64_widening(values, keys, dtype):
+    # keys on each value, one float64 ulp either side of it, and anywhere,
+    # past float32's range included
+    x = np.sort(np.array(values, dtype=dtype))
+    wide = x.astype(np.float64)
+    keys = np.concatenate([keys, wide, np.nextafter(wide, np.inf), np.nextafter(wide, -np.inf)])
+    for side in ("left", "right"):
+        assert np.array_equal(search_sorted(x, keys, side), wide.searchsorted(keys, side=side))
 
 
 def test_effective_k_reduces_with_warning():

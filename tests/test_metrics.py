@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curator import metrics, samplers
+from curator.clustering import search_sorted
 from curator.entropy import bin_edges
 from curator.grid import GridDataset, GridDims, RunConfig
 from curator.metrics import (
@@ -24,7 +25,6 @@ from curator.metrics import (
     score_sample,
     _percentile,
     _score_cell,
-    _search,
 )
 from curator.samplers import SampleSet, run_pipeline, select_cubes
 
@@ -271,7 +271,7 @@ class TestOrderStatistics:
             np.nextafter(wide, np.inf), np.nextafter(wide, -np.inf),
         ])
         for side in ("left", "right"):
-            assert np.array_equal(_search(xs, keys, side), wide.searchsorted(keys, side=side))
+            assert np.array_equal(search_sorted(xs, keys, side), wide.searchsorted(keys, side=side))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", KINDS)

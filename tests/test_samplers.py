@@ -196,6 +196,11 @@ class TestHypercubeSelection:
         ds = make_dataset(4, 4, 4)
         ds.fields["u", 0] = rng.choice(candidates, size=(4, 4, 4)).astype(dtype)
         blocks = partition_hypercubes(ds, (2, 2, 2), 0)
+        views = [b.values["u"] for b in blocks]
+        assert {v.dtype for v in views} == {np.dtype(dtype)}  # the cubes are not widened
+        counts = np.array([np.bincount(assign(c, v.ravel()), minlength=c.size) for v in views])
+        assert np.array_equal(clustering.cell_counts(c, views), counts)
+        # and Phase 1 weighs the cubes by those counts
         seen = []
         strengths = entropy.node_strengths
 
@@ -206,9 +211,6 @@ class TestHypercubeSelection:
         monkeypatch.setattr(clustering, "kmeans_fit", lambda *args, **kwargs: c)
         monkeypatch.setattr(entropy, "node_strengths", record)
         select_hypercubes_maxent(blocks, "u", c.size, 2, seed=0)
-        counts = np.array([
-            np.bincount(assign(c, b.values["u"].ravel()), minlength=c.size) for b in blocks
-        ])
         assert np.array_equal(seen[0], counts / counts.sum(axis=1, keepdims=True))
 
     def test_maxent_equal_cubes_warn_and_draw_uniformly(self):
