@@ -24,13 +24,13 @@ from .grid import (
     ConfigError,
     IngestionError,
     RunConfig,
-    _int_list,
-    _is_int,
-    _is_number,
-    _one_int,
     check_section,
+    int_list,
+    is_int,
+    is_number,
     load_dataset,
     load_yaml,
+    one_int,
     parse_config,
 )
 from .samplers import config_digest, run_pipeline
@@ -64,9 +64,9 @@ def _load_config(args) -> RunConfig:
     if args.num_samples is not None:
         overrides["num_samples"] = args.num_samples
     if args.timesteps is not None:
-        overrides["timesteps"] = _int_list("--timesteps", args.timesteps)
+        overrides["timesteps"] = int_list("--timesteps", args.timesteps)
     if args.workers is not None and args.command != "bench":
-        overrides["workers"] = _one_int("--workers", args.workers)
+        overrides["workers"] = one_int("--workers", args.workers)
     return replace(config, **overrides)
 
 
@@ -135,7 +135,7 @@ def cmd_compare(args) -> int:
     """Compare sampling methods on coverage metrics."""
     config = _load_config(args)
     methods = args.methods.split(",") if args.methods else list(DEFAULT_COMPARE_METHODS)
-    seeds = _int_list("--seeds", args.seeds) if args.seeds else [config.seed]
+    seeds = int_list("--seeds", args.seeds) if args.seeds else [config.seed]
     for flag, values in (("--methods", methods), ("--seeds", seeds)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{flag} must not repeat, got {values}")
@@ -168,7 +168,7 @@ def cmd_compare(args) -> int:
 
 def _bench_worker_counts(args) -> list[int]:
     if args.workers:
-        counts = _int_list("--workers", args.workers)
+        counts = int_list("--workers", args.workers)
         if min(counts) < 1:
             raise ConfigError(f"--workers counts must be >= 1, got {args.workers!r}")
         return sorted(set(counts) | {1})
@@ -209,11 +209,11 @@ def _check_params(kind: str, params: dict) -> None:
             raise ConfigError(f"generate params.{name} is not a param of kind {kind}; "
                               f"valid: {', '.join(valid)}")
         if name in synthetic.BIMODAL_DEFAULTS:
-            ok, what = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+            ok, what = isinstance(value, list) and all(map(is_number, value)), "a list of numbers"
         elif name == "n_vortices":
-            ok, what = _is_int(value) and value >= 0, "an integer >= 0"
+            ok, what = is_int(value) and value >= 0, "an integer >= 0"
         else:
-            ok, what = _is_number(value), "a number"
+            ok, what = is_number(value), "a number"
         if not ok:
             raise ConfigError(f"generate params.{name} must be {what}, got {value!r}")
     if kind == "bimodal_field":
@@ -241,7 +241,7 @@ def cmd_generate(args) -> int:
         )
     for key, least in (("nx", 1), ("ny", 1), ("nz", 1), ("seed", 0)):
         value = spec.get(key, least)
-        if not (_is_int(value) and value >= least):
+        if not (is_int(value) and value >= least):
             raise ConfigError(f"generate {key} must be an integer >= {least}, got {value!r}")
     # cylinder_wake is 2-D; every other kind is 3-D, with no 2-D form to default to
     if kind == "cylinder_wake" and spec.get("nz", 1) != 1:
@@ -249,7 +249,7 @@ def cmd_generate(args) -> int:
     if kind != "cylinder_wake" and "nz" not in spec:
         raise ConfigError(f"generate nz is required for kind {kind}")
     t = spec.get("t", 0.0)
-    if not _is_number(t):
+    if not is_number(t):
         raise ConfigError(f"generate t must be a number, got {t!r}")
     params = spec.get("params") or {}
     if not isinstance(params, dict):

@@ -133,11 +133,11 @@ def role_vars(spec) -> list[str]:
     return list(dict.fromkeys([*spec.input_vars, *spec.output_vars, spec.cluster_var]))
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -198,15 +198,17 @@ class RunConfig:
                     "num_hypercubes", "uips_bins", "workers")
         for name in (*positive, "num_clusters", "num_samples", "dims", "precision"):
             value = getattr(self, name)
-            if not (_is_int(value) or name == "num_samples" and value is None):
+            if not (is_int(value) or name == "num_samples" and value is None):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.dims == 2 and self.nz != 1:
             raise ConfigError(f"nz must be 1 for dims 2, got {self.nz}")
+        if self.dtype == "csv" and self.dims != 2:  # a csv file holds one 2-D snapshot
+            raise ConfigError(f"dims must be 2 for dtype csv, got {self.dims}")
         if not (isinstance(self.strata, (list, tuple)) and len(self.strata) == 3
-                and all(_is_int(s) and s >= 1 for s in self.strata)):
+                and all(is_int(s) and s >= 1 for s in self.strata)):
             raise ConfigError(f"strata must be three positive integers, got {self.strata}")
         # settled once, here: a drawn seed is kept by replace() and recorded
         if self.seed == "unseeded":
@@ -218,10 +220,10 @@ class RunConfig:
             raise ConfigError("section train must be a mapping")
         for key in ("params", "epochs"):  # the cost proxy's p and e
             value = self.train.get(key, 0)
-            if not (_is_number(value) and value >= 0):
+            if not (is_number(value) and value >= 0):
                 raise ConfigError(f"train.{key} must be a number >= 0, got {value!r}")
         if self.timesteps != "all" and not (isinstance(self.timesteps, list) and self.timesteps
-                                            and all(_is_int(t) for t in self.timesteps)):
+                                            and all(is_int(t) for t in self.timesteps)):
             raise ConfigError(
                 f"timesteps must be 'all' or a non-empty list of integers, got {self.timesteps!r}"
             )
@@ -314,7 +316,7 @@ _SECTIONS = {
 _EITHER_SECTION = ("seed", "workers", "path")
 
 
-def _int_list(flag: str, text: str) -> list[int]:
+def int_list(flag: str, text: str) -> list[int]:
     """Parse a comma-separated integer flag; a bad entry is a ConfigError
     that names the flag."""
     values = []
@@ -326,9 +328,9 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def _one_int(flag: str, text: str) -> int:
+def one_int(flag: str, text: str) -> int:
     """Parse a single-integer flag or variable; errors name it."""
-    values = _int_list(flag, text)
+    values = int_list(flag, text)
     if len(values) != 1:
         raise ConfigError(f"{flag} takes one integer, got {text!r}")
     return values[0]
@@ -384,7 +386,7 @@ def parse_config(text: str) -> RunConfig:
     # a key set in both sections takes its subsample value
     kwargs: dict = {**shared, **subsample, "train": doc.get("train") or {}}
     if "seed" not in kwargs and os.environ.get("CURATOR_SEED"):
-        kwargs["seed"] = _one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
+        kwargs["seed"] = one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
 
     for req in ("dims", "nx", "ny"):
         if req not in kwargs:

@@ -22,7 +22,7 @@ import numpy as np
 from . import clustering, entropy
 from .bench import parallel_map
 from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy, role_vars
-from .samplers import SampleSet, sample_cubes, select_cubes
+from .samplers import SampleSet, check_roles, sample_cubes, select_cubes
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,7 @@ def compare_methods(
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
+    check_roles(config, dataset, methods, cluster=True)  # its histograms are cluster_var's
     positions = dataset.positions(config.timesteps)
     # every cell is scored against the same full data, so its side is built
     # once, from one copy of the snapshots in use

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import clustering, entropy
 from .grid import (
-    GridDataset, HypercubeBlock, RunConfig, flat_copy, partition_hypercubes, role_vars,
+    ConfigError, GridDataset, HypercubeBlock, RunConfig, flat_copy, partition_hypercubes,
+    role_vars,
 )
 
 _PHASE1_TAG = 0x51C1E
@@ -508,9 +509,25 @@ def config_digest(config: RunConfig) -> str:
     ).hexdigest()
 
 
+def check_roles(config: RunConfig, dataset: GridDataset, methods: list[str],
+                cluster: bool = False) -> None:
+    """Each variable a run reads by name is one of the dataset's role
+    variables, or a ConfigError names its key: cluster_var if ``cluster``
+    or the cubes or one of ``methods`` is maxent, and every input_vars
+    entry if one of ``methods`` is uips."""
+    names = role_vars(dataset)
+    reads = [("input_vars", v) for v in config.input_vars if "uips" in methods]
+    if cluster or "maxent" in (config.hypercubes, *methods):
+        reads.append(("cluster_var", config.cluster_var))
+    for key, var in reads:
+        if var not in names:
+            raise ConfigError(f"{key} {var!r} is not a role variable of the dataset {names}")
+
+
 def select_cubes(config: RunConfig, dataset: GridDataset) -> list[HypercubeBlock]:
     """Phase 1: the cubes selected at each timestep in use, in (timestep,
     cube index) order.  The draw depends on ``config.seed``, not on the method."""
+    check_roles(config, dataset, [config.method])
     m = config.num_hypercubes
     work: list[HypercubeBlock] = []
     for ts in dataset.positions(config.timesteps):

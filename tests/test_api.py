@@ -38,3 +38,19 @@ def test_every_imported_name_is_used(path):
     if path.name == "__init__.py":
         used |= set(curator.__all__)
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_name(path):
+    # a name one module shares with another is public: no leading underscore
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module != "__future__"]
+    modules = {alias.asname or alias.name for node in imports if node.module is None
+               for alias in node.names}
+    private = [alias.name for node in imports for alias in node.names
+               if alias.name.startswith("_")]
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []

@@ -617,6 +617,30 @@ class TestBench:
             "bench", cfg, "--output-dir", tmp_path / "o", "--workers", "1", "--repeats", "2",
         ]) == 0
 
+    def test_a_worker_count_that_changes_the_output_exits_2(self, case, tmp_path, capsys,
+                                                            monkeypatch):
+        run_pipeline = samplers.run_pipeline
+
+        def drifting(config, dataset, workers=None):
+            sample = run_pipeline(config, dataset, workers=workers)
+            sample.data[0, -1] += workers - 1
+            return sample
+
+        monkeypatch.setattr(samplers, "run_pipeline", drifting)
+        assert run_cli(["bench", case, "--output-dir", tmp_path / "o",
+                        "--workers", "1,2", "--repeats", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: output at 2 workers differs" in err
+
+    @pytest.mark.parametrize("cores, counts", [
+        (None, [1]), (1, [1]), (2, [1, 2]), (3, [1, 2]), (8, [1, 2, 4, 8]), (12, [1, 2, 4, 8]),
+    ])
+    def test_default_worker_counts_are_powers_of_two_up_to_the_cores(self, monkeypatch,
+                                                                     cores, counts):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert cli._bench_worker_counts(cli._build_parser().parse_args(["bench", "c.yaml"])) \
+            == counts
+
     def test_worker_one_always_included(self, case, tmp_path):
         out = tmp_path / "out"
         assert run_cli([
@@ -793,6 +817,16 @@ class TestGenerate:
         assert "unknown generate key(s): nu" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["kind", "nx", "ny"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        spec = {"kind": "gaussian_field", "nx": 4, "ny": 4, "nz": 4}
+        del spec[key]
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(yaml.safe_dump({"generate": spec}))
+        assert run_cli(["generate", cfg, "--output-dir", tmp_path / "o"]) == 1
+        assert f"missing required key: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_section_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "g.yaml"
         cfg.write_text("shared:\n  nx: 4\n")
@@ -886,6 +920,12 @@ class TestInfo:
         assert "Config digest:" in out
         assert "8 x 8 x 8" in out
 
+    def test_explicit_timesteps_give_the_total_rows(self, case, capsys):
+        # 4 cubes of 8 samples at each of 2 timesteps
+        assert run_cli(["info", case, "--timesteps", "0,1"]) == 0
+        out = capsys.readouterr().out
+        assert "Expected rows: 64" in out and "per timestep" not in out
+
     def test_missing_num_samples_is_reported(self, case, tmp_path, capsys):
         cfg = tmp_path / "no_budget.yaml"
         cfg.write_text(case.read_text().replace("  num_samples: 8\n", ""))
@@ -956,6 +996,7 @@ BAD_KEYS = [
     ("shared", "dtype", "hdf5", "dtype"),
     ("shared", "path", 5, "path"),
     ("shared", "dims", 5, "dims"),
+    ("shared", "dtype", "csv", "dims"),  # a csv file holds a 2-D snapshot; the case is 3-D
     ("shared", "nx", 0, "nx"),
     ("shared", "ny", "x", "ny"),
     ("shared", "nz", 2.5, "nz"),

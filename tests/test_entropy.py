@@ -376,6 +376,15 @@ class TestAllocateCounts:
         counts = allocate_counts([5.0, 0.0, 5.0], 7)
         assert counts[1] == 0 and counts.sum() == 7
 
+    def test_uniform_split_once_every_strong_entry_is_full(self):
+        # the one positive strength is at capacity: the rest is split evenly
+        # among the entries with room, zero strength or not
+        np.testing.assert_array_equal(
+            allocate_counts([1.0, 0.0, 0.0], 5, capacities=[1, 3, 3]), [1, 2, 2])
+        # and past the total capacity nothing more is placed
+        np.testing.assert_array_equal(
+            allocate_counts([1.0, 0.0, 0.0], 9, capacities=[1, 3, 3]), [1, 3, 3])
+
     def test_capacity_redistribution(self):
         counts = allocate_counts([10.0, 1.0, 1.0], 10, capacities=[3, 10, 10])
         assert counts[0] == 3 and counts.sum() == 10

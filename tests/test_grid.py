@@ -129,6 +129,7 @@ class TestParseConfig:
         ("strata", dict(STRATIFIED_4CUBES, num_samples=8, strata=[2, 2, 3])),
         ("strata", dict(STRATIFIED_4CUBES, num_samples=64, strata=[1, 5, 1])),
         ("dtype", "hdf5"), ("dims", 5), ("nz", dict(dims=2, nz=4)),
+        ("dims", dict(dtype="csv", dims=3)),
         ("fileprefix", "run-{foo}"), ("fileprefix", "run-{0}"),
         ("timesteps", []), ("timesteps", 0), ("timesteps", [0, "1"]),
         ("num_samples", 8.5), ("num_clusters", "x"), ("nx", True), ("workers", 2.0),
@@ -146,6 +147,15 @@ class TestParseConfig:
     def test_unknown_key_names_key_and_section(self, section, key):
         text = SST_YAML.replace(f"{section}:\n", f"{section}:\n  {key}: 5\n")
         with pytest.raises(ConfigError, match=f"unknown {section} key.*{key}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, named", [
+        ("- shared\n- subsample\n", "config must be a YAML mapping"),
+        ("shared:\n  dims: 3\n", "at least one of: subsample, train"),
+        ("shared:\n  dims: 3\n  nx: 4\n  ny: 4\nsubsample: {}\n", "missing required key: nz"),
+    ], ids=["not-a-mapping", "no-subsample-or-train", "no-nz"])
+    def test_document_errors_name_what_is_missing(self, text, named):
+        with pytest.raises(ConfigError, match=named):
             parse_config(text)
 
     def test_section_must_be_a_mapping(self):
@@ -173,7 +183,7 @@ class TestParseConfig:
     def test_roundtrip_nondefault(self):
         # every key off its default, so a key the section table misses is lost
         cfg = RunConfig(
-            dtype="csv", path="/data", nx=10, ny=20, nz=30, input_vars=["a"],
+            path="/data", nx=10, ny=20, nz=30, input_vars=["a"],
             output_vars=["b"], cluster_var="a", gravity="y", timesteps=[0, 2],
             nxskip=2, nyskip=3, nzskip=4, precision=4, fileprefix="run-{method}",
             hypercubes="maxent", method="uips", num_hypercubes=2, num_samples=5,
@@ -181,12 +191,13 @@ class TestParseConfig:
             seed=99, workers=3,
         )
         default = RunConfig()
-        # dims 2 needs nz 1, the default, so dims is varied on its own
-        for c in (cfg, replace(cfg, dims=2, nz=1)):
+        # dims 2 needs nz 1, the default, and csv needs dims 2, so dims and
+        # dtype are varied on their own
+        for c in (cfg, replace(cfg, dims=2, nz=1), replace(cfg, dtype="csv", dims=2, nz=1)):
             assert parse_config(emit_config(c)) == c
         off_default = {f.name for f in fields(RunConfig)
                        if getattr(cfg, f.name) != getattr(default, f.name)}
-        assert off_default == {f.name for f in fields(RunConfig)} - {"dims", "train"}
+        assert off_default == {f.name for f in fields(RunConfig)} - {"dims", "dtype", "train"}
 
 
 class TestConfigSeed:
@@ -336,6 +347,38 @@ class TestLoadDataset:
         one = load_dataset(self._config(tmp_path, timesteps=[7]))
         assert one.timestep_ids == [7]
         np.testing.assert_array_equal(one.fields["u", 0], snaps[7])
+
+    def test_missing_timestep_file_is_named(self, tmp_path):
+        self._write_raw(tmp_path / "u_0.bin", np.zeros((4, 3, 2)))
+        with pytest.raises(IngestionError, match=r"dataset file not found: .*u_5\.bin"):
+            load_dataset(self._config(tmp_path, timesteps=[0, 5]))
+
+    def test_no_timestep_file_names_the_pattern_and_directory(self, tmp_path):
+        (tmp_path / "v_0.bin").write_bytes(b"")
+        with pytest.raises(IngestionError, match=r"no files matching u_<timestep>\.bin under "
+                           + re.escape(str(tmp_path))):
+            load_dataset(self._config(tmp_path))
+
+    def test_path_that_is_not_a_directory_is_named(self, tmp_path):
+        self._write_raw(tmp_path / "u_0.bin", np.zeros((4, 3, 2)))
+        with pytest.raises(IngestionError, match=r"not a directory: .*u_0\.bin"):
+            load_dataset(self._config(tmp_path / "u_0.bin"))
+
+    @pytest.mark.parametrize("text, named", [
+        (None, r"dataset file not found: .*pts\.csv"),
+        ("x,y,u\n0,0,1\n1,0,2\n0,1,3\n", r"pts\.csv: row count mismatch, expected 4 \(2x2\), got 3"),
+        ("x,y,v\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n", r"column 'u' missing from .*pts\.csv"),
+    ], ids=["missing", "rows", "column"])
+    def test_csv_errors_name_the_file(self, tmp_path, text, named):
+        if text is not None:
+            (tmp_path / "pts.csv").write_text(text)
+        cfg = RunConfig(
+            dtype="csv", path=str(tmp_path / "pts.csv"), dims=2, nx=2, ny=2,
+            input_vars=["u"], output_vars=["u"], cluster_var="u",
+            nxsl=1, nysl=1, nzsl=1,
+        )
+        with pytest.raises(IngestionError, match=named):
+            load_dataset(cfg)
 
     def test_csv_point_cloud_2d(self, tmp_path):
         nx, ny = 3, 2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from curator import metrics, samplers
 from curator.clustering import search_sorted
 from curator.entropy import bin_edges
-from curator.grid import GridDataset, GridDims, RunConfig
+from curator.grid import ConfigError, GridDataset, GridDims, RunConfig
 from curator.metrics import (
     COMPARISON_COLUMNS,
     PdfHistogram,
@@ -343,6 +343,19 @@ class TestCoverageReport:
 
 
 class TestCompareMethods:
+    @pytest.mark.parametrize("named, overrides, methods", [
+        ("cluster_var ''", dict(cluster_var=""), ["random"]),
+        ("cluster_var 'p'", dict(cluster_var="p"), ["lhs"]),
+        ("input_vars 'p'", dict(input_vars=["u", "p"]), ["random", "uips"]),
+    ], ids=["empty-cluster-var", "absent-cluster-var", "uips-input-var"])
+    def test_a_role_the_dataset_lacks_is_named(self, named, overrides, methods):
+        # the result holds the cluster variable's histograms, so it is always read
+        cfg = RunConfig(**{**dict(nx=8, ny=8, nz=8, input_vars=["u"], cluster_var="u",
+                                  nxsl=4, nysl=4, nzsl=4, num_hypercubes=2, num_samples=8),
+                           **overrides})
+        with pytest.raises(ConfigError, match=named):
+            compare_methods(cfg, make_dataset(), methods, [0])
+
     def test_row_schema(self):
         ds = make_dataset()
         cfg = RunConfig(

@@ -10,7 +10,8 @@ from curator import bench, clustering, entropy
 from curator.clustering import assign, kmeans_fit
 from curator.entropy import adjacency_matrix, allocate_counts, kl_divergence, weighted_sample
 from curator.grid import (
-    GridDataset, GridDims, RunConfig, extract_block, load_dataset, partition_hypercubes,
+    ConfigError, GridDataset, GridDims, RunConfig, extract_block, load_dataset,
+    partition_hypercubes,
 )
 from curator.samplers import (
     _PHASE1_TAG,
@@ -31,6 +32,7 @@ from curator.samplers import (
     select_hypercubes_random,
     temporal_select,
 )
+from curator.synthetic import gen_taylor_green
 
 
 def make_dataset(nx=8, ny=8, nz=8, nt=1, seed=0, extra=None):
@@ -839,6 +841,26 @@ class TestCsvBytes:
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize("named, overrides", [
+        ("cluster_var ''", dict(hypercubes="maxent")),
+        ("cluster_var ''", dict(method="maxent")),
+        ("cluster_var 'p'", dict(hypercubes="maxent", method="maxent", cluster_var="p")),
+        ("input_vars 'p'", dict(method="uips", input_vars=["u", "p"])),
+    ], ids=["maxent-cubes", "maxent-points", "absent-cluster-var", "uips-input-var"])
+    def test_a_role_the_dataset_lacks_is_named(self, named, overrides):
+        # the config's cluster_var defaults to "", which once raised KeyError: ''
+        config = RunConfig(nx=16, ny=16, nz=16, nxsl=8, nysl=8, nzsl=8, num_hypercubes=2,
+                           num_samples=10, **overrides)
+        with pytest.raises(ConfigError, match=named):
+            run_pipeline(config, gen_taylor_green((16, 16, 16)))
+
+    def test_roles_are_checked_by_membership(self):
+        # the dataset's roles are u, v, w and wz; any of them may be named
+        config = RunConfig(nx=16, ny=16, nz=16, nxsl=8, nysl=8, nzsl=8, num_hypercubes=2,
+                           num_samples=10, hypercubes="maxent", method="uips",
+                           input_vars=["v"], cluster_var="u")
+        assert len(run_pipeline(config, gen_taylor_green((16, 16, 16)))) == 20
+
     @pytest.mark.parametrize("method", ["random", "stratified", "lhs", "uips", "maxent"])
     def test_each_method_emits_exact_count(self, method):
         cfg = base_config(method=method, num_samples=10, num_hypercubes=3)
