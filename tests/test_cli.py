@@ -996,7 +996,6 @@ BAD_KEYS = [
     ("shared", "dtype", "hdf5", "dtype"),
     ("shared", "path", 5, "path"),
     ("shared", "dims", 5, "dims"),
-    ("shared", "dtype", "csv", "dims"),  # a csv file holds a 2-D snapshot; the case is 3-D
     ("shared", "nx", 0, "nx"),
     ("shared", "ny", "x", "ny"),
     ("shared", "nz", 2.5, "nz"),
@@ -1030,6 +1029,7 @@ BAD_KEYS = [
     ("generate", "t", "abc", "generate t"),
     ("generate", "params", [1, 2], "generate params"),
     ("generate", "seed", -1, "generate seed"),
+    ("shared", "dtype", "csv", "dims"),  # a csv file holds a 2-D snapshot; the case is 3-D
 ]
 # One bad value for every flag of every command that takes it,
 # (command, flag, value, what the error names).  "FILE" stands for a

@@ -129,7 +129,6 @@ class TestParseConfig:
         ("strata", dict(STRATIFIED_4CUBES, num_samples=8, strata=[2, 2, 3])),
         ("strata", dict(STRATIFIED_4CUBES, num_samples=64, strata=[1, 5, 1])),
         ("dtype", "hdf5"), ("dims", 5), ("nz", dict(dims=2, nz=4)),
-        ("dims", dict(dtype="csv", dims=3)),
         ("fileprefix", "run-{foo}"), ("fileprefix", "run-{0}"),
         ("timesteps", []), ("timesteps", 0), ("timesteps", [0, "1"]),
         ("num_samples", 8.5), ("num_clusters", "x"), ("nx", True), ("workers", 2.0),
@@ -137,6 +136,7 @@ class TestParseConfig:
         ("input_vars", [1, "s"]), ("output_vars", 5),
         ("output_vars", ["u", ""]), ("cluster_var", 5),
         ("input_vars", dict(method="uips", input_vars=[])),
+        ("dims", dict(dtype="csv", dims=3)),
     ])
     def test_bad_value_names_its_key(self, key, value):
         overrides = value if isinstance(value, dict) else {key: value}
