@@ -1,9 +1,9 @@
 """Command-line front end: subsample, compare, bench, generate, info.
 
-The YAML config file is the source of truth; command-line flags
-override it and the effective config is echoed into run provenance.
-Exit codes: 0 success, 1 usage or config error, 2 internal invariant
-violation.
+The YAML config file is the source of truth; flags override it, and
+``RunConfig.check_run`` checks the result on the strided grid before
+any file is read.  The effective config is echoed into run provenance.
+Exit codes: 0 success, 1 usage or config error, 2 invariant violation.
 """
 from __future__ import annotations
 
@@ -70,16 +70,6 @@ def _load_config(args) -> RunConfig:
     return replace(config, **overrides)
 
 
-def _check_run(config: RunConfig) -> RunConfig:
-    """What a run needs of its config, checked before any file is read:
-    every method but full needs num_samples, and the cubes must fit the
-    strided grid, num_hypercubes of them per timestep."""
-    if config.method != "full" and config.num_samples is None:
-        raise ConfigError(f"num_samples is required for method {config.method!r}")
-    config.strided_grid()
-    return config
-
-
 def _output_dir(args) -> Path:
     """The --output-dir path, checked before any data file is read: the
     nearest part of it that exists must be a directory.  A run makes it
@@ -93,7 +83,8 @@ def _output_dir(args) -> Path:
 
 def cmd_subsample(args) -> int:
     """Run the sampling pipeline and write a sample set."""
-    config = _check_run(_load_config(args))
+    config = _load_config(args)
+    config.check_run(config.strided_dims(), [config.method])
     out_dir = _output_dir(args)
     dataset = load_dataset(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -141,10 +132,10 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"{flag} must not repeat, got {values}")
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must be integers >= 0, got {seeds}")
-    for m in methods:  # each method is checked before loading
+    for m in methods:
         if m not in VALID_METHODS:
             raise ConfigError(f"--methods: unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")
-        _check_run(replace(config, method=m))
+    config.check_run(config.strided_dims(), methods)  # each method, before loading
     out_dir = _output_dir(args)
     dataset = load_dataset(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +169,8 @@ def _bench_worker_counts(args) -> list[int]:
 
 def cmd_bench(args) -> int:
     """Strong-scaling study over worker counts."""
-    config = _check_run(_load_config(args))
+    config = _load_config(args)
+    config.check_run(config.strided_dims(), [config.method])
     worker_counts = _bench_worker_counts(args)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be an integer >= 1, got {args.repeats}")
@@ -282,7 +274,8 @@ def cmd_generate(args) -> int:
 def cmd_info(args) -> int:
     """Print the effective config and expected output size."""
     config = _load_config(args)
-    dims, cubes = config.strided_grid()
+    dims = config.strided_dims()
+    cubes = config.check_run(dims, [])  # the cube rules; info needs no num_samples
     cube_volume = config.nxsl * config.nysl * config.nzsl
     per_cube = cube_volume if config.method == "full" else config.num_samples
     n_steps = len(config.timesteps) if isinstance(config.timesteps, list) else None

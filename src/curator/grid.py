@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -277,23 +277,31 @@ class RunConfig:
     def cube_extents(self) -> tuple[int, int, int]:
         return (self.nxsl, self.nysl, self.nzsl)
 
-    def strided_grid(self) -> tuple[GridDims, int]:
-        """One timestep of the grid that load_dataset keeps after the skip
-        strides, and the whole cubes per timestep on it.  An extent beyond
-        that grid, or num_hypercubes beyond those cubes, is a ConfigError
-        that names its key; no file is read."""
-        dims = GridDims(*(len(range(0, n, skip)) for n, skip in (
+    def strided_dims(self) -> GridDims:
+        """One timestep of the grid that load_dataset keeps after the skip strides."""
+        return GridDims(*(len(range(0, n, skip)) for n, skip in (
             (self.nx, self.nxskip), (self.ny, self.nyskip), (self.nz, self.nzskip),
         )), dims=self.dims)
+
+    def check_run(self, dims: GridDims, methods: list[str]) -> int:
+        """The whole cubes per timestep of the grid ``dims``, once the config
+        passes what a run of each of ``methods`` needs before any work: the
+        method's own settings (``replace`` checks them), num_samples for
+        every method but full, extents within ``dims`` and num_hypercubes
+        within its cubes.  A failure is a ConfigError that names its key."""
+        for method in methods:
+            replace(self, method=method)
+            if method != "full" and self.num_samples is None:
+                raise ConfigError(f"num_samples is required for method {method!r}")
         for key, extent, n in zip(("nxsl", "nysl", "nzsl"), self.cube_extents, dims.shape[1:]):
             if extent > n:
-                raise ConfigError(f"{key} {extent} exceeds the {n} points of the strided grid")
+                raise ConfigError(f"{key} {extent} exceeds the {n} points of the grid")
         cubes = num_blocks(dims, self.cube_extents)
         if self.num_hypercubes > cubes:
             raise ConfigError(
                 f"num_hypercubes {self.num_hypercubes} exceeds the {cubes} cubes per timestep"
             )
-        return dims, cubes
+        return cubes
 
     def format_fileprefix(self) -> str:
         return self.fileprefix.format(
@@ -387,6 +395,8 @@ def parse_config(text: str) -> RunConfig:
     kwargs: dict = {**shared, **subsample, "train": doc.get("train") or {}}
     if "seed" not in kwargs and os.environ.get("CURATOR_SEED"):
         kwargs["seed"] = one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
+        if kwargs["seed"] < 0:
+            raise ConfigError(f"CURATOR_SEED must be an integer >= 0, got {kwargs['seed']}")
 
     for req in ("dims", "nx", "ny"):
         if req not in kwargs:

@@ -22,7 +22,7 @@ import numpy as np
 from . import clustering, entropy
 from .bench import parallel_map
 from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy, role_vars
-from .samplers import SampleSet, check_roles, sample_cubes, select_cubes
+from .samplers import SampleSet, check_run, sample_cubes, select_cubes
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,8 @@ def _score_cell(config: RunConfig, dataset: GridDataset, seeds: list[int],
     method, i = cell
     work, phase1_seconds = selections[i]
     run_cfg = replace(config, method=method, seed=int(seeds[i]))
-    t0 = time.perf_counter()
     sample = sample_cubes(run_cfg, dataset, work)
-    elapsed = phase1_seconds + time.perf_counter() - t0
+    elapsed = phase1_seconds + sample.provenance["phase_seconds"]["phase2"]
     report = score_sample(sample, references)
     rows = [
         {
@@ -217,7 +216,7 @@ def compare_methods(
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
-    check_roles(config, dataset, methods, cluster=True)  # its histograms are cluster_var's
+    check_run(config, dataset, methods, cluster=True)  # its histograms are cluster_var's
     positions = dataset.positions(config.timesteps)
     # every cell is scored against the same full data, so its side is built
     # once, from one copy of the snapshots in use

@@ -476,8 +476,6 @@ def _sample_cube(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
     method, n = config.method, config.num_samples
     if method == "full":
         flat_idx = sample_full(block)
-    elif n is None:
-        raise ValueError(f"num_samples is required for method {method!r}")
     elif method == "random":
         flat_idx = sample_random(block, n, rng)
     elif method == "stratified":
@@ -509,12 +507,13 @@ def config_digest(config: RunConfig) -> str:
     ).hexdigest()
 
 
-def check_roles(config: RunConfig, dataset: GridDataset, methods: list[str],
-                cluster: bool = False) -> None:
-    """Each variable a run reads by name is one of the dataset's role
-    variables, or a ConfigError names its key: cluster_var if ``cluster``
-    or the cubes or one of ``methods`` is maxent, and every input_vars
-    entry if one of ``methods`` is uips."""
+def check_run(config: RunConfig, dataset: GridDataset, methods: list[str],
+              cluster: bool = False) -> None:
+    """``config.check_run`` on the dataset's grid, and each variable a run
+    of ``methods`` reads by name is a role variable of the dataset, or a
+    ConfigError names its key: cluster_var if ``cluster`` or the cubes or
+    one of ``methods`` is maxent, every input_vars entry if one is uips."""
+    config.check_run(dataset.dims, methods)
     names = role_vars(dataset)
     reads = [("input_vars", v) for v in config.input_vars if "uips" in methods]
     if cluster or "maxent" in (config.hypercubes, *methods):
@@ -527,13 +526,10 @@ def check_roles(config: RunConfig, dataset: GridDataset, methods: list[str],
 def select_cubes(config: RunConfig, dataset: GridDataset) -> list[HypercubeBlock]:
     """Phase 1: the cubes selected at each timestep in use, in (timestep,
     cube index) order.  The draw depends on ``config.seed``, not on the method."""
-    check_roles(config, dataset, [config.method])
     m = config.num_hypercubes
     work: list[HypercubeBlock] = []
     for ts in dataset.positions(config.timesteps):
         blocks = partition_hypercubes(dataset, config.cube_extents, ts)
-        if m > len(blocks):
-            raise ValueError(f"num_hypercubes={m} exceeds available blocks ({len(blocks)})")
         phase1_rng = cube_rng(config.seed, ts, _PHASE1_TAG)
         if config.hypercubes == "maxent":
             selected = select_hypercubes_maxent(
@@ -582,10 +578,11 @@ def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
 def run_pipeline(
     config: RunConfig, dataset: GridDataset, workers: int | None = None
 ) -> SampleSet:
-    """Partition, Phase-1 cube selection, Phase-2 point sampling, merge.
-    ``workers``, if given, replaces ``config.workers``."""
+    """check_run, then partition, Phase-1 cube selection, Phase-2 point
+    sampling, merge.  ``workers``, if given, replaces ``config.workers``."""
     if workers is not None:
         config = replace(config, workers=workers)
+    check_run(config, dataset, [config.method])
     t0 = time.perf_counter()
     work = select_cubes(config, dataset)
     phase1 = time.perf_counter() - t0

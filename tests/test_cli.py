@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +76,15 @@ SUBSAMPLE_GOLDEN_CSV = "0d97434bbfde079a06b11c719d85b31283cc5a05c628a05d0f389a88
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def unstable_provenance() -> set[str]:
+    """The provenance keys perfbench/checks.py leaves out of its output
+    digest, read from its source without importing the benchmark."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "checks.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["_UNSTABLE_PROVENANCE"]]
+    return set(ast.literal_eval(value))
 
 
 @pytest.fixture()
@@ -169,7 +181,7 @@ class TestSubsample:
         (csv_b,) = b.glob("*.csv")
         assert csv_a.read_bytes() == csv_b.read_bytes()
 
-    @pytest.mark.parametrize("value", ["abc", "1,2"])
+    @pytest.mark.parametrize("value", ["abc", "1,2", "-1"])
     def test_bad_env_seed_names_the_variable(self, case, tmp_path, monkeypatch, capsys, value):
         unseeded = tmp_path / "unseeded.yaml"
         unseeded.write_text(case.read_text().replace("  seed: 0\n", ""))
@@ -206,6 +218,30 @@ class TestSubsample:
             provenance.append({k: v for k, v in prov.items()
                                if k not in ("phase_seconds", "workers")})
         assert provenance[0] == provenance[1]
+
+    def test_digest_leaves_out_the_keys_the_benchmark_leaves_out(self, case, tmp_path):
+        # perfbench digests every provenance key but these, so a key that
+        # moves between runs and is missing here fails every benchmark op
+        out = tmp_path / "o"
+        assert run_cli(["subsample", case, "--output-dir", out]) == 0
+        (sidecar,) = out.glob("*.json")
+        provenance = json.loads(sidecar.read_text())["provenance"]
+        sample = samplers.SampleSet(["t", "u"], np.zeros((2, 2)), provenance)
+        digest = sample.content_digest()
+        left_out = {key for key in provenance
+                    if replace(sample, provenance={**provenance, key: "moved"}).content_digest()
+                    == digest}
+        assert left_out == unstable_provenance()
+
+    def test_two_runs_differ_only_in_unstable_provenance(self, case, tmp_path):
+        provenance = []
+        for name in ("a", "b"):
+            assert run_cli(["subsample", case, "--output-dir", tmp_path / name]) == 0
+            (sidecar,) = (tmp_path / name).glob("*.json")
+            provenance.append(json.loads(sidecar.read_text())["provenance"])
+        a, b = provenance
+        assert set(a) == set(b)
+        assert {key for key in a if a[key] != b[key]} <= unstable_provenance()
 
     def test_unseeded_sidecar_records_the_drawn_seed(self, case, tmp_path):
         cfg = tmp_path / "unseeded.yaml"

@@ -27,6 +27,7 @@ from curator.metrics import (
     _score_cell,
 )
 from curator.samplers import SampleSet, run_pipeline, select_cubes
+from curator.synthetic import gen_taylor_green
 
 
 def make_dataset(nx=8, seed=0):
@@ -466,6 +467,83 @@ class TestCompareMethods:
         header, row = (tmp_path / "c.csv").read_text().splitlines()
         assert "sampling_seconds" not in header
         assert row == "random,0,u,0.5,0.25,1,0.75,64"
+
+
+class TestRunChecksBeforePhase1:
+    """run_pipeline and compare_methods check a run on the dataset's own
+    grid before Phase 1, each rule with the config's one implementation,
+    and name the key."""
+
+    @staticmethod
+    def config(**overrides):
+        # gen_taylor_green's roles are u, v, w and wz; 64 cubes of 8^3
+        return RunConfig(**{**dict(nx=32, ny=32, nz=32, input_vars=["u"], output_vars=["u"],
+                                   cluster_var="u", nxsl=8, nysl=8, nzsl=8, hypercubes="maxent",
+                                   num_hypercubes=4, num_samples=16, num_clusters=4),
+                            **overrides})
+
+    @staticmethod
+    def run(entry, config, methods):
+        dataset = gen_taylor_green((32, 32, 32))
+        if entry == "run_pipeline":
+            return run_pipeline(config, dataset)
+        return compare_methods(config, dataset, methods, [0, 1])
+
+    @pytest.fixture()
+    def phase1_calls(self, monkeypatch):
+        """The Phase 1 draws made, by selection rule."""
+        calls = []
+        for name in ("select_hypercubes_maxent", "select_hypercubes_random"):
+            real = getattr(samplers, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(samplers, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("entry, methods, needs", [
+        ("run_pipeline", ["random"], "random"), ("compare_methods", ["full", "lhs"], "lhs"),
+    ], ids=["run_pipeline", "compare_methods"])
+    def test_missing_num_samples(self, phase1_calls, entry, methods, needs):
+        # it once raised a ValueError in the first Phase 2 unit, after all of Phase 1
+        with pytest.raises(ConfigError, match=f"^num_samples is required for method '{needs}'$"):
+            self.run(entry, self.config(num_samples=None), methods)
+        assert phase1_calls == []
+
+    @pytest.mark.parametrize("named, overrides, methods", [
+        ("strata", dict(strata=[8, 8, 8]), ["random", "stratified"]),
+        ("strata", dict(num_samples=16, strata=[4, 4, 2]), ["stratified"]),
+        ("input_vars", dict(input_vars=[]), ["uips", "lhs"]),
+        ("method", dict(), ["random", "sobol"]),
+    ], ids=["strata-exceed-cube", "strata-above-num-samples", "uips-no-input-vars",
+            "unknown-method"])
+    def test_compared_method_settings(self, phase1_calls, named, overrides, methods):
+        # a compared method's settings were once checked only inside its cells
+        with pytest.raises(ConfigError, match=f"^(unknown )?{named}"):
+            self.run("compare_methods", self.config(**overrides), methods)
+        assert phase1_calls == []
+
+    @pytest.mark.parametrize("methods", [["random"], ["random", "lhs", "maxent"]],
+                             ids=["random", "random-lhs-maxent"])
+    def test_roles_of_a_method_compare_does_not_run(self, methods):
+        # p is no role of the dataset, and only the config's own method, uips, reads it
+        config = self.config(method="uips", input_vars=["u", "p"])
+        rows, _, histograms = self.run("compare_methods", config, methods)
+        assert list(histograms) == methods and {r["method"] for r in rows} == set(methods)
+
+    @pytest.mark.parametrize("entry", ["run_pipeline", "compare_methods"])
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(nxsl=64), "nxsl 64 exceeds the 32 points of the grid"),
+        (dict(nzsl=33), "nzsl 33 exceeds the 32 points of the grid"),
+        (dict(num_hypercubes=65), "num_hypercubes 65 exceeds the 64 cubes per timestep"),
+    ], ids=["nxsl", "nzsl", "num_hypercubes"])
+    def test_cube_errors_name_their_key(self, phase1_calls, entry, overrides, message):
+        # the library once raised unnamed ValueErrors, worded unlike the CLI's
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            self.run(entry, self.config(**overrides), ["random"])
+        assert phase1_calls == []
 
 
 class TestHistogramComparisonCsv:
