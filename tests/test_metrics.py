@@ -512,16 +512,18 @@ class TestRunChecksBeforePhase1:
             self.run(entry, self.config(num_samples=None), methods)
         assert phase1_calls == []
 
-    @pytest.mark.parametrize("named, overrides, methods", [
-        ("strata", dict(strata=[8, 8, 8]), ["random", "stratified"]),
-        ("strata", dict(num_samples=16, strata=[4, 4, 2]), ["stratified"]),
-        ("input_vars", dict(input_vars=[]), ["uips", "lhs"]),
-        ("method", dict(), ["random", "sobol"]),
+    @pytest.mark.parametrize("message, overrides, methods", [
+        (r"strata \[8, 8, 8\] exceed the cube extents \[4, 4, 4\]",
+         dict(strata=[8, 8, 8], nxsl=4, nysl=4, nzsl=4), ["random", "stratified"]),
+        (r"strata \[4, 4, 2\] make 32 strata, above num_samples 16",
+         dict(strata=[4, 4, 2]), ["stratified"]),
+        ("input_vars: uips bins 1 to 4 variables, got 0", dict(input_vars=[]), ["uips", "lhs"]),
+        ("unknown method 'sobol'", dict(), ["random", "sobol"]),
     ], ids=["strata-exceed-cube", "strata-above-num-samples", "uips-no-input-vars",
             "unknown-method"])
-    def test_compared_method_settings(self, phase1_calls, named, overrides, methods):
+    def test_compared_method_settings(self, phase1_calls, message, overrides, methods):
         # a compared method's settings were once checked only inside its cells
-        with pytest.raises(ConfigError, match=f"^(unknown )?{named}"):
+        with pytest.raises(ConfigError, match=f"^{message}"):
             self.run("compare_methods", self.config(**overrides), methods)
         assert phase1_calls == []
 
