@@ -24,6 +24,7 @@ from .grid import (
     ConfigError,
     IngestionError,
     RunConfig,
+    check_distinct,
     check_section,
     int_list,
     is_int,
@@ -127,9 +128,8 @@ def cmd_compare(args) -> int:
     config = _load_config(args)
     methods = args.methods.split(",") if args.methods else list(DEFAULT_COMPARE_METHODS)
     seeds = int_list("--seeds", args.seeds) if args.seeds else [config.seed]
-    for flag, values in (("--methods", methods), ("--seeds", seeds)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{flag} must not repeat, got {values}")
+    check_distinct("--methods", methods)
+    check_distinct("--seeds", seeds)
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must be integers >= 0, got {seeds}")
     for m in methods:

@@ -7,6 +7,7 @@ order, one file per variable per timestep, named ``<var>_<timestep>.bin``.
 """
 from __future__ import annotations
 
+import mmap
 import os
 import re
 import warnings
@@ -127,10 +128,58 @@ def flat_copy(views: list[np.ndarray], dtype) -> np.ndarray:
     return out
 
 
+# A read fault maps the cached pages around it in windows of up to this many
+# bytes (the kernel's fault-around), so a release widens its span to them.
+_RELEASE_ALIGN = max(mmap.PAGESIZE, 1 << 16)
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # absent where mmap has no madvise
+_byte_bounds = getattr(np, "byte_bounds", None) or np.lib.array_utils.byte_bounds  # numpy 1, 2
+
+
+def release_pages(views: list[np.ndarray]) -> None:
+    """Drop this process's resident pages of the mapped files under ``views``.
+
+    Each view backed by a read-only ``mmap`` covers the byte span from its
+    first to its last element, widened to whole fault-around windows.
+    Overlapping spans of one mapping merge, and each merged span is given
+    back with one ``madvise(MADV_DONTNEED)``.  No value changes: a later
+    read faults the pages in again from the page cache.  A view that no
+    mapping backs (csv or synthetic data, a field pickled to a ``spawn``
+    worker) is skipped, and so is a view of a writable mapping, where a
+    dropped copy-on-write page would lose its writes.
+    """
+    if _DONTNEED is None:
+        return
+    spans: dict[int, tuple[mmap.mmap, list[tuple[int, int]]]] = {}
+    for v in views:
+        owner, base = None, v
+        while isinstance(base, np.ndarray):
+            owner, base = base, base.base
+        if isinstance(base, mmap.mmap) and not owner.flags.writeable and v.size:
+            spans.setdefault(id(base), (base, []))[1].append(_byte_bounds(v))
+    for base, bounds in spans.values():
+        origin = np.frombuffer(base, np.uint8).ctypes.data
+        merged: list[list[int]] = []
+        for lo, hi in sorted(bounds):
+            lo = (lo - origin) // _RELEASE_ALIGN * _RELEASE_ALIGN
+            hi = -(-(hi - origin) // _RELEASE_ALIGN) * _RELEASE_ALIGN
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        for lo, hi in merged:
+            base.madvise(_DONTNEED, lo, hi - lo)
+
+
 def role_vars(spec) -> list[str]:
     """Input, output, and cluster variables of a dataset or run config,
     deduplicated in order."""
     return list(dict.fromkeys([*spec.input_vars, *spec.output_vars, spec.cluster_var]))
+
+
+def check_distinct(name: str, values: list) -> None:
+    """Reject a list that repeats an entry, in an error that names it ``name``."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} must not repeat, got {values}")
 
 
 def is_int(value) -> bool:
@@ -227,8 +276,8 @@ class RunConfig:
             raise ConfigError(
                 f"timesteps must be 'all' or a non-empty list of integers, got {self.timesteps!r}"
             )
-        if self.timesteps != "all" and len(set(self.timesteps)) != len(self.timesteps):
-            raise ConfigError(f"timesteps must not repeat, got {self.timesteps}")
+        if self.timesteps != "all":
+            check_distinct("timesteps", self.timesteps)
         for name in ("input_vars", "output_vars"):
             names = getattr(self, name)
             if not (isinstance(names, list) and all(isinstance(v, str) and v for v in names)):
@@ -453,12 +502,14 @@ def _check_finite(var: str, t: int, snap: np.ndarray) -> None:
 
     The scan walks the last axis in slabs of about ``_SCAN_POINTS``
     points.  In an x-fastest file that axis is the slowest, so each slab
-    reads one run of the file.
+    reads one run of the file, whose pages it releases when done.
     """
     step = max(1, _SCAN_POINTS // (snap.shape[0] * snap.shape[1]))
     first = None
     for k0 in range(0, snap.shape[2], step):
-        ok = np.isfinite(snap[:, :, k0:k0 + step])
+        slab = snap[:, :, k0:k0 + step]
+        ok = np.isfinite(slab)
+        release_pages([slab])
         if not ok.all():
             i, j, k = (int(c) for c in np.argwhere(~ok)[0])  # the slab's first, in C order
             idx = (t, i, j, k0 + k)
@@ -480,12 +531,12 @@ def _discover_timesteps(path: Path, var: str) -> list[int]:
 def load_dataset(config: RunConfig) -> GridDataset:
     """Load all role variables from disk, applying per-axis skip strides.
 
-    Each (variable, timestep) file becomes one field: a read-only mapping
-    of the file in its on-disk dtype, so loading copies no values.  Each
-    file is first scanned for NaN or Inf at the strided points through a
-    mapping of its own, which is dropped with the pages the scan read;
-    the field is then a fresh mapping that has read none.  Two loads of
-    the same files yield bit-identical arrays.
+    Each (variable, timestep) file is mapped once and becomes one field:
+    a read-only mapping of the file in its on-disk dtype, so loading
+    copies no values.  The field is scanned for NaN or Inf at the strided
+    points, and the scan releases each slab's pages once it has read
+    them, so the loaded field holds none.  Two loads of the same files
+    yield bit-identical arrays.
     """
     if not config.cluster_var:
         raise ConfigError("missing required key: cluster_var")
@@ -502,16 +553,13 @@ def load_dataset(config: RunConfig) -> GridDataset:
     else:
         steps = [int(t) for t in config.timesteps]
 
-    def strided(file: Path) -> np.ndarray:
-        field = _read_raw_field(file, config.nx, config.ny, config.nz, config.precision)
-        return field[::config.nxskip, ::config.nyskip, ::config.nzskip]
-
     fields: dict[tuple[str, int], np.ndarray] = {}
     for var in names:
         for t, ts in enumerate(steps):
-            file = path / f"{var}_{ts}.bin"
-            _check_finite(var, t, strided(file))  # the scan's pages leave with its mapping
-            fields[var, t] = strided(file)
+            field = _read_raw_field(path / f"{var}_{ts}.bin", config.nx, config.ny, config.nz,
+                                    config.precision)
+            fields[var, t] = field[::config.nxskip, ::config.nyskip, ::config.nzskip]
+            _check_finite(var, t, fields[var, t])
 
     nx, ny, nz = fields[names[0], 0].shape
     return GridDataset(

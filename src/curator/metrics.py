@@ -21,7 +21,9 @@ import numpy as np
 
 from . import clustering, entropy
 from .bench import parallel_map
-from .grid import GridDataset, HypercubeBlock, RunConfig, flat_copy, role_vars
+from .grid import (
+    GridDataset, HypercubeBlock, RunConfig, check_distinct, flat_copy, release_pages, role_vars,
+)
 from .samplers import SampleSet, check_run, sample_cubes, select_cubes
 
 
@@ -100,6 +102,7 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
     parts = [np.asarray(p) for p in parts]
     # sorting in the data's own dtype gives the float64 widening's order
     x = flat_copy(parts, np.result_type(np.float32, *{p.dtype for p in parts}))
+    release_pages(parts)
     x.sort()
     n = x.size
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
@@ -201,10 +204,12 @@ def compare_methods(
 ) -> tuple[list[dict], PdfHistogram, dict[str, PdfHistogram]]:
     """Run every (method, seed) cell and tabulate coverage metrics.
 
-    Phase 1 runs here, once per seed.  The cells share one pool of at most
-    ``config.workers`` processes, and each samples its seed's cubes in one
-    worker; a lone cell runs in this process and keeps the cube pool.  A
-    cell's ``sampling_seconds`` adds its seed's Phase 1 time to its own.
+    A repeated method or seed, or a seed the config's seed rule rejects,
+    is a ConfigError raised before any work.  Phase 1 runs here, once per
+    seed.  The cells share one pool of at most ``config.workers``
+    processes, and each samples its seed's cubes in one worker; a lone
+    cell runs in this process and keeps the cube pool.  A cell's
+    ``sampling_seconds`` adds its seed's Phase 1 time to its own.
 
     Returns three things.  The rows: one per (method, seed, variable)
     plus per-method mean and standard-deviation summary rows (seed
@@ -216,6 +221,9 @@ def compare_methods(
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
+    check_distinct("methods", methods)
+    check_distinct("seeds", seeds)
+    seeded = [replace(config, seed=int(seed)) for seed in seeds]  # each seed checked here
     check_run(config, dataset, methods, cluster=True)  # its histograms are cluster_var's
     positions = dataset.positions(config.timesteps)
     # every cell is scored against the same full data, so its side is built
@@ -225,9 +233,9 @@ def compare_methods(
         for var in role_vars(dataset)
     }
     selections = []
-    for seed in seeds:
+    for seed_config in seeded:
         t0 = time.perf_counter()
-        work = select_cubes(replace(config, seed=int(seed)), dataset)
+        work = select_cubes(seed_config, dataset)
         selections.append((work, time.perf_counter() - t0))
     cells = [(method, i) for method in methods for i in range(len(seeds))]
     score_cell = partial(_score_cell, config, dataset, seeds, selections, references)

@@ -30,7 +30,7 @@ import numpy as np
 from . import clustering, entropy
 from .grid import (
     ConfigError, GridDataset, HypercubeBlock, RunConfig, flat_copy, partition_hypercubes,
-    role_vars,
+    release_pages, role_vars,
 )
 
 _PHASE1_TAG = 0x51C1E
@@ -141,11 +141,16 @@ def select_hypercubes_maxent(
     if m > len(blocks):
         raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
     rng = np.random.default_rng(seed)
-    # one float64 copy of every cube's values, which the fit sorts in place
+    # one float64 copy of every cube's values, which the fit sorts in place;
+    # the copy and the counts each release the cubes' pages once read
     views = [b.values[cluster_var] for b in blocks]
-    centroids = clustering.kmeans_fit(flat_copy(views, np.float64), num_clusters,
-                                      seed=int(rng.integers(2**63)), overwrite_input=True)
+    pooled = flat_copy(views, np.float64)
+    release_pages(views)
+    centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)),
+                                      overwrite_input=True)
+    del pooled  # not held while the counts read the cubes again
     counts = clustering.cell_counts(centroids, views)
+    release_pages(views)
     strengths = entropy.node_strengths(counts / counts.sum(axis=1, keepdims=True))
     return entropy.weighted_sample(strengths, m, seed=rng)
 
@@ -496,6 +501,7 @@ def _sample_cube(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
     # gathered from the cube's view in the field's dtype; the rows widen it
     for col, var in enumerate(names):
         rows[:, 7 + col] = block.values[var][local]
+    release_pages(list(block.values.values()))  # every read of the cube is done
     return rows
 
 

@@ -74,6 +74,33 @@ COMPARE_GOLDEN_DIGESTS = {
 SUBSAMPLE_GOLDEN_CSV = "0d97434bbfde079a06b11c719d85b31283cc5a05c628a05d0f389a880572f1c0"
 
 
+# sha256 of the CSV that `curator subsample` writes for `csv_case`, at any
+# worker count: the csv loader's fields are in memory, and no stage that
+# releases a mapped field's pages may change a byte of it.
+CSV_SUBSAMPLE_GOLDEN_CSV = "c2b16c2ee72c5d0216f67861081faef6924955e21943337c179abd1cb3120d4c"
+
+
+@pytest.fixture()
+def csv_case(tmp_path):
+    """A 2-D `dtype: csv` dataset of 24 x 20 points, u and a lognormal s,
+    and a config that runs both phases' maxent on s."""
+    rng = np.random.default_rng(5)
+    u, s = rng.normal(size=(20, 24)), rng.lognormal(size=(20, 24))  # rows y, columns x
+    y, x = np.mgrid[0:20, 0:24]
+    table = np.column_stack([a.ravel() for a in (x, y, u, s)])  # x fastest
+    np.savetxt(tmp_path / "points.csv", table, fmt="%.17g", delimiter=",", header="x,y,u,s",
+               comments="")
+    cfg = tmp_path / "csv.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "shared": {"dtype": "csv", "path": str(tmp_path / "points.csv"), "dims": 2,
+                   "nx": 24, "ny": 20, "input_vars": ["u", "s"], "output_vars": ["s"],
+                   "cluster_var": "s"},
+        "subsample": {"hypercubes": "maxent", "method": "maxent", "num_hypercubes": 4,
+                      "num_samples": 12, "num_clusters": 3, "nxsl": 8, "nysl": 5, "nzsl": 1},
+    }))
+    return cfg
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -290,6 +317,14 @@ class TestSubsample:
         ]) == 0
         (csv_path,) = out.glob("*.csv")
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SUBSAMPLE_GOLDEN_CSV
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csv_dataset_golden_csv_bytes(self, csv_case, tmp_path, workers):
+        out = tmp_path / "out"
+        assert run_cli(["subsample", csv_case, "--output-dir", out, "--workers", workers]) == 0
+        (csv_path,) = out.glob("*.csv")
+        assert len(csv_path.read_text().splitlines()) == 1 + 4 * 12
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == CSV_SUBSAMPLE_GOLDEN_CSV
 
     def test_bad_strata_fail_before_loading(self, case, tmp_path, capsys):
         # case has 4^3 cubes and the default strata [4, 4, 4]: 64 strata for 8 samples

@@ -285,8 +285,33 @@ class TestLoadDataset:
         ds = load_dataset(self._config(tmp_path, *shape))
         grown = rss_bytes() - before
         assert ds.fields["u", 0].shape == shape
-        # the scan read every page; the field is a fresh mapping that has read none
+        # the scan read every page and released each slab's once read
         assert grown < size / 4
+
+    def test_load_maps_each_file_once(self, tmp_path, monkeypatch):
+        # the finite scan once read each file through a second mapping of its own
+        for t in range(2):
+            self._write_raw(tmp_path / f"u_{t}.bin", np.full((4, 3, 2), t))
+            self._write_raw(tmp_path / f"s_{t}.bin", np.full((4, 3, 2), -t))
+        mapped = []
+        memmap = np.memmap
+
+        def counting(filename, *args, **kwargs):
+            mapped.append(Path(filename).name)
+            return memmap(filename, *args, **kwargs)
+
+        monkeypatch.setattr(np, "memmap", counting)
+        ds = load_dataset(replace(self._config(tmp_path), cluster_var="s"))
+        assert sorted(mapped) == ["s_0.bin", "s_1.bin", "u_0.bin", "u_1.bin"]
+        assert ds.fields["s", 1][0, 0, 0] == -1.0
+
+    def test_release_keeps_the_writes_of_a_copy_on_write_mapping(self, tmp_path):
+        # released, a copy-on-write page would read the file's value again
+        np.zeros(1 << 16).tofile(tmp_path / "u_0.bin")
+        field = np.memmap(tmp_path / "u_0.bin", "<f8", mode="c", shape=(64, 32, 32), order="F")
+        field[:, :, ::4] = 7.0
+        grid.release_pages([field[:, :, k:k + 4] for k in range(0, 32, 4)])
+        assert (field[:, :, ::4] == 7.0).all() and not field[:, :, 1::4].any()
 
     def test_load_copies_no_field(self, tmp_path):
         shape, steps = (64, 64, 64), 4

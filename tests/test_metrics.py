@@ -535,6 +535,33 @@ class TestRunChecksBeforePhase1:
         rows, _, histograms = self.run("compare_methods", config, methods)
         assert list(histograms) == methods and {r["method"] for r in rows} == set(methods)
 
+    @pytest.fixture()
+    def work_calls(self, monkeypatch):
+        """The references built and the Phase 1 runs made by compare_methods."""
+        calls = []
+        for name in ("full_reference", "select_cubes"):
+            real = getattr(metrics, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(metrics, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("methods, seeds, message", [
+        (["random", "random"], [0], r"methods must not repeat, got \['random', 'random'\]"),
+        (["random"], [0, 1, 0], r"seeds must not repeat, got \[0, 1, 0\]"),
+        (["random"], [0, -1], "seed must be an integer >= 0 or 'unseeded', got -1"),
+    ], ids=["repeated-method", "repeated-seed", "negative-seed"])
+    def test_methods_and_seeds_are_checked_before_any_work(self, work_calls, methods, seeds,
+                                                           message):
+        # a repeated method once wrote each of its rows twice (24 rows for 12), and a
+        # negative seed was met only when Phase 1 reached it, after every reference
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            compare_methods(self.config(), gen_taylor_green((32, 32, 32)), methods, seeds)
+        assert work_calls == []
+
     @pytest.mark.parametrize("entry", ["run_pipeline", "compare_methods"])
     @pytest.mark.parametrize("overrides, message", [
         (dict(nxsl=64), "nxsl 64 exceeds the 32 points of the grid"),
