@@ -26,6 +26,7 @@ from .grid import (
     RunConfig,
     check_distinct,
     check_section,
+    check_seed,
     int_list,
     is_int,
     is_number,
@@ -130,8 +131,8 @@ def cmd_compare(args) -> int:
     seeds = int_list("--seeds", args.seeds) if args.seeds else [config.seed]
     check_distinct("--methods", methods)
     check_distinct("--seeds", seeds)
-    if min(seeds) < 0:
-        raise ConfigError(f"--seeds must be integers >= 0, got {seeds}")
+    for seed in seeds:
+        check_seed("--seeds", seed)
     for m in methods:
         if m not in VALID_METHODS:
             raise ConfigError(f"--methods: unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 
+from .grid import flat_copy
+
 _SEED_VALUES = 1024  # k-means++ seeds from at most this many random values
 _MAX_ITERS = 100
 _DISTINCT_SLAB = 1 << 16  # values compared at once when counting distinct ones
@@ -150,19 +152,17 @@ def assign(centroids: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def cell_counts(centroids: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
-    """Per array in ``parts``, the row ``np.bincount(assign(centroids, part),
-    minlength=k)``, without a label: the part is copied in memory order in
-    its own floating dtype, sorted, and cut at the midpoints."""
+    """Per cube in ``parts``, the row ``np.bincount(assign(centroids, cube),
+    minlength=k)``, without a label.  A part's first three axes are one cube
+    and any further axes list its cubes; it is copied once in its own floating
+    dtype, one cube per row, and every row is sorted and cut at the midpoints."""
     dtype = np.result_type(np.float32, *{p.dtype for p in parts})
     cuts = _cut_keys(_midpoints(centroids), dtype, "right")  # search_sorted's keys, cut once
-    bounds = np.zeros(cuts.size + 2, dtype=np.int64)
-    rows = []
+    counts = []
     for p in parts:
-        x = p.astype(dtype, order="K").ravel(order="K")
-        x.sort()
-        bounds[1:-1] = x.searchsorted(cuts, side="right")
-        bounds[-1] = x.size
-        rows.append(np.diff(bounds))
+        x = flat_copy([p], dtype).reshape(-1, np.prod(p.shape[:3]))
+        x.sort(axis=1)
+        ends = [row.searchsorted(cuts, side="right") for row in x]
+        counts.append(np.diff(ends, prepend=0, append=x.shape[1], axis=1))
     # stacked after the loop: a counts array made first cost 0.4 MB of peak RSS
-    return np.array(rows)
-
+    return np.concatenate(counts)

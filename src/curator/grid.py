@@ -182,6 +182,12 @@ def check_distinct(name: str, values: list) -> None:
         raise ConfigError(f"{name} must not repeat, got {values}")
 
 
+def check_seed(name: str, seed) -> None:
+    """The one seed rule, an integer >= 0 or 'unseeded'; its error names ``name``."""
+    if seed != "unseeded" and not str(seed).isdecimal():
+        raise ConfigError(f"{name} must be an integer >= 0 or 'unseeded', got {seed!r}")
+
+
 def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -260,10 +266,9 @@ class RunConfig:
                 and all(is_int(s) and s >= 1 for s in self.strata)):
             raise ConfigError(f"strata must be three positive integers, got {self.strata}")
         # settled once, here: a drawn seed is kept by replace() and recorded
+        check_seed("seed", self.seed)
         if self.seed == "unseeded":
             self.seed = int(np.random.SeedSequence().entropy % (2**63))
-        elif not str(self.seed).isdecimal():
-            raise ConfigError(f"seed must be an integer >= 0 or 'unseeded', got {self.seed!r}")
         self.seed = int(self.seed)
         if not isinstance(self.train, dict):
             raise ConfigError("section train must be a mapping")
@@ -444,8 +449,7 @@ def parse_config(text: str) -> RunConfig:
     kwargs: dict = {**shared, **subsample, "train": doc.get("train") or {}}
     if "seed" not in kwargs and os.environ.get("CURATOR_SEED"):
         kwargs["seed"] = one_int("CURATOR_SEED", os.environ["CURATOR_SEED"])
-        if kwargs["seed"] < 0:
-            raise ConfigError(f"CURATOR_SEED must be an integer >= 0, got {kwargs['seed']}")
+        check_seed("CURATOR_SEED", kwargs["seed"])
 
     for req in ("dims", "nx", "ny"):
         if req not in kwargs:
@@ -653,35 +657,38 @@ def extract_block(
     )
 
 
-def partition_hypercubes(
-    dataset: GridDataset, extents: tuple[int, int, int], timestep: int
-) -> list[HypercubeBlock]:
-    """Tile the largest extent-aligned prefix of the grid with disjoint blocks.
+def cube_layers(field: np.ndarray, extents: tuple[int, int, int]) -> list[np.ndarray]:
+    """One view per z-layer of an (nx, ny, nz) field's whole cubes, shaped
+    (sx, sy, sz, bx, by); read x-fastest, a layer lists its cubes in
+    partition order.  Splitting an axis of the cube-aligned region never
+    copies, so neither does this.  Residual points are left out."""
+    (sx, sy, sz), (bx, by, bz) = extents, (n // s for n, s in zip(field.shape, extents))
+    region = field[:bx * sx, :by * sy, :bz * sz].reshape((sx, bx, sy, by, sz, bz), order="F")
+    return list(region.transpose(5, 0, 2, 4, 1, 3))
 
-    Ordering is deterministic: x-fastest row-major over block indices.
-    Residual boundary points that do not fill a whole cube are dropped
-    with a warning.
+
+def partition_hypercubes(
+    dataset: GridDataset, extents: tuple[int, int, int], timestep: int, cubes
+) -> list[HypercubeBlock]:
+    """The blocks of the given cube indices, in the order given.
+
+    The largest extent-aligned prefix of the grid is tiled with disjoint
+    cubes, indexed x-fastest row-major over block indices.  Residual
+    boundary points that do not fill a whole cube are dropped with a
+    warning.
     """
     d = dataset.dims
     bx, by, bz = block_counts(d, extents)
     sx, sy, sz = extents
-    covered = (bx * sx) * (by * sy) * (bz * sz)
-    dropped = d.points_per_step - covered
+    dropped = d.points_per_step - (bx * sx) * (by * sy) * (bz * sz)
     if dropped:
         warnings.warn(
             f"grid ({d.nx}, {d.ny}, {d.nz}) not divisible by cube extents {extents}; "
             f"dropping {dropped} residual boundary points",
             stacklevel=2,
         )
-    blocks = []
-    index = 0
-    for kz in range(bz):
-        for jy in range(by):
-            for ix in range(bx):
-                blocks.append(
-                    extract_block(
-                        dataset, (ix * sx, jy * sy, kz * sz), extents, timestep, index
-                    )
-                )
-                index += 1
-    return blocks
+    return [
+        extract_block(dataset, (c % bx * sx, c // bx % by * sy, c // (bx * by) * sz),
+                      extents, timestep, c)
+        for c in map(int, cubes)
+    ]

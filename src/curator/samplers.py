@@ -29,8 +29,8 @@ import numpy as np
 
 from . import clustering, entropy
 from .grid import (
-    ConfigError, GridDataset, HypercubeBlock, RunConfig, flat_copy, partition_hypercubes,
-    release_pages, role_vars,
+    ConfigError, GridDataset, HypercubeBlock, RunConfig, cube_layers, flat_copy, num_blocks,
+    partition_hypercubes, release_pages, role_vars,
 )
 
 _PHASE1_TAG = 0x51C1E
@@ -114,45 +114,48 @@ def cube_rng(seed: int, timestep: int, cube_index: int) -> np.random.Generator:
 # Phase 1: hypercube selection
 
 
-def select_hypercubes_random(
-    blocks: list[HypercubeBlock], m: int, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Uniform sample of m block indices without replacement."""
-    if m > len(blocks):
-        raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
+def select_hypercubes_random(cubes, m: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Uniform sample of m indices of ``cubes`` without replacement; only
+    its length is read, so a ``range`` of the cube count serves."""
+    if m > len(cubes):
+        raise ValueError(f"cannot select {m} of {len(cubes)} blocks")
     rng = np.random.default_rng(seed)
-    return rng.choice(len(blocks), size=m, replace=False)
+    return rng.choice(len(cubes), size=m, replace=False)
 
 
-def select_hypercubes_maxent(
-    blocks: list[HypercubeBlock],
-    cluster_var: str,
-    num_clusters: int,
-    m: int,
-    seed: int | np.random.Generator,
+def select_cubes_maxent(
+    parts: list[np.ndarray], num_clusters: int, m: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Entropy-weighted selection of m block indices without replacement.
+    """Entropy-weighted selection of m cubes without replacement, indexed in
+    the order ``parts`` lists them: a part's first three axes are one cube,
+    and any further axes list its cubes (``grid.cube_layers``).
 
-    Clustering is global: one k-means model on the cluster-variable
-    values pooled across all blocks, so every per-cube distribution
-    lives on the same label space.  A cube's weight is its
-    ``entropy.node_strengths``; no label array or n x n matrix is built.
+    Clustering is global: one k-means model on the values pooled across
+    all cubes, so every per-cube distribution lives on the same label
+    space.  A cube's weight is its ``entropy.node_strengths``; no label
+    array or n x n matrix is built.
     """
-    if m > len(blocks):
-        raise ValueError(f"cannot select {m} of {len(blocks)} blocks")
+    cubes = sum(np.prod(p.shape[3:], dtype=int) for p in parts)
+    if m > cubes:
+        raise ValueError(f"cannot select {m} of {cubes} blocks")
     rng = np.random.default_rng(seed)
     # one float64 copy of every cube's values, which the fit sorts in place;
     # the copy and the counts each release the cubes' pages once read
-    views = [b.values[cluster_var] for b in blocks]
-    pooled = flat_copy(views, np.float64)
-    release_pages(views)
+    pooled = flat_copy(parts, np.float64)
+    release_pages(parts)
     centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)),
                                       overwrite_input=True)
     del pooled  # not held while the counts read the cubes again
-    counts = clustering.cell_counts(centroids, views)
-    release_pages(views)
+    counts = clustering.cell_counts(centroids, parts)
+    release_pages(parts)
     strengths = entropy.node_strengths(counts / counts.sum(axis=1, keepdims=True))
     return entropy.weighted_sample(strengths, m, seed=rng)
+
+
+def select_hypercubes_maxent(blocks: list[HypercubeBlock], cluster_var: str, num_clusters: int,
+                             m: int, seed: int | np.random.Generator) -> np.ndarray:
+    """``select_cubes_maxent`` of each block's cluster-variable view."""
+    return select_cubes_maxent([b.values[cluster_var] for b in blocks], num_clusters, m, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +533,19 @@ def check_run(config: RunConfig, dataset: GridDataset, methods: list[str],
 
 
 def select_cubes(config: RunConfig, dataset: GridDataset) -> list[HypercubeBlock]:
-    """Phase 1: the cubes selected at each timestep in use, in (timestep,
-    cube index) order.  The draw depends on ``config.seed``, not on the method."""
-    m = config.num_hypercubes
+    """Phase 1: the blocks of the cubes selected at each timestep in use, in
+    (timestep, cube index) order.  The draw depends on ``config.seed``, not on the method."""
+    m, extents = config.num_hypercubes, config.cube_extents
     work: list[HypercubeBlock] = []
     for ts in dataset.positions(config.timesteps):
-        blocks = partition_hypercubes(dataset, config.cube_extents, ts)
         phase1_rng = cube_rng(config.seed, ts, _PHASE1_TAG)
         if config.hypercubes == "maxent":
-            selected = select_hypercubes_maxent(
-                blocks, config.cluster_var, config.num_clusters, m, phase1_rng
-            )
+            layers = cube_layers(dataset.fields[config.cluster_var, ts], extents)
+            selected = select_cubes_maxent(layers, config.num_clusters, m, phase1_rng)
         else:
-            selected = select_hypercubes_random(blocks, m, phase1_rng)
-        work.extend(blocks[c] for c in np.sort(selected))
+            selected = select_hypercubes_random(range(num_blocks(dataset.dims, extents)), m,
+                                                phase1_rng)
+        work.extend(partition_hypercubes(dataset, extents, ts, np.sort(selected)))
     return work
 
 

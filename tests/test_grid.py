@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curator import grid
+from curator import clustering, grid
 from curator.grid import (
     ConfigError,
     GridDataset,
@@ -442,17 +442,22 @@ class TestLoadDataset:
             load_dataset(cfg)
 
 
+def all_blocks(ds, extents, timestep=0):
+    """Every block of a timestep's partition, in partition order."""
+    return partition_hypercubes(ds, extents, timestep, range(num_blocks(ds.dims, extents)))
+
+
 class TestPartition:
     def test_exact_tiling_64(self):
         ds = ramp_dataset(8, 8, 8)
-        blocks = partition_hypercubes(ds, (4, 4, 4), 0)
+        blocks = all_blocks(ds, (4, 4, 4))
         assert len(blocks) == 8
 
     def test_block_count_residual(self):
         # residual planes along x are dropped, mirroring 514 vs 512
         ds = ramp_dataset(10, 8, 8)
         with pytest.warns(UserWarning, match="residual"):
-            blocks = partition_hypercubes(ds, (4, 4, 4), 0)
+            blocks = all_blocks(ds, (4, 4, 4))
         assert len(blocks) == 2 * 2 * 2
         covered = set()
         for b in blocks:
@@ -470,16 +475,48 @@ class TestPartition:
     def test_extents_larger_than_grid(self):
         ds = ramp_dataset(8, 8, 8)
         with pytest.raises(ValueError, match="exceed"):
-            partition_hypercubes(ds, (16, 4, 4), 0)
+            partition_hypercubes(ds, (16, 4, 4), 0, [0])
 
     def test_deterministic_x_fastest_ordering(self):
         ds = ramp_dataset(8, 8, 8)
-        blocks = partition_hypercubes(ds, (4, 4, 4), 0)
+        blocks = all_blocks(ds, (4, 4, 4))
         origins = [b.origin for b in blocks]
         assert origins[0] == (0, 0, 0)
         assert origins[1] == (4, 0, 0)  # x varies fastest
         assert origins[2] == (0, 4, 0)
         assert origins == sorted(origins, key=lambda o: (o[2], o[1], o[0]))
+
+
+class TestCubeLayers:
+    """cube_layers views a field's whole cubes one z-layer at a time, with
+    the same values, in the same order, as the partition's block views."""
+
+    @pytest.mark.parametrize("shape, skip, extents", [
+        ((16, 12, 8), 2, (2, 3, 2)),  # a strided field, as nxskip etc. load one
+        ((10, 9, 7), 1, (4, 3, 2)),  # residual points on every axis
+        ((8, 6, 1), 1, (2, 3, 1)),  # nz = 1
+    ], ids=["strided", "residual", "nz1"])
+    @pytest.mark.filterwarnings("ignore:grid .* not divisible:UserWarning")
+    def test_layers_are_the_block_views(self, shape, skip, extents):
+        raw = np.asfortranarray(np.random.default_rng(0).normal(size=shape))
+        field = raw[::skip, ::skip, ::skip]
+        ds = GridDataset(dims=GridDims(*field.shape), fields={("f", 0): field},
+                         input_vars=["f"], output_vars=["f"], cluster_var="f")
+        views = [b.values["f"] for b in all_blocks(ds, extents)]
+        layers = grid.cube_layers(field, extents)
+        bx, by, bz = grid.block_counts(ds.dims, extents)
+        assert len(layers) == bz and {v.shape for v in layers} == {(*extents, bx, by)}
+        cubes = [v[..., ix, jy] for v in layers for jy in range(by) for ix in range(bx)]
+        assert len(cubes) == len(views)
+        for cube, view in zip(cubes, views):
+            assert np.array_equal(cube, view)
+        # no layer is a copy
+        assert all(np.shares_memory(v, raw) for v in layers)
+        pooled = grid.flat_copy(views, np.float64)
+        assert grid.flat_copy(layers, np.float64).tobytes() == pooled.tobytes()
+        centroids = clustering.kmeans_fit(pooled, 3, seed=0)
+        assert np.array_equal(clustering.cell_counts(centroids, layers),
+                              clustering.cell_counts(centroids, views))
 
 
 class TestTimestepPositions:

@@ -410,13 +410,13 @@ class TestCompareMethods:
             num_samples=16, num_clusters=4, seed=0,
         )
         calls = []
-        real = samplers.select_hypercubes_maxent
+        real = samplers.select_cubes_maxent
 
-        def counting(blocks, *args):
-            calls.append(blocks[0].timestep)
-            return real(blocks, *args)
+        def counting(parts, *args):  # the timestep whose field the parts view
+            calls.append(next(t for t in range(2) if np.shares_memory(parts[0], ds.fields["u", t])))
+            return real(parts, *args)
 
-        monkeypatch.setattr(samplers, "select_hypercubes_maxent", counting)
+        monkeypatch.setattr(samplers, "select_cubes_maxent", counting)
         compare_methods(cfg, ds, ["random", "lhs", "maxent"], [5, 6])
         assert sorted(calls) == [0, 0, 1, 1]  # 2 seeds x 2 timesteps, not x 3 methods
 
@@ -493,7 +493,7 @@ class TestRunChecksBeforePhase1:
     def phase1_calls(self, monkeypatch):
         """The Phase 1 draws made, by selection rule."""
         calls = []
-        for name in ("select_hypercubes_maxent", "select_hypercubes_random"):
+        for name in ("select_cubes_maxent", "select_hypercubes_random"):
             real = getattr(samplers, name)
 
             def counting(*args, _real=real, _name=name):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curator import bench, clustering, entropy
+from curator import bench, clustering, entropy, grid
 from curator.clustering import assign, kmeans_fit
 from curator.entropy import adjacency_matrix, allocate_counts, kl_divergence, weighted_sample
 from curator.grid import (
-    ConfigError, GridDataset, GridDims, RunConfig, extract_block, load_dataset, parse_config,
-    partition_hypercubes,
+    ConfigError, GridDataset, GridDims, RunConfig, extract_block, load_dataset, num_blocks,
+    parse_config, partition_hypercubes,
 )
 from curator.metrics import compare_methods
 from curator.samplers import (
@@ -98,6 +98,11 @@ class TestCubeRng:
             assert not np.array_equal(cube_rng(*key).uniform(size=5), base)
 
 
+def all_blocks(ds, extents, timestep=0):
+    """Every block of a timestep's partition, in partition order."""
+    return partition_hypercubes(ds, extents, timestep, range(num_blocks(ds.dims, extents)))
+
+
 def ref_select_hypercubes_maxent(blocks, cluster_var, k, m, seed):
     """select_hypercubes_maxent as a per-block loop: one fit on the pooled
     values, each cube's labels counted, the strengths from the full matrix."""
@@ -165,7 +170,7 @@ class TestHypercubeSelection:
                              num_hypercubes=10, num_clusters=6, num_samples=4, seed=4)
         expected = []
         for ts in range(2):
-            blocks = partition_hypercubes(ds, (2, 2, 2), ts)
+            blocks = all_blocks(ds, (2, 2, 2), ts)
             selected = ref_select_hypercubes_maxent(
                 blocks, "u", 6, 10, cube_rng(4, ts, _PHASE1_TAG))
             expected += [(ts, blocks[c].index) for c in np.sort(selected)]
@@ -179,7 +184,7 @@ class TestHypercubeSelection:
 
     def test_maxent_memory_does_not_grow_with_cube_pairs(self):
         # 2048 cubes of 2^3 points: the n x n matrix alone would be 32 MiB
-        blocks = partition_hypercubes(make_dataset(32, 32, 16, seed=1), (2, 2, 2), 0)
+        blocks = all_blocks(make_dataset(32, 32, 16, seed=1), (2, 2, 2))
         assert len(blocks) == 2048
         tracemalloc.start()
         try:
@@ -201,7 +206,7 @@ class TestHypercubeSelection:
         rng = np.random.default_rng(0)
         ds = make_dataset(4, 4, 4)
         ds.fields["u", 0] = rng.choice(candidates, size=(4, 4, 4)).astype(dtype)
-        blocks = partition_hypercubes(ds, (2, 2, 2), 0)
+        blocks = all_blocks(ds, (2, 2, 2))
         views = [b.values["u"] for b in blocks]
         assert {v.dtype for v in views} == {np.dtype(dtype)}  # the cubes are not widened
         counts = np.array([np.bincount(assign(c, v.ravel()), minlength=c.size) for v in views])
@@ -223,13 +228,30 @@ class TestHypercubeSelection:
         # a cluster field with the cube's period: every cube's distribution
         # is the same, so every strength is zero, as in the matrix
         pattern = np.random.default_rng(2).normal(size=(2, 2, 2))
-        blocks = partition_hypercubes(
-            make_dataset(8, 8, 8, extra={("u", 0): np.tile(pattern, (4, 4, 4))}), (2, 2, 2), 0)
+        blocks = all_blocks(
+            make_dataset(8, 8, 8, extra={("u", 0): np.tile(pattern, (4, 4, 4))}), (2, 2, 2))
         with pytest.warns(UserWarning, match="all weights zero"):
             expected = ref_select_hypercubes_maxent(blocks, "u", 4, 5, 6)
         with pytest.warns(UserWarning, match="all weights zero"):
             got = select_hypercubes_maxent(blocks, "u", 4, 5, seed=6)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("hypercubes", ["maxent", "random"])
+    def test_a_run_builds_blocks_for_the_selected_cubes_only(self, monkeypatch, hypercubes):
+        # 64 cubes per timestep, of which Phase 2 reads 5: only those 5 become blocks
+        built = []
+        extract = grid.extract_block
+
+        def counting(dataset, origin, extents, timestep, index=0):
+            built.append((timestep, index))
+            return extract(dataset, origin, extents, timestep, index)
+
+        monkeypatch.setattr(grid, "extract_block", counting)
+        config = base_config(hypercubes=hypercubes, nxsl=2, nysl=2, nzsl=2, num_hypercubes=5,
+                             num_clusters=4, num_samples=4, seed=4)
+        sample = run_pipeline(config, make_dataset(8, 8, 8, nt=2, seed=3))
+        assert built == [(t, c) for t, c, _, _ in sample.provenance["cube_ranges"]]
+        assert len(built) == 2 * 5
 
     def test_maxent_too_many(self):
         blocks = [make_block(2, seed=s) for s in range(2)]
