@@ -114,16 +114,18 @@ class HypercubeBlock:
 
     def flat_values(self, var: str) -> np.ndarray:
         """Block values of one variable in x-fastest order, as a float64 copy."""
-        return flat_copy([self.values[var]], np.float64)
+        return self.values[var].astype(np.float64, order="F").ravel(order="F")
 
 
 def flat_copy(views: list[np.ndarray], dtype) -> np.ndarray:
     """One new ``dtype`` buffer holding every view's values in turn, each
-    read x-fastest (order "F"), which is a field's memory order."""
+    read x-fastest (order "F"), which is a field's memory order.  A view's
+    mapped pages are released as soon as it is copied."""
     out = np.empty(sum(v.size for v in views), dtype)
     offset = 0
     for v in views:
         np.copyto(out[offset:offset + v.size].reshape(v.shape, order="F"), v)
+        release_pages(v)
         offset += v.size
     return out
 
@@ -135,39 +137,29 @@ _DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # absent where mmap has no mad
 _byte_bounds = getattr(np, "byte_bounds", None) or np.lib.array_utils.byte_bounds  # numpy 1, 2
 
 
-def release_pages(views: list[np.ndarray]) -> None:
-    """Drop this process's resident pages of the mapped files under ``views``.
+def release_pages(view: np.ndarray) -> None:
+    """Drop this process's resident pages of the mapped file under ``view``.
 
-    Each view backed by a read-only ``mmap`` covers the byte span from its
-    first to its last element, widened to whole fault-around windows.
-    Overlapping spans of one mapping merge, and each merged span is given
-    back with one ``madvise(MADV_DONTNEED)``.  No value changes: a later
-    read faults the pages in again from the page cache.  A view that no
-    mapping backs (csv or synthetic data, a field pickled to a ``spawn``
-    worker) is skipped, and so is a view of a writable mapping, where a
-    dropped copy-on-write page would lose its writes.
+    A view backed by a read-only ``mmap`` covers the byte span from its
+    first to its last element, widened to whole fault-around windows, and
+    that span is given back with one ``madvise(MADV_DONTNEED)``.  No value
+    changes: a later read faults the pages in again from the page cache.
+    A view that no mapping backs (csv or synthetic data, a field pickled
+    to a ``spawn`` worker) is skipped, and so is a view of a writable
+    mapping, where a dropped copy-on-write page would lose its writes.
     """
     if _DONTNEED is None:
         return
-    spans: dict[int, tuple[mmap.mmap, list[tuple[int, int]]]] = {}
-    for v in views:
-        owner, base = None, v
-        while isinstance(base, np.ndarray):
-            owner, base = base, base.base
-        if isinstance(base, mmap.mmap) and not owner.flags.writeable and v.size:
-            spans.setdefault(id(base), (base, []))[1].append(_byte_bounds(v))
-    for base, bounds in spans.values():
-        origin = np.frombuffer(base, np.uint8).ctypes.data
-        merged: list[list[int]] = []
-        for lo, hi in sorted(bounds):
-            lo = (lo - origin) // _RELEASE_ALIGN * _RELEASE_ALIGN
-            hi = -(-(hi - origin) // _RELEASE_ALIGN) * _RELEASE_ALIGN
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        for lo, hi in merged:
-            base.madvise(_DONTNEED, lo, hi - lo)
+    owner, base = None, view
+    while isinstance(base, np.ndarray):
+        owner, base = base, base.base
+    if not isinstance(base, mmap.mmap) or owner.flags.writeable or not view.size:
+        return
+    origin = np.frombuffer(base, np.uint8).ctypes.data
+    lo, hi = _byte_bounds(view)
+    lo = (lo - origin) // _RELEASE_ALIGN * _RELEASE_ALIGN
+    hi = -(-(hi - origin) // _RELEASE_ALIGN) * _RELEASE_ALIGN
+    base.madvise(_DONTNEED, lo, hi - lo)
 
 
 def role_vars(spec) -> list[str]:
@@ -513,7 +505,7 @@ def _check_finite(var: str, t: int, snap: np.ndarray) -> None:
     for k0 in range(0, snap.shape[2], step):
         slab = snap[:, :, k0:k0 + step]
         ok = np.isfinite(slab)
-        release_pages([slab])
+        release_pages(slab)
         if not ok.all():
             i, j, k = (int(c) for c in np.argwhere(~ok)[0])  # the slab's first, in C order
             idx = (t, i, j, k0 + k)

@@ -21,9 +21,7 @@ import numpy as np
 
 from . import clustering, entropy
 from .bench import parallel_map
-from .grid import (
-    GridDataset, HypercubeBlock, RunConfig, check_distinct, flat_copy, release_pages, role_vars,
-)
+from .grid import GridDataset, HypercubeBlock, RunConfig, check_distinct, flat_copy, role_vars
 from .samplers import SampleSet, check_run, sample_cubes, select_cubes
 
 
@@ -89,7 +87,8 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
     and count its tail points per bin.
 
     Everything comes from one sorted ``flat_copy`` of the parts in the
-    data's own floating dtype, the only allocation the size of the data.
+    data's own floating dtype, the only allocation the size of the data;
+    it releases each part's mapped pages before it copies the next part.
     On ``entropy.bin_edges``' edges, the counts follow np.histogram's rule
     (half-open bins, the last closed) and the densities its ``density=True``
     arithmetic, so the histogram equals np.histogram's of the concatenated
@@ -102,7 +101,6 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
     parts = [np.asarray(p) for p in parts]
     # sorting in the data's own dtype gives the float64 widening's order
     x = flat_copy(parts, np.result_type(np.float32, *{p.dtype for p in parts}))
-    release_pages(parts)
     x.sort()
     n = x.size
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max

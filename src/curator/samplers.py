@@ -140,14 +140,12 @@ def select_cubes_maxent(
         raise ValueError(f"cannot select {m} of {cubes} blocks")
     rng = np.random.default_rng(seed)
     # one float64 copy of every cube's values, which the fit sorts in place;
-    # the copy and the counts each release the cubes' pages once read
+    # the copy and the counts release each z-layer's pages once they read it
     pooled = flat_copy(parts, np.float64)
-    release_pages(parts)
     centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)),
                                       overwrite_input=True)
     del pooled  # not held while the counts read the cubes again
     counts = clustering.cell_counts(centroids, parts)
-    release_pages(parts)
     strengths = entropy.node_strengths(counts / counts.sum(axis=1, keepdims=True))
     return entropy.weighted_sample(strengths, m, seed=rng)
 
@@ -504,7 +502,8 @@ def _sample_cube(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
     # gathered from the cube's view in the field's dtype; the rows widen it
     for col, var in enumerate(names):
         rows[:, 7 + col] = block.values[var][local]
-    release_pages(list(block.values.values()))  # every read of the cube is done
+    for view in block.values.values():  # every read of the cube is done
+        release_pages(view)
     return rows
 
 

@@ -1,5 +1,6 @@
 """The package surface: README's Library API is the whole top-level API,
-and no module imports a name it does not use."""
+no module imports a name it does not use, and only the readers of mapped
+views release their pages."""
 import ast
 from pathlib import Path
 
@@ -54,3 +55,21 @@ def test_no_module_reads_another_modules_private_name(path):
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def test_each_reader_releases_the_pages_it_read():
+    # one release rule: the finite scan releases per slab, flat_copy per
+    # part, and a Phase 2 unit per cube; no other code releases pages
+    def callers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from callers(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "release_pages" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                yield owner
+            yield from callers(child, owner)
+
+    sites = [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
+             for owner in callers(ast.parse(path.read_text()), None)]
+    assert sorted(sites) == ["grid._check_finite", "grid.flat_copy", "samplers._sample_cube"]

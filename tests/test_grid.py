@@ -310,7 +310,8 @@ class TestLoadDataset:
         np.zeros(1 << 16).tofile(tmp_path / "u_0.bin")
         field = np.memmap(tmp_path / "u_0.bin", "<f8", mode="c", shape=(64, 32, 32), order="F")
         field[:, :, ::4] = 7.0
-        grid.release_pages([field[:, :, k:k + 4] for k in range(0, 32, 4)])
+        for k in range(0, 32, 4):
+            grid.release_pages(field[:, :, k:k + 4])
         assert (field[:, :, ::4] == 7.0).all() and not field[:, :, 1::4].any()
 
     def test_load_copies_no_field(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curator import bench, clustering, entropy, grid
+from curator import bench, clustering, entropy, grid, metrics, samplers
 from curator.clustering import assign, kmeans_fit
 from curator.entropy import adjacency_matrix, allocate_counts, kl_divergence, weighted_sample
 from curator.grid import (
@@ -881,6 +881,73 @@ def mapped_rss_kib(directory: Path) -> int:
         elif counting and head[0] == "Rss:":
             total += int(head[1])
     return total
+
+
+FOLIO_KIB = 2048  # mapped file pages come in folios of up to 2 MiB
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="reads Linux's /proc/self/smaps")
+class TestReleaseAsRead:
+    """The reader that copies a view of a mapped field releases its pages,
+    before it reads the next view."""
+
+    def _load(self, tmp_path, shape, steps=1, **overrides):
+        rng = np.random.default_rng(0)
+        for t in range(steps):
+            rng.normal(size=shape).tofile(tmp_path / f"u_{t}.bin")
+        config = RunConfig(path=str(tmp_path), nx=shape[0], ny=shape[1], nz=shape[2],
+                           input_vars=["u"], output_vars=["u"], cluster_var="u", **overrides)
+        return config, load_dataset(config)
+
+    def _record_releases(self, monkeypatch, directory):
+        """Wrap release_pages in every module that may hold it; each call
+        records the KiB of the directory's files resident as it is made."""
+        readings, release = [], grid.release_pages
+
+        def recording(view):
+            readings.append(mapped_rss_kib(directory))
+            release(view)
+
+        for module in (grid, samplers, metrics, clustering):
+            monkeypatch.setattr(module, "release_pages", recording, raising=False)
+        return readings
+
+    def test_flat_copy_leaves_no_page_of_its_views_resident(self, tmp_path):
+        _, ds = self._load(tmp_path, (64, 64, 64))
+        field = ds.fields["u", 0]
+        layers = grid.cube_layers(field, (16, 16, 16))
+        pooled = grid.flat_copy(layers, np.float64)
+        assert mapped_rss_kib(tmp_path) == 0
+        on_disk = np.fromfile(tmp_path / "u_0.bin").reshape(field.shape, order="F")
+        views = grid.cube_layers(on_disk, (16, 16, 16))
+        np.testing.assert_array_equal(pooled, grid.flat_copy(views, np.float64))
+        np.testing.assert_array_equal(field, on_disk)
+        assert mapped_rss_kib(tmp_path) > 0  # the count sees pages a read maps
+
+    def test_full_reference_releases_each_field_before_the_next(self, tmp_path, monkeypatch):
+        # each 4 MiB field is one part; the reference once released all four
+        # only after copying the last, with 16 MiB of them resident
+        shape = (128, 64, 64)
+        _, ds = self._load(tmp_path, shape, steps=4)
+        readings = self._record_releases(monkeypatch, tmp_path)
+        metrics.full_reference([ds.fields["u", t] for t in range(4)])
+        part_kib = np.prod(shape) * 8 // 1024
+        assert max(readings) <= part_kib + 2 * FOLIO_KIB, readings
+        assert len(readings) == 4
+
+    def test_maxent_phase1_releases_each_layer_before_the_next(self, tmp_path, monkeypatch):
+        # a 16 MiB field of 8 z-layers of cubes, 2 MiB each; Phase 1 once
+        # released the whole field after its pooled copy and its counts
+        shape, extents = (128, 128, 128), (16, 16, 16)
+        config, ds = self._load(tmp_path, shape, hypercubes="maxent", num_hypercubes=2,
+                                num_clusters=4, nxsl=16, nysl=16, nzsl=16)
+        readings = self._record_releases(monkeypatch, tmp_path)
+        assert len(select_cubes(config, ds)) == 2
+        layers = shape[2] // extents[2]
+        layer_kib = np.prod(shape) * 8 // layers // 1024
+        assert max(readings) <= layer_kib + 2 * FOLIO_KIB, readings
+        assert len(readings) == 2 * layers  # the pooled copy, then the counts
+        assert mapped_rss_kib(tmp_path) == 0
 
 
 class TestRunPipeline:
