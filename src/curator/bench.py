@@ -2,9 +2,9 @@
 
 `parallel_map` owns every pool rule, and its initializer hands each
 worker the work function, so no start method needs fork's inherited
-memory.  A work unit is a selected cube of a pipeline run or a (method,
-seed) cell of a comparison, which samples its seed's selected cubes in
-one worker.  Phase 1 (``samplers.select_cubes``, once per seed in a
+memory.  A work unit is one (timestep, z-layer) of a run's selected cubes,
+or a (method, seed) cell of a comparison, which samples its seed's cubes
+in one worker.  Phase 1 (``samplers.select_cubes``, once per seed in a
 comparison) and the final merge stay single-threaded in the parent.
 Correctness precedes performance: scaling timings are only reported
 after the outputs at every worker count are verified identical to the
@@ -59,9 +59,8 @@ def parallel_map(fn, items: list, workers: int) -> list:
     if workers <= 1 or mp.current_process().daemon:
         outcomes = [_recorded(fn, item) for item in items]
     else:
-        chunksize = max(1, len(items) // (4 * workers))
         with mp.get_context("fork").Pool(workers, initializer=_install, initargs=(fn,)) as pool:
-            outcomes = pool.map(_trampoline, items, chunksize=chunksize)
+            outcomes = pool.map(_trampoline, items)
     for category, message in dict.fromkeys(w for _, caught in outcomes for w in caught):
         warnings.warn(message, category, stacklevel=2)
     return [result for result, _ in outcomes]

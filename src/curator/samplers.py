@@ -34,6 +34,8 @@ from .grid import (
 )
 
 _PHASE1_TAG = 0x51C1E
+# shared value bins of each cluster's histogram in sample_maxent_points
+_MAXENT_BINS = 100
 # rows per formatting call in SampleSet.to_csv; bounds the Python cell
 # list and the formatted string held at once, and each block builds its
 # own coordinate string tables, so the writer's extra memory is O(block)
@@ -399,7 +401,6 @@ def sample_maxent_points(
     num_clusters: int,
     n: int,
     seed: int | np.random.Generator,
-    num_bins: int = 100,
 ) -> np.ndarray:
     """Entropy-allocated point selection within one cube.
 
@@ -417,8 +418,8 @@ def sample_maxent_points(
     labels = clustering.assign(centroids, values)
     k = centroids.size
 
-    bins = entropy.bin_index(entropy.bin_edges(values, num_bins), values)
-    hist = np.bincount(labels * num_bins + bins, minlength=k * num_bins).reshape(k, num_bins)
+    bins = entropy.bin_index(entropy.bin_edges(values, _MAXENT_BINS), values)
+    hist = np.bincount(labels * _MAXENT_BINS + bins, minlength=k * _MAXENT_BINS).reshape(k, -1)
     sizes = hist.sum(axis=1)
     graph = entropy.adjacency_matrix(hist / np.maximum(sizes, 1)[:, None])
 
@@ -474,37 +475,41 @@ def temporal_select(snapshot_pdfs: np.ndarray, budget: int) -> list[int]:
 # Pipeline
 
 
-def _sample_cube(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
-                 item: int) -> np.ndarray:
-    """Phase 2 work unit: the rows sampled from the item-th selected cube."""
-    block = work[item]
-    rng = cube_rng(config.seed, block.timestep, block.index)
+def _sample_layer(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
+                  layer: slice) -> list[np.ndarray]:
+    """Phase 2 work unit: the rows sampled from each cube of ``work[layer]``, the
+    selected cubes of one (timestep, z-layer); then the layer's pages go back."""
+    names, shape = role_vars(dataset), dataset.dims.shape[1:]
     method, n = config.method, config.num_samples
-    if method == "full":
-        flat_idx = sample_full(block)
-    elif method == "random":
-        flat_idx = sample_random(block, n, rng)
-    elif method == "stratified":
-        flat_idx = sample_stratified(block, n, tuple(config.strata), rng)
-    elif method == "lhs":
-        flat_idx = sample_lhs(block, n, rng)
-    elif method == "uips":
-        flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
-    else:  # maxent, the last of RunConfig's VALID_METHODS
-        flat_idx = sample_maxent_points(block, config.cluster_var, config.num_clusters, n, rng)
-    names = role_vars(dataset)
-    local = np.unravel_index(flat_idx, block.extents, order="F")
-    rows = np.empty((flat_idx.size, 7 + len(names)))
-    rows[:, 0] = dataset.timestep_ids[block.timestep]
-    for axis, (idx, origin, size) in enumerate(zip(local, block.origin, dataset.dims.shape[1:])):
-        rows[:, 1 + axis] = idx + origin
-        rows[:, 4 + axis] = rows[:, 1 + axis] / max(size - 1, 1)
-    # gathered from the cube's view in the field's dtype; the rows widen it
-    for col, var in enumerate(names):
-        rows[:, 7 + col] = block.values[var][local]
-    for view in block.values.values():  # every read of the cube is done
-        release_pages(view)
-    return rows
+    pieces = []
+    for block in work[layer]:
+        rng = cube_rng(config.seed, block.timestep, block.index)
+        if method == "full":
+            flat_idx = sample_full(block)
+        elif method == "random":
+            flat_idx = sample_random(block, n, rng)
+        elif method == "stratified":
+            flat_idx = sample_stratified(block, n, tuple(config.strata), rng)
+        elif method == "lhs":
+            flat_idx = sample_lhs(block, n, rng)
+        elif method == "uips":
+            flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
+        else:  # maxent, the last of RunConfig's VALID_METHODS
+            flat_idx = sample_maxent_points(block, config.cluster_var, config.num_clusters, n, rng)
+        local = np.unravel_index(flat_idx, block.extents, order="F")
+        rows = np.empty((flat_idx.size, 7 + len(names)))
+        rows[:, 0] = dataset.timestep_ids[block.timestep]
+        for axis, (idx, origin, size) in enumerate(zip(local, block.origin, shape)):
+            rows[:, 1 + axis] = idx + origin
+            rows[:, 4 + axis] = rows[:, 1 + axis] / max(size - 1, 1)
+        # gathered from the cube's view in the field's dtype; the rows widen it
+        for col, var in enumerate(names):
+            rows[:, 7 + col] = block.values[var][local]
+        pieces.append(rows)
+    k0, sz = block.origin[2], block.extents[2]
+    for var in names:  # one z-slab view per role field covers every cube read
+        release_pages(dataset.fields[var, block.timestep][:, :, k0:k0 + sz])
+    return pieces
 
 
 def config_digest(config: RunConfig) -> str:
@@ -550,14 +555,18 @@ def select_cubes(config: RunConfig, dataset: GridDataset) -> list[HypercubeBlock
 
 def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock]) -> SampleSet:
     """Phase 2: a pool of ``config.workers`` samples every selected cube with
-    ``config.method``.  Output is invariant to worker count and cube
-    processing order; the merge is an ordered concatenation by (timestep,
-    cube index)."""
+    ``config.method``, one unit per (timestep, z-layer), a run of ``work``.
+    Output is invariant to worker count and unit order; the merge is an
+    ordered concatenation by (timestep, cube index)."""
     from .bench import parallel_map
 
     t0 = time.perf_counter()
-    sample_cube = partial(_sample_cube, config, dataset, work)
-    pieces = parallel_map(sample_cube, list(range(len(work))), config.workers)
+    keys = [(b.timestep, b.origin[2]) for b in work]
+    starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+    # a unit's item is a slice of work: a pool pickles items, and a pickled view copies
+    layers = list(map(slice, starts, starts[1:] + [len(work)]))
+    sample_layer = partial(_sample_layer, config, dataset, work)
+    pieces = [rows for unit in parallel_map(sample_layer, layers, config.workers) for rows in unit]
     phase2_seconds = time.perf_counter() - t0
 
     sizes = [rows.shape[0] for rows in pieces]

@@ -1,14 +1,16 @@
 """The package surface: README's Library API is the whole top-level API,
-no module imports a name it does not use, and only the readers of mapped
-views release their pages."""
+no module imports a name it does not use, only the readers of mapped
+views release their pages, and every name the benchmark traces exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import curator
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SRC = Path(curator.__file__).resolve().parent
 
 
@@ -59,7 +61,8 @@ def test_no_module_reads_another_modules_private_name(path):
 
 def test_each_reader_releases_the_pages_it_read():
     # one release rule: the finite scan releases per slab, flat_copy per
-    # part, and a Phase 2 unit per cube; no other code releases pages
+    # part, and a Phase 2 unit per (timestep, z-layer) of selected cubes,
+    # one z-slab per role field; no other code releases pages
     def callers(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
@@ -72,4 +75,24 @@ def test_each_reader_releases_the_pages_it_read():
 
     sites = [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
              for owner in callers(ast.parse(path.read_text()), None)]
-    assert sorted(sites) == ["grid._check_finite", "grid.flat_copy", "samplers._sample_cube"]
+    assert sorted(sites) == ["grid._check_finite", "grid.flat_copy", "samplers._sample_layer"]
+
+
+def traced_names() -> list[str]:
+    """"module.attribute" of each entry of perfbench/spans.py's TRACED,
+    read from its source without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TRACED"]]
+    return [f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in value.elts]
+
+
+@pytest.mark.parametrize("name", traced_names())
+def test_every_traced_name_resolves(name):
+    # the traced benchmark run looks each entry up on the loaded curator
+    # modules, so a traced function renamed or deleted here breaks it
+    module, *attrs = name.split(".")
+    target = importlib.import_module(f"curator.{module}")
+    for attr in attrs:
+        target = getattr(target, attr)
+    assert callable(target)

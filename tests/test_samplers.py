@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from curator.samplers import (
     select_hypercubes_random,
     temporal_select,
 )
-from curator.synthetic import dataset_config, gen_taylor_green, save_dataset
+from curator.synthetic import dataset_config, gen_scalar_field, gen_taylor_green, save_dataset
 
 
 def make_dataset(nx=8, ny=8, nz=8, nt=1, seed=0, extra=None):
@@ -598,9 +599,9 @@ class TestSamplersMatchReference:
         n = data.draw(st.integers(1, block.volume))
         k = data.draw(st.integers(1, 8))
         bins = data.draw(st.integers(1, 12))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(samplers, "_MAXENT_BINS", bins):
             warnings.simplefilter("ignore")  # all-zero strengths warn
-            fast = sample_maxent_points(block, "u", k, n, seed, num_bins=bins)
+            fast = sample_maxent_points(block, "u", k, n, seed)
             ref = ref_sample_maxent_points(block, "u", k, n, seed, num_bins=bins)
         assert np.array_equal(fast, ref)
 
@@ -616,9 +617,9 @@ class TestSamplersMatchReference:
             values.ravel()[[0, 1]] = -2.0, 3.0
         block = make_block(8, values=values)
         for seed in range(5):
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), mock.patch.object(samplers, "_MAXENT_BINS", 10):
                 warnings.simplefilter("ignore")
-                fast = sample_maxent_points(block, "u", 6, 100, seed, num_bins=10)
+                fast = sample_maxent_points(block, "u", 6, 100, seed)
                 ref = ref_sample_maxent_points(block, "u", 6, 100, seed, num_bins=10)
             assert np.array_equal(fast, ref)
 
@@ -629,9 +630,9 @@ class TestSamplersMatchReference:
         # them as the int64 stable argsort does, in ascending index order
         block = make_block(8, values=np.random.default_rng(k).lognormal(size=(8, 8, 8)))
         for seed in range(3):
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), mock.patch.object(samplers, "_MAXENT_BINS", 50):
                 warnings.simplefilter("ignore")  # one cluster has all-zero strengths
-                fast = sample_maxent_points(block, "u", k, 400, seed, num_bins=50)
+                fast = sample_maxent_points(block, "u", k, 400, seed)
                 ref = ref_sample_maxent_points(block, "u", k, 400, seed, 50)
             assert np.array_equal(fast, ref)
 
@@ -949,6 +950,30 @@ class TestReleaseAsRead:
         assert len(readings) == 2 * layers  # the pooled copy, then the counts
         assert mapped_rss_kib(tmp_path) == 0
 
+    def test_phase2_releases_each_layer_once(self, tmp_path, monkeypatch):
+        # two role fields of 8 MiB per timestep, 4 z-layers of 16^3 cubes of
+        # 2 MiB each; the Phase 2 unit once released each cube's view of
+        # each field, and the next cube of its layer faulted the folio back
+        shape = (128, 128, 64)
+        rng = np.random.default_rng(0)
+        for var in ("u", "v"):
+            for t in range(2):
+                rng.normal(size=shape).tofile(tmp_path / f"{var}_{t}.bin")
+        config = RunConfig(path=str(tmp_path), nx=shape[0], ny=shape[1], nz=shape[2],
+                           input_vars=["u"], output_vars=["v"], cluster_var="u",
+                           method="maxent", num_hypercubes=12, num_samples=50, num_clusters=4,
+                           nxsl=16, nysl=16, nzsl=16)
+        ds = load_dataset(config)
+        work = select_cubes(config, ds)
+        layers = {(b.timestep, b.origin[2]) for b in work}
+        assert {t for t, _ in layers} == {0, 1} and len(layers) < len(work)
+        readings = self._record_releases(monkeypatch, tmp_path)
+        assert len(samplers.sample_cubes(config, ds, work)) == 24 * 50
+        assert len(readings) == 2 * len(layers)  # one per role field and layer
+        slab_kib = np.prod(shape) * 8 // 4 // 1024
+        assert max(readings) <= 2 * slab_kib + 2 * FOLIO_KIB, readings
+        assert mapped_rss_kib(tmp_path) == 0
+
 
 class TestRunPipeline:
     @pytest.mark.skipif(not SMAPS.exists(), reason="reads Linux's /proc/self/smaps")
@@ -1048,7 +1073,27 @@ class TestRunPipeline:
 
         monkeypatch.setattr(bench, "parallel_map", counting_map)
         run_pipeline(cfg, ds, workers=2)
-        assert calls == [9]
+        # one unit per (timestep, z-layer) that holds a selected cube; a
+        # z-layer of this 8^3 grid's 4^3 cubes holds 4 of them
+        assert calls == [len({(t, c // 4) for t, c in keys})]
+
+    def test_units_per_worker_at_the_scaling_geometry(self, monkeypatch):
+        # test_09_scaling_speedup's geometry: 2048 of 4096 8^3 cubes of a
+        # 128^3 field fill its 16 z-layers, so 8 workers get 2 units each
+        ds = gen_scalar_field("gaussian", (128, 128, 128), None, seed=0)
+        cfg = RunConfig(nx=128, ny=128, nz=128, input_vars=["s"], output_vars=["s"],
+                        cluster_var="s", method="random", num_hypercubes=2048, num_samples=51,
+                        nxsl=8, nysl=8, nzsl=8, seed=0, workers=8)
+        calls = []
+        real_map = bench.parallel_map
+
+        def counting_map(fn, items, workers):
+            calls.append((len(items), workers))
+            return real_map(fn, items, 1)
+
+        monkeypatch.setattr(bench, "parallel_map", counting_map)
+        assert len(run_pipeline(cfg, ds)) == 2048 * 51
+        assert calls == [(16, 8)]
 
     def test_cube_ranges_partition_rows(self):
         cfg = base_config(num_samples=6, num_hypercubes=3)
