@@ -18,7 +18,11 @@ from .grid import flat_copy
 
 _SEED_VALUES = 1024  # k-means++ seeds from at most this many random values
 _MAX_ITERS = 100
-_DISTINCT_SLAB = 1 << 16  # values compared at once when counting distinct ones
+# values read at once when counting distinct ones and when building a sparse
+# prefix; a multiple of _PREFIX_STEP
+_SLAB = 1 << 16
+_DENSE_PREFIX_MAX = 1 << 16  # a fit of at most this many values keeps every prefix sum
+_PREFIX_STEP = 64  # a larger fit keeps every 64th prefix sum
 
 
 def _midpoints(centroids: np.ndarray) -> np.ndarray:
@@ -54,8 +58,8 @@ def _count_distinct(x: np.ndarray, stop: int) -> int:
     count is exact when it is below ``stop``.  Neighbours are compared one
     slab at a time, so no array of x's length is made."""
     distinct = 1
-    for start in range(0, x.size - 1, _DISTINCT_SLAB):
-        end = min(start + _DISTINCT_SLAB, x.size - 1)
+    for start in range(0, x.size - 1, _SLAB):
+        end = min(start + _SLAB, x.size - 1)
         distinct += int(np.count_nonzero(x[start + 1:end + 1] != x[start:end]))
         if distinct >= stop:
             break
@@ -65,8 +69,9 @@ def _count_distinct(x: np.ndarray, stop: int) -> int:
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding on a random subset of the sorted values x: each new
     centroid is drawn with probability proportional to squared distance from
-    the nearest existing one.  x holds at least k distinct values."""
-    pool = x[rng.choice(x.size, size=min(_SEED_VALUES, x.size), replace=False)]
+    the nearest existing one.  x holds at least k distinct values; the values
+    drawn from are widened to float64."""
+    pool = x[rng.choice(x.size, size=min(_SEED_VALUES, x.size), replace=False)].astype(np.float64)
     centroids = [pool[rng.integers(pool.size)]]
     d2 = (pool - centroids[0]) ** 2
     while len(centroids) < k:
@@ -79,13 +84,45 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             d2 = np.minimum(d2, (pool - centroids[-1]) ** 2)
         elif pool is not x:
             # the subset holds fewer than k distinct values; all of x holds enough
-            pool = x
+            pool = x = x.astype(np.float64, copy=False)
             d2 = functools.reduce(np.minimum, ((x - c) ** 2 for c in centroids))
         else:
             # the values left are so close to the centroids that their squared
             # distances underflow to 0: take the smallest one not yet drawn
             centroids.append(x[np.isin(x, centroids, invert=True)][0])
     return np.sort(np.array(centroids))
+
+
+def _sparse_prefix(x: np.ndarray, size: int):
+    """The lookup ``prefix[bounds]`` of ``size`` bounds into the float64
+    prefix sums of x (``prefix[0] = 0.0``, then ``np.cumsum(x)``), keeping
+    only every 64th sum.  ``np.add.accumulate`` adds in order, so a sum
+    continued from a kept one equals ``prefix[i]`` bit for bit."""
+    step = _PREFIX_STEP
+    kept = np.empty(x.size // step + 1)
+    run = np.empty(_SLAB + 1)
+    carry = -0.0  # the empty sum: -0.0 + v is v for every v, where 0.0 + -0.0 is 0.0
+    for a in range(0, x.size, _SLAB):
+        part = run[:min(_SLAB, x.size - a) + 1]
+        part[0] = carry
+        part[1:] = x[a:a + part.size - 1]
+        np.cumsum(part, out=part)
+        kept[a // step:a // step + (part.size - 1) // step + 1] = part[::step]
+        carry = part[-1]
+    # each row: a kept sum, then the step - 1 values after it, summed along the row
+    rows, offsets, picks = np.empty((size, step)), np.arange(step - 1), np.arange(size)
+
+    def prefix_at(bounds: np.ndarray) -> np.ndarray:
+        start = bounds // step
+        rows[:, 0] = kept[start]
+        start *= step
+        rows[:, 1:] = x.take(start[:, None] + offsets, mode="clip")
+        np.cumsum(rows, axis=1, out=rows)
+        sums = rows[picks, bounds - start]
+        sums[bounds == 0] = 0.0  # prefix[0]; the -0.0 carry only seeds the sums after it
+        return sums
+
+    return prefix_at
 
 
 def kmeans_fit(
@@ -95,11 +132,16 @@ def kmeans_fit(
 
     k is reduced, with a warning, to the number of distinct values.  Lloyd
     iterations stop when the centroids repeat exactly, or after 100.  A
-    centroid whose cell empties keeps its place.  With ``overwrite_input``
-    a contiguous float64 ``values`` is sorted in place instead of copied,
-    as ``np.percentile``'s flag allows.
+    centroid whose cell empties keeps its place.  Float32 values are sorted
+    and cut in float32, any others in float64; the centroids are the fit of
+    the values widened to float64, whose cell sums come from float64 prefix
+    sums.  A fit of more than 2^16 values keeps every 64th prefix sum, not
+    all n + 1 (``_sparse_prefix``), so it holds about one copy of its input.
+    With ``overwrite_input`` a contiguous float32 or float64 ``values`` is
+    sorted in place instead of copied, as ``np.percentile``'s flag allows.
     """
-    x = np.asarray(values, dtype=np.float64).ravel()
+    x = np.asarray(values)
+    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False).ravel()
     if not overwrite_input:
         x = x.copy()  # as np.sort copies before it sorts
     x.sort()
@@ -119,9 +161,13 @@ def kmeans_fit(
         k = distinct
 
     centroids = _kmeanspp_init(x, k, np.random.default_rng(seed))
-    prefix = np.empty(n + 1)
-    prefix[0] = 0.0
-    np.cumsum(x, out=prefix[1:])
+    if n > _DENSE_PREFIX_MAX:
+        prefix_at = _sparse_prefix(x, k + 1)
+    else:  # a lookup in the sparse prefix costs about 100 times this one
+        prefix = np.empty(n + 1)
+        prefix[0] = 0.0
+        np.cumsum(x, dtype=np.float64, out=prefix[1:])
+        prefix_at = prefix.take
     # cell c holds x[bounds[c]:bounds[c + 1]]; the inner bounds are the cuts
     bounds = np.empty(k + 1, dtype=np.intp)
     bounds[0], bounds[-1] = 0, n
@@ -129,7 +175,7 @@ def kmeans_fit(
     for _ in range(_MAX_ITERS):
         bounds[1:-1] = search_sorted(x, _midpoints(centroids), "right")
         sizes = hi - lo
-        sums = prefix[bounds]
+        sums = prefix_at(bounds)
         means = sums[1:] - sums[:-1]
         means /= np.maximum(sizes, 1)
         # a prefix-sum difference can round past the cell's own values;

@@ -141,9 +141,9 @@ def select_cubes_maxent(
     if m > cubes:
         raise ValueError(f"cannot select {m} of {cubes} blocks")
     rng = np.random.default_rng(seed)
-    # one float64 copy of every cube's values, which the fit sorts in place;
-    # the copy and the counts release each z-layer's pages once they read it
-    pooled = flat_copy(parts, np.float64)
+    # one copy of every cube's values in their own dtype, which the fit sorts in
+    # place; the copy and the counts release each z-layer's pages once they read it
+    pooled = flat_copy(parts, np.result_type(np.float32, *{p.dtype for p in parts}))
     centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)),
                                       overwrite_input=True)
     del pooled  # not held while the counts read the cubes again
@@ -478,10 +478,12 @@ def temporal_select(snapshot_pdfs: np.ndarray, budget: int) -> list[int]:
 def _sample_layer(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
                   layer: slice) -> list[np.ndarray]:
     """Phase 2 work unit: the rows sampled from each cube of ``work[layer]``, the
-    selected cubes of one (timestep, z-layer); then the layer's pages go back."""
+    selected cubes of one (timestep, z-layer).  Every cube is sampled first; then
+    one role field at a time fills its column of every cube's rows, and that
+    field's z-slab of pages goes back before the next field is read."""
     names, shape = role_vars(dataset), dataset.dims.shape[1:]
     method, n = config.method, config.num_samples
-    pieces = []
+    pieces, picks = [], []
     for block in work[layer]:
         rng = cube_rng(config.seed, block.timestep, block.index)
         if method == "full":
@@ -502,12 +504,13 @@ def _sample_layer(config: RunConfig, dataset: GridDataset, work: list[HypercubeB
         for axis, (idx, origin, size) in enumerate(zip(local, block.origin, shape)):
             rows[:, 1 + axis] = idx + origin
             rows[:, 4 + axis] = rows[:, 1 + axis] / max(size - 1, 1)
-        # gathered from the cube's view in the field's dtype; the rows widen it
-        for col, var in enumerate(names):
-            rows[:, 7 + col] = block.values[var][local]
         pieces.append(rows)
+        picks.append(local)
     k0, sz = block.origin[2], block.extents[2]
-    for var in names:  # one z-slab view per role field covers every cube read
+    for col, var in enumerate(names):
+        # gathered from each cube's view in the field's dtype; the rows widen it
+        for block, rows, local in zip(work[layer], pieces, picks):
+            rows[:, 7 + col] = block.values[var][local]
         release_pages(dataset.fields[var, block.timestep][:, :, k0:k0 + sz])
     return pieces
 

@@ -113,6 +113,9 @@ class TestKmeansFit:
         values = np.concatenate([np.zeros(100_000), np.arange(1.0, 20.0)])
         centroids = kmeans_fit(values, k=20, seed=0)
         np.testing.assert_array_equal(centroids, np.arange(20.0))
+        # float32 values seed from all of them widened, as their float64 fit does
+        wide = kmeans_fit(values.astype(np.float32), k=20, seed=0)
+        assert wide.dtype == np.float64 and wide.tobytes() == centroids.tobytes()
 
     def test_underflowing_distances_still_seed_k(self):
         # every squared distance between these values underflows to 0
@@ -320,6 +323,47 @@ class TestKmeansFitMatchesReference:
             warnings.simplefilter("ignore", UserWarning)
             got = kmeans_fit(values, k, seed=seed)
         assert got.tobytes() == ref_kmeans_fit(values, k, seed=seed)[0].tobytes()
+
+
+class TestSparsePrefix:
+    """A fit of more than 2^16 values keeps every 64th prefix sum; its centroids
+    equal those of ref_kmeans_fit, which keeps them all."""
+
+    CASES = {
+        "normal": lambda rng, n: rng.normal(size=n),
+        "lognormal": lambda rng, n: rng.lognormal(sigma=2.0, size=n),
+        "integers": lambda rng, n: rng.integers(-20, 20, size=n).astype(float),
+        # -0.0 sorts first, so the first cell sums to -0.0 where it holds only -0.0
+        "signed_zeros": lambda rng, n: np.where(rng.random(n) < 0.4, -0.0, rng.random(n)),
+    }
+    SLAB = clustering._SLAB
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [63, 64, 65, 2**16 - 1, 2**16 + 1, 2 * SLAB - 1,
+                                   2 * SLAB + 1, 2**20 + 3])
+    def test_bit_equal_to_the_dense_prefix(self, n, dtype, monkeypatch):
+        if n < 2**10:  # the sparse prefix, built in slabs of one step each
+            monkeypatch.setattr(clustering, "_DENSE_PREFIX_MAX", 0)
+            monkeypatch.setattr(clustering, "_SLAB", clustering._PREFIX_STEP)
+        for case, make in self.CASES.items():
+            values = make(np.random.default_rng(n), n).astype(dtype)
+            widened = values.astype(np.float64)
+            for k in (1, 3, 20):
+                got = kmeans_fit(values, k, seed=k)
+                assert got.tobytes() == ref_kmeans_fit(widened, k, seed=k)[0].tobytes(), case
+                # a float32 fit is the fit of its values widened to float64
+                assert got.tobytes() == kmeans_fit(widened, k, seed=k).tobytes(), case
+
+    @pytest.mark.parametrize("case", ["normal", "signed_zeros"])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 300])
+    def test_lookup_equals_the_dense_prefix(self, n, case, monkeypatch):
+        # every bound, slabs of two steps; the signs of zero sums count too,
+        # though the Lloyd loop's clip to the cell's values may hide them
+        monkeypatch.setattr(clustering, "_SLAB", 2 * clustering._PREFIX_STEP)
+        x = np.sort(self.CASES[case](np.random.default_rng(n), n))
+        dense = np.concatenate(([0.0], np.cumsum(x)))
+        prefix_at = clustering._sparse_prefix(x, n + 1)
+        assert prefix_at(np.arange(n + 1)).tobytes() == dense.tobytes()
 
 
 def test_distinct_count_needs_no_array_of_the_input_length(monkeypatch):

@@ -195,6 +195,21 @@ class TestHypercubeSelection:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_maxent_phase1_holds_about_one_copy_of_the_field(self):
+        # 2^21 float64 points in memory: the pooled copy is 8 B per point, and
+        # the fit's sparse prefix about 1/8 B.  A dense float64 prefix beside the
+        # copy once made it 16 B per point.
+        n = 1 << 21
+        field = np.random.default_rng(0).normal(size=(128, 128, 128))
+        parts = grid.cube_layers(field, (32, 32, 32))
+        tracemalloc.start()
+        try:
+            samplers.select_cubes_maxent(parts, 20, 4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * n
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxent_counts_values_on_midpoints_as_assign_does(self, monkeypatch, dtype):
         # every float32 rounding of these midpoints lies above the midpoint,
@@ -972,6 +987,29 @@ class TestReleaseAsRead:
         assert len(readings) == 2 * len(layers)  # one per role field and layer
         slab_kib = np.prod(shape) * 8 // 4 // 1024
         assert max(readings) <= 2 * slab_kib + 2 * FOLIO_KIB, readings
+        assert mapped_rss_kib(tmp_path) == 0
+
+    def test_phase2_holds_one_gathered_slab(self, tmp_path, monkeypatch):
+        # four role fields of 8 MiB, 4 z-layers of 16^3 cubes; random points
+        # read no field, so only the gather maps pages.  The unit once gathered
+        # every field's column of a cube before the next cube, and held all
+        # four fields' slabs until its releases.
+        shape, names = (128, 128, 64), ("u", "v", "w", "p")
+        rng = np.random.default_rng(0)
+        for var in names:
+            rng.normal(size=shape).tofile(tmp_path / f"{var}_0.bin")
+        config = RunConfig(path=str(tmp_path), nx=shape[0], ny=shape[1], nz=shape[2],
+                           input_vars=["u", "v", "w"], output_vars=["p"], cluster_var="u",
+                           method="random", num_hypercubes=12, num_samples=50,
+                           nxsl=16, nysl=16, nzsl=16)
+        ds = load_dataset(config)
+        work = select_cubes(config, ds)
+        layers = {b.origin[2] for b in work}
+        readings = self._record_releases(monkeypatch, tmp_path)
+        assert len(samplers.sample_cubes(config, ds, work)) == 12 * 50
+        assert len(readings) == len(names) * len(layers)
+        slab_kib = np.prod(shape) * 8 // 4 // 1024
+        assert max(readings) <= slab_kib + 2 * FOLIO_KIB, readings
         assert mapped_rss_kib(tmp_path) == 0
 
 
