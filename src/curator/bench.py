@@ -2,10 +2,10 @@
 
 `parallel_map` owns every pool rule, and its initializer hands each
 worker the work function, so no start method needs fork's inherited
-memory.  A work unit is one (timestep, z-layer) of a run's selected cubes,
-or a (method, seed) cell of a comparison, which samples its seed's cubes
-in one worker.  Phase 1 (``samplers.select_cubes``, once per seed in a
-comparison) and the final merge stay single-threaded in the parent.
+memory.  Phase 1 (``samplers.select_cubes``) and the merge run in the
+parent, and hand the pool cube indices only: a unit is a timestep's cubes
+in one z-layer, whose blocks it builds itself, or a comparison's (method,
+seed) cell with its seed's indices, sampled in one worker.
 Correctness precedes performance: scaling timings are only reported
 after the outputs at every worker count are verified identical to the
 single-worker run.  A warning raised in a work unit reaches the caller

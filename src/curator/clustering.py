@@ -202,12 +202,11 @@ def cell_counts(centroids: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
     minlength=k)``, without a label.  A part's first three axes are one cube
     and any further axes list its cubes; it is copied once in its own floating
     dtype, one cube per row, and every row is sorted and cut at the midpoints."""
-    dtype = np.result_type(np.float32, *{p.dtype for p in parts})
-    cuts = _cut_keys(_midpoints(centroids), dtype, "right")  # search_sorted's keys, cut once
     counts = []
     for p in parts:
-        x = flat_copy([p], dtype).reshape(-1, np.prod(p.shape[:3]))
+        x = flat_copy([p]).reshape(-1, np.prod(p.shape[:3]))
         x.sort(axis=1)
+        cuts = _cut_keys(_midpoints(centroids), x.dtype, "right")  # search_sorted's keys
         ends = [row.searchsorted(cuts, side="right") for row in x]
         counts.append(np.diff(ends, prepend=0, append=x.shape[1], axis=1))
     # stacked after the loop: a counts array made first cost 0.4 MB of peak RSS

@@ -113,14 +113,17 @@ class HypercubeBlock:
         return sx * sy * sz
 
     def flat_values(self, var: str) -> np.ndarray:
-        """Block values of one variable in x-fastest order, as a float64 copy."""
-        return self.values[var].astype(np.float64, order="F").ravel(order="F")
+        """Block values of one variable in x-fastest order, copied in ``flat_copy``'s dtype."""
+        view = self.values[var]
+        return view.astype(np.result_type(np.float32, view.dtype), order="F").ravel(order="F")
 
 
-def flat_copy(views: list[np.ndarray], dtype) -> np.ndarray:
-    """One new ``dtype`` buffer holding every view's values in turn, each
-    read x-fastest (order "F"), which is a field's memory order.  A view's
-    mapped pages are released as soon as it is copied."""
+def flat_copy(views: list[np.ndarray]) -> np.ndarray:
+    """One new buffer holding every view's values in turn, each read x-fastest
+    (order "F"), which is a field's memory order.  Its dtype is the one the
+    kernels read: float32 stays float32, and float64 (or float32 beside it)
+    gives float64.  A view's mapped pages are released as soon as it is copied."""
+    dtype = np.result_type(np.float32, *{v.dtype for v in views})
     out = np.empty(sum(v.size for v in views), dtype)
     offset = 0
     for v in views:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import clustering, entropy
 from .bench import parallel_map
-from .grid import GridDataset, HypercubeBlock, RunConfig, check_distinct, flat_copy, role_vars
+from .grid import GridDataset, RunConfig, check_distinct, flat_copy, role_vars
 from .samplers import SampleSet, check_run, sample_cubes, select_cubes
 
 
@@ -100,7 +100,7 @@ def full_reference(parts: list[np.ndarray], bins: int = 100) -> FullReference:
         raise ValueError(f"bins must be >= 1, got {bins}")
     parts = [np.asarray(p) for p in parts]
     # sorting in the data's own dtype gives the float64 widening's order
-    x = flat_copy(parts, np.result_type(np.float32, *{p.dtype for p in parts}))
+    x = flat_copy(parts)
     x.sort()
     n = x.size
     edges = entropy.bin_edges(x[[0, -1]], bins)  # x is sorted: its ends are its min and max
@@ -173,21 +173,18 @@ COMPARISON_COLUMNS = [
 ]
 
 
-def _score_cell(config: RunConfig, dataset: GridDataset, seeds: list[int],
-                selections: list[tuple[list[HypercubeBlock], float]],
-                references: dict[str, FullReference], cell: tuple[str, int]):
-    """Comparison work unit: the rows of one (method, seed index) sample of
-    that seed's selected cubes, one per variable, and its sample's
-    cluster-variable histogram.  No sample values cross the pipe."""
-    method, i = cell
-    work, phase1_seconds = selections[i]
-    run_cfg = replace(config, method=method, seed=int(seeds[i]))
-    sample = sample_cubes(run_cfg, dataset, work)
+def _score_cell(config: RunConfig, dataset: GridDataset, references: dict[str, FullReference],
+                cell: tuple[str, int, list[tuple[int, np.ndarray]], float]):
+    """Comparison work unit: a cell is a method, a seed, that seed's
+    ``select_cubes`` and its seconds.  Returns the sample's rows, one per
+    variable, and its cluster-variable histogram; no sample values cross the pipe."""
+    method, seed, selection, phase1_seconds = cell
+    sample = sample_cubes(replace(config, method=method, seed=int(seed)), dataset, selection)
     elapsed = phase1_seconds + sample.provenance["phase_seconds"]["phase2"]
     report = score_sample(sample, references)
     rows = [
         {
-            "method": method, "seed": seeds[i], "variable": var,
+            "method": method, "seed": seed, "variable": var,
             "kl_nats": m["kl_full_to_sample"],
             **{c: m[c] for c in ("occupied_bin_fraction", "span_ratio", "tail_capture")},
             "sampling_seconds": elapsed, "points": len(sample),
@@ -231,16 +228,15 @@ def compare_methods(
         for var in role_vars(dataset)
     }
     selections = []
-    for seed_config in seeded:
+    for seed, seed_config in zip(seeds, seeded):
         t0 = time.perf_counter()
-        work = select_cubes(seed_config, dataset)
-        selections.append((work, time.perf_counter() - t0))
-    cells = [(method, i) for method in methods for i in range(len(seeds))]
-    score_cell = partial(_score_cell, config, dataset, seeds, selections, references)
-    by_cell = dict(zip(cells, parallel_map(score_cell, cells, config.workers)))
+        selections.append((seed, select_cubes(seed_config, dataset), time.perf_counter() - t0))
+    cells = [(method, *selected) for method in methods for selected in selections]
+    score_cell = partial(_score_cell, config, dataset, references)
+    by_cell = dict(zip([c[:2] for c in cells], parallel_map(score_cell, cells, config.workers)))
     rows: list[dict] = []
     for method in methods:
-        cell_rows = [row for i in range(len(seeds)) for row in by_cell[method, i][0]]
+        cell_rows = [row for seed in seeds for row in by_cell[method, seed][0]]
         rows += cell_rows
         for var in references:
             var_rows = [r for r in cell_rows if r["variable"] == var]
@@ -249,7 +245,7 @@ def compare_methods(
                     "method": method, "seed": stat, "variable": var,
                     **{c: float(fn([r[c] for r in var_rows])) for c in COMPARISON_COLUMNS[3:]},
                 })
-    histograms = {method: by_cell[method, 0][1] for method in methods}
+    histograms = {method: by_cell[method, seeds[0]][1] for method in methods}
     return rows, references[config.cluster_var].histogram, histograms
 
 

@@ -4,12 +4,14 @@ Phase 1 picks hypercubes, uniformly at random or by entropy: one k-means
 fit on the cluster variable pooled over all cubes, each cube's counts per
 cell (``clustering.cell_counts``), each cube's node strength in the
 pairwise-KL graph in closed form, then a draw of cubes without replacement
-weighted by node strength.  Phase 2 samples points within each selected
-cube with one of: full, random, stratified, lhs, uips, maxent; maxent runs
-the same one-dimensional k-means on the cube's own cluster-variable
-values.  It keeps the k x k KL matrix: ``allocate_counts`` splits by its
-strengths, and where two of them tie exactly, the closed form's last bits
-can break the tie the other way.
+weighted by node strength; it yields each timestep's selected cube
+indices.  Phase 2 samples points within each selected cube with one of:
+full, random, stratified, lhs, uips, maxent; maxent runs the same
+one-dimensional k-means on the cube's own cluster-variable values.  It
+keeps the k x k KL matrix: ``allocate_counts`` splits by its strengths,
+and where two of them tie exactly, the closed form's last bits can break
+the tie the other way.  A Phase 2 work unit builds the blocks of its own
+cubes, so only indices cross a pool.
 
 Every per-cube random stream is seeded from (run seed, time-axis
 position, cube index), so output is bit-identical regardless of worker
@@ -29,8 +31,8 @@ import numpy as np
 
 from . import clustering, entropy
 from .grid import (
-    ConfigError, GridDataset, HypercubeBlock, RunConfig, cube_layers, flat_copy, num_blocks,
-    partition_hypercubes, release_pages, role_vars,
+    ConfigError, GridDataset, HypercubeBlock, RunConfig, block_counts, cube_layers, flat_copy,
+    num_blocks, partition_hypercubes, release_pages, role_vars,
 )
 
 _PHASE1_TAG = 0x51C1E
@@ -143,7 +145,7 @@ def select_cubes_maxent(
     rng = np.random.default_rng(seed)
     # one copy of every cube's values in their own dtype, which the fit sorts in
     # place; the copy and the counts release each z-layer's pages once they read it
-    pooled = flat_copy(parts, np.result_type(np.float32, *{p.dtype for p in parts}))
+    pooled = flat_copy(parts)
     centroids = clustering.kmeans_fit(pooled, num_clusters, seed=int(rng.integers(2**63)),
                                       overwrite_input=True)
     del pooled  # not held while the counts read the cubes again
@@ -345,8 +347,7 @@ def sample_uips(
         raise ValueError("uips supports 1 to 4 feature variables")
     rng = np.random.default_rng(seed)
     feats = [block.flat_values(v) for v in feature_vars]
-    lo = np.array([f.min() for f in feats])
-    hi = np.array([f.max() for f in feats])
+    lo, hi = np.array([(f.min(), f.max()) for f in feats], dtype=np.float64).T  # as widened
     if np.any(hi <= lo):
         degenerate = [v for v, l, h in zip(feature_vars, lo, hi) if h <= l]
         warnings.warn(
@@ -475,17 +476,18 @@ def temporal_select(snapshot_pdfs: np.ndarray, budget: int) -> list[int]:
 # Pipeline
 
 
-def _sample_layer(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock],
-                  layer: slice) -> list[np.ndarray]:
-    """Phase 2 work unit: the rows sampled from each cube of ``work[layer]``, the
-    selected cubes of one (timestep, z-layer).  Every cube is sampled first; then
-    one role field at a time fills its column of every cube's rows, and that
-    field's z-slab of pages goes back before the next field is read."""
-    names, shape = role_vars(dataset), dataset.dims.shape[1:]
+def _sample_layer(config: RunConfig, dataset: GridDataset,
+                  unit: tuple[int, np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Phase 2 work unit: one array of the rows sampled from ``unit``'s cubes,
+    one z-layer's at one timestep, and each cube's row count.  After sampling,
+    each role field (those the sampler read first) fills its column from its
+    z-slab view, which then gives its pages back before the next is read."""
+    ts, cubes = unit
+    blocks = partition_hypercubes(dataset, config.cube_extents, ts, cubes)
     method, n = config.method, config.num_samples
-    pieces, picks = [], []
-    for block in work[layer]:
-        rng = cube_rng(config.seed, block.timestep, block.index)
+    picks = []
+    for block in blocks:
+        rng = cube_rng(config.seed, ts, block.index)
         if method == "full":
             flat_idx = sample_full(block)
         elif method == "random":
@@ -498,21 +500,22 @@ def _sample_layer(config: RunConfig, dataset: GridDataset, work: list[HypercubeB
             flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
         else:  # maxent, the last of RunConfig's VALID_METHODS
             flat_idx = sample_maxent_points(block, config.cluster_var, config.num_clusters, n, rng)
-        local = np.unravel_index(flat_idx, block.extents, order="F")
-        rows = np.empty((flat_idx.size, 7 + len(names)))
-        rows[:, 0] = dataset.timestep_ids[block.timestep]
-        for axis, (idx, origin, size) in enumerate(zip(local, block.origin, shape)):
-            rows[:, 1 + axis] = idx + origin
-            rows[:, 4 + axis] = rows[:, 1 + axis] / max(size - 1, 1)
-        pieces.append(rows)
-        picks.append(local)
-    k0, sz = block.origin[2], block.extents[2]
-    for col, var in enumerate(names):
-        # gathered from each cube's view in the field's dtype; the rows widen it
-        for block, rows, local in zip(work[layer], pieces, picks):
-            rows[:, 7 + col] = block.values[var][local]
-        release_pages(dataset.fields[var, block.timestep][:, :, k0:k0 + sz])
-    return pieces
+        picks.append(flat_idx)
+    sizes = [flat_idx.size for flat_idx in picks]
+    local = np.unravel_index(np.concatenate(picks), config.cube_extents, order="F")
+    ijk = np.stack(local, axis=1) + np.repeat([b.origin for b in blocks], sizes, axis=0)
+    names = role_vars(dataset)
+    rows = np.empty((len(ijk), 7 + len(names)))
+    rows[:, 0] = dataset.timestep_ids[ts]
+    rows[:, 1:4] = ijk
+    rows[:, 4:7] = ijk / np.maximum(np.array(dataset.dims.shape[1:]) - 1, 1)
+    read = {"maxent": [config.cluster_var], "uips": list(config.input_vars)}.get(method, [])
+    k0, sz = blocks[0].origin[2], config.cube_extents[2]
+    for var in dict.fromkeys([*read, *names]):
+        slab = dataset.fields[var, ts][:, :, k0:k0 + sz]
+        rows[:, 7 + names.index(var)] = slab[ijk[:, 0], ijk[:, 1], local[2]]  # widens to float64
+        release_pages(slab)
+    return rows, sizes
 
 
 def config_digest(config: RunConfig) -> str:
@@ -539,11 +542,11 @@ def check_run(config: RunConfig, dataset: GridDataset, methods: list[str],
             raise ConfigError(f"{key} {var!r} is not a role variable of the dataset {names}")
 
 
-def select_cubes(config: RunConfig, dataset: GridDataset) -> list[HypercubeBlock]:
-    """Phase 1: the blocks of the cubes selected at each timestep in use, in
-    (timestep, cube index) order.  The draw depends on ``config.seed``, not on the method."""
+def select_cubes(config: RunConfig, dataset: GridDataset) -> list[tuple[int, np.ndarray]]:
+    """Phase 1: for each timestep position in use, the sorted int64 indices of
+    its selected cubes.  The draw depends on ``config.seed``, not on the method."""
     m, extents = config.num_hypercubes, config.cube_extents
-    work: list[HypercubeBlock] = []
+    selection = []
     for ts in dataset.positions(config.timesteps):
         phase1_rng = cube_rng(config.seed, ts, _PHASE1_TAG)
         if config.hypercubes == "maxent":
@@ -552,31 +555,28 @@ def select_cubes(config: RunConfig, dataset: GridDataset) -> list[HypercubeBlock
         else:
             selected = select_hypercubes_random(range(num_blocks(dataset.dims, extents)), m,
                                                 phase1_rng)
-        work.extend(partition_hypercubes(dataset, extents, ts, np.sort(selected)))
-    return work
+        selection.append((ts, np.sort(selected)))
+    return selection
 
 
-def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBlock]) -> SampleSet:
-    """Phase 2: a pool of ``config.workers`` samples every selected cube with
-    ``config.method``, one unit per (timestep, z-layer), a run of ``work``.
-    Output is invariant to worker count and unit order; the merge is an
-    ordered concatenation by (timestep, cube index)."""
+def sample_cubes(config: RunConfig, dataset: GridDataset,
+                 selection: list[tuple[int, np.ndarray]]) -> SampleSet:
+    """Phase 2: a pool of ``config.workers`` samples every cube of ``selection``
+    (``select_cubes``'s) with ``config.method``, one unit per (timestep,
+    z-layer) of selected cubes.  Output is invariant to worker count and unit
+    order; the merge is an ordered concatenation by (timestep, cube index)."""
     from .bench import parallel_map
 
     t0 = time.perf_counter()
-    keys = [(b.timestep, b.origin[2]) for b in work]
-    starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
-    # a unit's item is a slice of work: a pool pickles items, and a pickled view copies
-    layers = list(map(slice, starts, starts[1:] + [len(work)]))
-    sample_layer = partial(_sample_layer, config, dataset, work)
-    pieces = [rows for unit in parallel_map(sample_layer, layers, config.workers) for rows in unit]
+    bx, by, _ = block_counts(dataset.dims, config.cube_extents)
+    units = [(ts, layer) for ts, cubes in selection
+             for layer in np.split(cubes, np.flatnonzero(np.diff(cubes // (bx * by))) + 1)]
+    rows, sizes = zip(*parallel_map(partial(_sample_layer, config, dataset), units, config.workers))
     phase2_seconds = time.perf_counter() - t0
 
-    sizes = [rows.shape[0] for rows in pieces]
-    cube_ranges = [
-        [dataset.timestep_ids[b.timestep], b.index, int(end - size), int(end)]
-        for b, size, end in zip(work, sizes, np.cumsum(sizes))
-    ]
+    ends = np.cumsum([size for unit in sizes for size in unit]).tolist()
+    cubes = [(dataset.timestep_ids[ts], int(c)) for ts, layer in units for c in layer]
+    cube_ranges = [[t, c, start, end] for (t, c), start, end in zip(cubes, [0, *ends], ends)]
     columns = ["t", "i", "j", "k", "x", "y", "z", *role_vars(dataset)]
     provenance = {
         "method": config.method,
@@ -591,7 +591,7 @@ def sample_cubes(config: RunConfig, dataset: GridDataset, work: list[HypercubeBl
         "phase_seconds": {"phase2": phase2_seconds},
         "workers": config.workers,
     }
-    return SampleSet(columns=columns, data=np.concatenate(pieces), provenance=provenance)
+    return SampleSet(columns=columns, data=np.concatenate(rows), provenance=provenance)
 
 
 def run_pipeline(
@@ -603,8 +603,8 @@ def run_pipeline(
         config = replace(config, workers=workers)
     check_run(config, dataset, [config.method])
     t0 = time.perf_counter()
-    work = select_cubes(config, dataset)
+    selection = select_cubes(config, dataset)
     phase1 = time.perf_counter() - t0
-    sample = sample_cubes(config, dataset, work)
+    sample = sample_cubes(config, dataset, selection)
     sample.provenance["phase_seconds"] = {"phase1": phase1, **sample.provenance["phase_seconds"]}
     return sample

@@ -78,6 +78,18 @@ def test_each_reader_releases_the_pages_it_read():
     assert sorted(sites) == ["grid._check_finite", "grid.flat_copy", "samplers._sample_layer"]
 
 
+def test_every_parallel_map_call_passes_three_positional_arguments():
+    # the traced benchmark counts a pool's items by unpacking a call's
+    # arguments as (fn, items, workers), so a keyword would fail every op
+    calls = {f"{path.name}:{node.lineno}": node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "parallel_map" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert len(calls) >= 2  # Phase 2's units and compare's cells
+    assert [site for site, call in calls.items() if len(call.args) != 3 or call.keywords
+            or any(isinstance(a, ast.Starred) for a in call.args)] == []
+
+
 def traced_names() -> list[str]:
     """"module.attribute" of each entry of perfbench/spans.py's TRACED,
     read from its source without importing the benchmark."""

@@ -345,8 +345,8 @@ class TestLoadDataset:
             assert field.strides == np.asfortranarray(snaps[t]).strides  # x-fastest, as on disk
         block = extract_block(ds, (1, 0, 0), (2, 3, 2), steps - 1)
         flat = block.flat_values("u")
-        assert flat.dtype == np.float64
-        np.testing.assert_array_equal(flat, snaps[-1][1:3].astype(np.float64).ravel(order="F"))
+        assert flat.dtype == np.float32  # the samplers read float32 data unwidened
+        np.testing.assert_array_equal(flat, snaps[-1][1:3].ravel(order="F"))
 
     def test_loads_are_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -513,8 +513,8 @@ class TestCubeLayers:
             assert np.array_equal(cube, view)
         # no layer is a copy
         assert all(np.shares_memory(v, raw) for v in layers)
-        pooled = grid.flat_copy(views, np.float64)
-        assert grid.flat_copy(layers, np.float64).tobytes() == pooled.tobytes()
+        pooled = grid.flat_copy(views)
+        assert grid.flat_copy(layers).tobytes() == pooled.tobytes()
         centroids = clustering.kmeans_fit(pooled, 3, seed=0)
         assert np.array_equal(clustering.cell_counts(centroids, layers),
                               clustering.cell_counts(centroids, views))

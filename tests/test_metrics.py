@@ -392,8 +392,7 @@ class TestCompareMethods:
             nxsl=16, nysl=16, nzsl=16, num_hypercubes=4, num_samples=4096, seed=0,
         )
         references = {"u": full_reference([ds.fields["u", 0]])}
-        selections = [(select_cubes(cfg, ds), 0.0)]
-        result = _score_cell(cfg, ds, [0], selections, references, ("random", 0))
+        result = _score_cell(cfg, ds, references, ("random", 0, select_cubes(cfg, ds), 0.0))
         assert result[0][0]["points"] >= 10_000
         assert len(pickle.dumps(result)) < 16 * 1024
 

@@ -1,3 +1,4 @@
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -181,7 +182,7 @@ class TestHypercubeSelection:
 
         monkeypatch.setattr(entropy, "adjacency_matrix", forbidden)
         monkeypatch.setattr(clustering, "assign", forbidden)
-        assert [(b.timestep, b.index) for b in select_cubes(config, ds)] == expected
+        assert [(ts, c) for ts, cubes in select_cubes(config, ds) for c in cubes] == expected
 
     def test_maxent_memory_does_not_grow_with_cube_pairs(self):
         # 2048 cubes of 2^3 points: the n x n matrix alone would be 32 MiB
@@ -369,6 +370,30 @@ class TestLhs:
     def test_oversample_rejected(self):
         with pytest.raises(ValueError, match="cannot sample"):
             sample_lhs(make_block(2), 9, seed=0)
+
+
+class TestFloat32Blocks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sample_as_their_widened_values(self, seed):
+        # flat_values keeps float32 data in float32; the samplers that read it
+        # pick the points they pick on the float64 widening
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(size=(12, 10, 8)).astype(np.float32)
+        values.ravel()[::7] = values.ravel()[0]  # ties at one value
+
+        def block(dtype):
+            ds = GridDataset(dims=GridDims(12, 10, 8), fields={("u", 0): values.astype(dtype)},
+                             input_vars=["u"], output_vars=["u"], cluster_var="u")
+            return extract_block(ds, (0, 0, 0), (12, 10, 8), 0)
+
+        narrow, wide = block(np.float32), block(np.float64)
+        assert narrow.flat_values("u").dtype == np.float32
+        assert wide.flat_values("u").dtype == np.float64
+        for n in (10, 300):
+            np.testing.assert_array_equal(sample_uips(narrow, n, 10, ["u"], seed),
+                                          sample_uips(wide, n, 10, ["u"], seed))
+            np.testing.assert_array_equal(sample_maxent_points(narrow, "u", 5, n, seed),
+                                          sample_maxent_points(wide, "u", 5, n, seed))
 
 
 class TestSampleUips:
@@ -932,11 +957,11 @@ class TestReleaseAsRead:
         _, ds = self._load(tmp_path, (64, 64, 64))
         field = ds.fields["u", 0]
         layers = grid.cube_layers(field, (16, 16, 16))
-        pooled = grid.flat_copy(layers, np.float64)
+        pooled = grid.flat_copy(layers)
         assert mapped_rss_kib(tmp_path) == 0
         on_disk = np.fromfile(tmp_path / "u_0.bin").reshape(field.shape, order="F")
         views = grid.cube_layers(on_disk, (16, 16, 16))
-        np.testing.assert_array_equal(pooled, grid.flat_copy(views, np.float64))
+        np.testing.assert_array_equal(pooled, grid.flat_copy(views))
         np.testing.assert_array_equal(field, on_disk)
         assert mapped_rss_kib(tmp_path) > 0  # the count sees pages a read maps
 
@@ -958,7 +983,8 @@ class TestReleaseAsRead:
         config, ds = self._load(tmp_path, shape, hypercubes="maxent", num_hypercubes=2,
                                 num_clusters=4, nxsl=16, nysl=16, nzsl=16)
         readings = self._record_releases(monkeypatch, tmp_path)
-        assert len(select_cubes(config, ds)) == 2
+        ((ts, cubes),) = select_cubes(config, ds)
+        assert len(cubes) == 2
         layers = shape[2] // extents[2]
         layer_kib = np.prod(shape) * 8 // layers // 1024
         assert max(readings) <= layer_kib + 2 * FOLIO_KIB, readings
@@ -979,38 +1005,52 @@ class TestReleaseAsRead:
                            method="maxent", num_hypercubes=12, num_samples=50, num_clusters=4,
                            nxsl=16, nysl=16, nzsl=16)
         ds = load_dataset(config)
-        work = select_cubes(config, ds)
-        layers = {(b.timestep, b.origin[2]) for b in work}
-        assert {t for t, _ in layers} == {0, 1} and len(layers) < len(work)
+        selection = select_cubes(config, ds)
+        layers = {(t, c // 64) for t, cubes in selection for c in cubes}  # 8 x 8 cubes a layer
+        assert {t for t, _ in layers} == {0, 1}
+        assert len(layers) < sum(len(cubes) for _, cubes in selection)
         readings = self._record_releases(monkeypatch, tmp_path)
-        assert len(samplers.sample_cubes(config, ds, work)) == 24 * 50
+        assert len(samplers.sample_cubes(config, ds, selection)) == 24 * 50
         assert len(readings) == 2 * len(layers)  # one per role field and layer
         slab_kib = np.prod(shape) * 8 // 4 // 1024
         assert max(readings) <= 2 * slab_kib + 2 * FOLIO_KIB, readings
         assert mapped_rss_kib(tmp_path) == 0
 
     def test_phase2_holds_one_gathered_slab(self, tmp_path, monkeypatch):
-        # four role fields of 8 MiB, 4 z-layers of 16^3 cubes; random points
+        # four role fields of 8 MiB, 4 z-layers of 16^3 cubes.  Random points
         # read no field, so only the gather maps pages.  The unit once gathered
         # every field's column of a cube before the next cube, and held all
-        # four fields' slabs until its releases.
+        # four fields' slabs until its releases.  Maxent points read the
+        # cluster variable, listed last here; the unit once gathered it last,
+        # and held its pages beside each other field's slab (4096 KiB).
         shape, names = (128, 128, 64), ("u", "v", "w", "p")
         rng = np.random.default_rng(0)
         for var in names:
             rng.normal(size=shape).tofile(tmp_path / f"{var}_0.bin")
-        config = RunConfig(path=str(tmp_path), nx=shape[0], ny=shape[1], nz=shape[2],
-                           input_vars=["u", "v", "w"], output_vars=["p"], cluster_var="u",
-                           method="random", num_hypercubes=12, num_samples=50,
-                           nxsl=16, nysl=16, nzsl=16)
-        ds = load_dataset(config)
-        work = select_cubes(config, ds)
-        layers = {b.origin[2] for b in work}
-        readings = self._record_releases(monkeypatch, tmp_path)
-        assert len(samplers.sample_cubes(config, ds, work)) == 12 * 50
-        assert len(readings) == len(names) * len(layers)
-        slab_kib = np.prod(shape) * 8 // 4 // 1024
-        assert max(readings) <= slab_kib + 2 * FOLIO_KIB, readings
-        assert mapped_rss_kib(tmp_path) == 0
+        readings, released = self._record_releases(monkeypatch, tmp_path), []
+        recording = samplers.release_pages
+
+        def naming(view):  # the field whose slab the view is
+            released.append(next(v for v in names if np.may_share_memory(view, ds.fields[v, 0])))
+            recording(view)
+
+        monkeypatch.setattr(samplers, "release_pages", naming)
+        for method, cluster_var, order in (("random", "u", names), ("maxent", "p", "puvw")):
+            config = RunConfig(path=str(tmp_path), nx=shape[0], ny=shape[1], nz=shape[2],
+                               input_vars=["u", "v", "w"], output_vars=["p"],
+                               cluster_var=cluster_var, method=method, num_hypercubes=12,
+                               num_samples=50, num_clusters=4, nxsl=16, nysl=16, nzsl=16)
+            ds = load_dataset(config)
+            selection = select_cubes(config, ds)
+            layers = {c // 64 for _, cubes in selection for c in cubes}  # 8 x 8 cubes a layer
+            readings.clear()
+            released.clear()
+            assert len(samplers.sample_cubes(config, ds, selection)) == 12 * 50
+            assert len(readings) == len(names) * len(layers)
+            assert released == [*order] * len(layers)  # the fields the sampler read go first
+            slab_kib = np.prod(shape) * 8 // 4 // 1024
+            assert max(readings) <= slab_kib + 2 * FOLIO_KIB, (method, readings)
+            assert mapped_rss_kib(tmp_path) == 0
 
 
 class TestRunPipeline:
@@ -1132,6 +1172,48 @@ class TestRunPipeline:
         monkeypatch.setattr(bench, "parallel_map", counting_map)
         assert len(run_pipeline(cfg, ds)) == 2048 * 51
         assert calls == [(16, 8)]
+
+    @pytest.mark.parametrize("hypercubes", ["random", "maxent"])
+    def test_no_view_crosses_a_stage(self, monkeypatch, hypercubes):
+        # a pool pickles each item, and a pickled view copies its values: Phase 1
+        # hands Phase 2 cube indices, and each unit builds its own blocks
+        ds = make_dataset(16, 16, 16, nt=2)
+        cfg = base_config(nx=16, ny=16, nz=16, hypercubes=hypercubes, num_hypercubes=12,
+                          num_clusters=4)
+        selection = select_cubes(cfg, ds)
+        assert [ts for ts, _ in selection] == [0, 1]
+        for ts, cubes in selection:
+            assert type(ts) is int and cubes.dtype == np.int64 and cubes.shape == (12,)
+            assert np.all(np.diff(cubes) > 0)
+
+        items = []
+        real_map = bench.parallel_map
+
+        def recording_map(fn, units, workers):
+            items.extend(units)
+            return real_map(fn, units, workers)
+
+        monkeypatch.setattr(bench, "parallel_map", recording_map)
+        monkeypatch.setattr(metrics, "parallel_map", recording_map)
+        run_pipeline(cfg, ds)
+        compare_methods(cfg, ds, ["random", "maxent"], [0, 1])  # cells, then their units
+
+        def leaves(item):
+            if isinstance(item, (tuple, list)):
+                return [leaf for part in item for leaf in leaves(part)]
+            return [item]
+
+        kinds = {type(item[0]) for item in items}
+        assert kinds == {int, str}  # (timestep, cubes) units and (method, ...) cells
+        fields = list(ds.fields.values())
+        for item in items:
+            arrays = [leaf for leaf in leaves(item) if isinstance(leaf, np.ndarray)]
+            assert all(isinstance(leaf, (int, float, str, np.ndarray)) for leaf in leaves(item))
+            assert arrays and all(a.dtype == np.int64 for a in arrays)
+            assert not any(np.shares_memory(a, f) for a in arrays for f in fields)
+            # O(cubes) bytes; the 4^3 float64 values of one cube alone are 512 B
+            cubes = sum(a.size for a in arrays)
+            assert len(pickle.dumps(item)) <= 256 * (len(arrays) + 1) + 8 * cubes
 
     def test_cube_ranges_partition_rows(self):
         cfg = base_config(num_samples=6, num_hypercubes=3)
