@@ -3,7 +3,9 @@
 A dataset is a set of named scalar fields on a regular 3D (+time) grid.
 2D cases are stored with a degenerate z axis (nz = 1).  Raw binary files
 are headerless little-endian IEEE-754 reals in x-fastest (column-major)
-order, one file per variable per timestep, named ``<var>_<timestep>.bin``.
+order, one file per variable per timestep, named ``<var>_<timestep>.bin``;
+a csv file holds one 2D snapshot.  Each format has a reader that only
+reads, and ``load_dataset`` strides, scans and builds the dataset of either.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ class GridDims:
 class GridDataset:
     """Named scalar fields with variable roles: ``fields[var, t]`` is the
     (nx, ny, nz) array of ``var`` at time-axis position t.  ``timestep_ids``
-    are the file timesteps of those positions, by default 0..nt-1."""
+    are the distinct file timesteps of those positions, by default 0..nt-1."""
 
     dims: GridDims
     fields: dict[tuple[str, int], np.ndarray]
@@ -74,6 +76,7 @@ class GridDataset:
     def __post_init__(self):
         ids = range(self.dims.nt) if self.timestep_ids is None else self.timestep_ids
         self.timestep_ids = [int(t) for t in ids]
+        check_distinct("timestep_ids", self.timestep_ids)
         if len(ids) != self.dims.nt:
             raise ValueError(f"{len(ids)} timestep ids for {self.dims.nt} timesteps")
         for name in role_vars(self):
@@ -99,11 +102,10 @@ class GridDataset:
 @dataclass
 class HypercubeBlock:
     """An axis-aligned sub-block of the grid at one time-axis position;
-    ``values[var]`` is a view into the dataset's ``fields[var, timestep]``."""
+    ``values[var]`` is a view into the dataset's field of ``var`` there."""
 
     origin: tuple[int, int, int]
     extents: tuple[int, int, int]
-    timestep: int
     values: dict[str, np.ndarray]
     index: int = 0  # position in the partition ordering
 
@@ -472,12 +474,8 @@ def emit_config(config: RunConfig) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
-def _element_dtype(precision: int) -> np.dtype:
-    return np.dtype("<f8" if precision == 8 else "<f4")
-
-
 def _read_raw_field(path: Path, nx: int, ny: int, nz: int, precision: int) -> np.ndarray:
-    dtype = _element_dtype(precision)
+    dtype = np.dtype(f"<f{precision}")
     expected = nx * ny * nz * dtype.itemsize
     if not path.exists():
         raise IngestionError(f"dataset file not found: {path}")
@@ -489,6 +487,30 @@ def _read_raw_field(path: Path, nx: int, ny: int, nz: int, precision: int) -> np
         )
     # mapped read-only in the file's dtype: a kernel widens what it computes on
     return np.memmap(path, dtype, mode="r", shape=(nx, ny, nz), order="F").view(np.ndarray)
+
+
+def _read_csv_fields(config: RunConfig, path: Path, names: list[str]) -> dict:
+    """``{(var, 0): (nx, ny, 1) column}`` from a csv file of one 2-D snapshot:
+    a header row of variable names, then one row per grid point in x-fastest order."""
+    if not path.exists():
+        raise IngestionError(f"dataset file not found: {path}")
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+    if data.shape[0] != config.nx * config.ny:
+        raise IngestionError(
+            f"{path}: row count mismatch, expected {config.nx * config.ny} "
+            f"({config.nx}x{config.ny}), got {data.shape[0]}"
+        )
+    fields = {}
+    for var in names:
+        if var not in header:
+            raise IngestionError(f"column {var!r} missing from {path}")
+        fields[var, 0] = data[:, header.index(var)].reshape((config.nx, config.ny, 1), order="F")
+    return fields
 
 
 # points per slab of the finite scan, which bounds its bool temporary
@@ -530,79 +552,38 @@ def _discover_timesteps(path: Path, var: str) -> list[int]:
 def load_dataset(config: RunConfig) -> GridDataset:
     """Load all role variables from disk, applying per-axis skip strides.
 
-    Each (variable, timestep) file is mapped once and becomes one field:
-    a read-only mapping of the file in its on-disk dtype, so loading
-    copies no values.  The field is scanned for NaN or Inf at the strided
-    points, and the scan releases each slab's pages once it has read
-    them, so the loaded field holds none.  Two loads of the same files
+    One path serves both formats.  A reader gives the timesteps and one
+    field per (variable, timestep): a raw file's read-only mapping in its
+    on-disk dtype, so loading copies no values, or a csv file's column.
+    Every file is read before any scan, so a missing or short file is
+    reported before a non-finite value.  Each field is then strided and
+    scanned for NaN or Inf at the strided points; the scan releases each
+    slab's pages once it has read them, so a loaded field holds none.
+    The dims are ``config.strided_dims()``.  Two loads of the same files
     yield bit-identical arrays.
     """
     if not config.cluster_var:
         raise ConfigError("missing required key: cluster_var")
     names = role_vars(config)
     path = Path(config.path)
-
     if config.dtype == "csv":
-        return _load_csv_dataset(config, path, names)
-
-    if not path.is_dir():
-        raise IngestionError(f"dataset path is not a directory: {path}")
-    if config.timesteps == "all":
-        steps = _discover_timesteps(path, names[0])
+        steps, fields = [0], _read_csv_fields(config, path, names)
     else:
-        steps = [int(t) for t in config.timesteps]
-
-    fields: dict[tuple[str, int], np.ndarray] = {}
-    for var in names:
-        for t, ts in enumerate(steps):
-            field = _read_raw_field(path / f"{var}_{ts}.bin", config.nx, config.ny, config.nz,
-                                    config.precision)
-            fields[var, t] = field[::config.nxskip, ::config.nyskip, ::config.nzskip]
-            _check_finite(var, t, fields[var, t])
-
-    nx, ny, nz = fields[names[0], 0].shape
+        if not path.is_dir():
+            raise IngestionError(f"dataset path is not a directory: {path}")
+        steps = (_discover_timesteps(path, names[0]) if config.timesteps == "all"
+                 else [int(t) for t in config.timesteps])
+        fields = {(var, t): _read_raw_field(path / f"{var}_{ts}.bin", config.nx, config.ny,
+                                            config.nz, config.precision)
+                  for var in names for t, ts in enumerate(steps)}
+    fields = {key: f[::config.nxskip, ::config.nyskip, ::config.nzskip]
+              for key, f in fields.items()}
+    for (var, t), f in fields.items():
+        _check_finite(var, t, f)
     return GridDataset(
-        dims=GridDims(nx=nx, ny=ny, nz=nz, nt=len(steps), dims=config.dims),
-        fields=fields,
-        input_vars=list(config.input_vars),
-        output_vars=list(config.output_vars),
-        cluster_var=config.cluster_var,
-        timestep_ids=steps,
-    )
-
-
-def _load_csv_dataset(config: RunConfig, path: Path, role_vars: list[str]) -> GridDataset:
-    # Header row of variable names, one row per grid point in x-fastest order.
-    if not path.exists():
-        raise IngestionError(f"dataset file not found: {path}")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from None
-    n_expected = config.nx * config.ny
-    if data.shape[0] != n_expected:
-        raise IngestionError(
-            f"{path}: row count mismatch, expected {n_expected} ({config.nx}x{config.ny}), "
-            f"got {data.shape[0]}"
-        )
-    fields = {}
-    for var in role_vars:
-        if var not in header:
-            raise IngestionError(f"column {var!r} missing from {path}")
-        col = data[:, header.index(var)]
-        arr = col.reshape((config.nx, config.ny, 1), order="F")
-        fields[var, 0] = arr[:: config.nxskip, :: config.nyskip, :]
-    for (var, t), arr in fields.items():
-        _check_finite(var, t, arr)
-    nx, ny, _ = fields[role_vars[0], 0].shape
-    return GridDataset(
-        dims=GridDims(nx=nx, ny=ny, nz=1, nt=1, dims=2),
-        fields=fields,
-        input_vars=list(config.input_vars),
-        output_vars=list(config.output_vars),
-        cluster_var=config.cluster_var,
+        dims=replace(config.strided_dims(), nt=len(steps)), fields=fields,
+        input_vars=list(config.input_vars), output_vars=list(config.output_vars),
+        cluster_var=config.cluster_var, timestep_ids=steps,
     )
 
 
@@ -646,10 +627,7 @@ def extract_block(
         var: dataset.fields[var, timestep][i0:i0 + sx, j0:j0 + sy, k0:k0 + sz]
         for var in role_vars(dataset)
     }
-    return HypercubeBlock(
-        origin=(i0, j0, k0), extents=(sx, sy, sz), timestep=timestep,
-        values=values, index=index,
-    )
+    return HypercubeBlock(origin=(i0, j0, k0), extents=(sx, sy, sz), values=values, index=index)
 
 
 def cube_layers(field: np.ndarray, extents: tuple[int, int, int]) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import clustering, entropy
 from .bench import parallel_map
-from .grid import GridDataset, RunConfig, check_distinct, flat_copy, role_vars
+from .grid import GridDataset, RunConfig, check_distinct, check_seed, flat_copy, role_vars
 from .samplers import SampleSet, check_run, sample_cubes, select_cubes
 
 
@@ -200,10 +200,11 @@ def compare_methods(
     """Run every (method, seed) cell and tabulate coverage metrics.
 
     A repeated method or seed, or a seed the config's seed rule rejects,
-    is a ConfigError raised before any work.  Phase 1 runs here, once per
-    seed.  The cells share one pool of at most ``config.workers``
-    processes, and each samples its seed's cubes in one worker; a lone
-    cell runs in this process and keeps the cube pool.  A cell's
+    is a ConfigError raised before any work; rows carry each seed as a
+    config settles it.  Phase 1 runs here, once per seed.  The cells
+    share one pool of at most ``config.workers`` processes, and each
+    samples its seed's cubes in one worker; a lone cell runs in this
+    process and keeps the cube pool.  A cell's
     ``sampling_seconds`` adds its seed's Phase 1 time to its own.
 
     Returns three things.  The rows: one per (method, seed, variable)
@@ -217,8 +218,11 @@ def compare_methods(
     if not seeds:
         raise ValueError("need at least one seed")
     check_distinct("methods", methods)
+    for seed in seeds:
+        check_seed("seeds", seed)
+    seeded = [replace(config, seed=seed) for seed in seeds]
+    seeds = [c.seed for c in seeded]  # settled: 'unseeded' becomes the seed it drew
     check_distinct("seeds", seeds)
-    seeded = [replace(config, seed=int(seed)) for seed in seeds]  # each seed checked here
     check_run(config, dataset, methods, cluster=True)  # its histograms are cluster_var's
     positions = dataset.positions(config.timesteps)
     # every cell is scored against the same full data, so its side is built

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridDataset, GridDims, RunConfig, emit_config, role_vars
+from .grid import GridDataset, GridDims, RunConfig, emit_config, is_int, is_number, role_vars
 
 BIMODAL_DEFAULTS = {"means": (-5.0, 5.0), "sigmas": (0.5, 0.5), "weights": (0.5, 0.5)}
 # each generator kind and the params it takes
@@ -23,6 +23,33 @@ GENERATOR_PARAMS = {
     "gaussian_field": ("mean", "sigma"),
 }
 GENERATOR_KINDS = tuple(GENERATOR_PARAMS)
+
+
+def check_params(kind: str, params: dict) -> None:
+    """Each param is one the generator ``kind`` takes: n_vortices an integer
+    >= 0, bimodal_field's means, sigmas and weights lists of numbers of one
+    length (its defaults' where absent), any other a number.  An error is
+    a ValueError that names params.<name>."""
+    valid = GENERATOR_PARAMS[kind]
+    for name, value in params.items():
+        if name not in valid:
+            raise ValueError(f"params.{name} is not a param of kind {kind}; "
+                             f"valid: {', '.join(valid)}")
+        if name in BIMODAL_DEFAULTS:
+            ok = isinstance(value, (list, tuple)) and all(map(is_number, value))
+            what = "a list of numbers"
+        elif name == "n_vortices":
+            ok, what = is_int(value) and value >= 0, "an integer >= 0"
+        else:
+            ok, what = is_number(value), "a number"
+        if not ok:
+            raise ValueError(f"params.{name} must be {what}, got {value!r}")
+    if kind == "bimodal_field":
+        # the lists given come first, so the error opens with one of them
+        lists = {**params, **{k: v for k, v in BIMODAL_DEFAULTS.items() if k not in params}}
+        if len({len(v) for v in lists.values()}) > 1:
+            raise ValueError(f"{', '.join(f'params.{k}' for k in lists)} must be of one "
+                             f"length, got {[len(v) for v in lists.values()]}")
 
 
 def gen_taylor_green(dims: GridDims | tuple[int, int, int], t: float = 0.0,
@@ -71,6 +98,8 @@ def gen_cylinder_wake(
     jitter on the transverse offsets.
     """
     if not isinstance(dims, GridDims):
+        if len(dims) > 2 and dims[2] != 1:
+            raise ValueError(f"nz must be 1 for kind cylinder_wake, got {dims[2]!r}")
         dims = GridDims(nx=dims[0], ny=dims[1], nz=1, nt=1, dims=2)
     if dims.dims != 2:
         raise ValueError("cylinder_wake requires a 2D grid")
@@ -119,9 +148,12 @@ def gen_scalar_field(
     (means, sigmas, weights).  The single field "s" serves as input,
     output, and cluster variable.
     """
+    if kind not in ("gaussian", "lognormal", "bimodal"):
+        raise ValueError(f"unknown scalar field kind {kind!r}")
+    params = dict(params or {})
+    check_params(f"{kind}_field", params)
     if not isinstance(dims, GridDims):
         dims = GridDims(nx=dims[0], ny=dims[1], nz=dims[2], nt=1, dims=3)
-    params = dict(params or {})
     rng = np.random.default_rng(seed)
     shape = dims.shape
     if kind == "gaussian":
@@ -134,7 +166,7 @@ def gen_scalar_field(
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         s = rng.lognormal(float(params.get("mu", 0.0)), sigma, size=shape)
-    elif kind == "bimodal":
+    else:
         means, sigmas, weights = (params.get(k, v) for k, v in BIMODAL_DEFAULTS.items())
         weights = np.asarray(weights, dtype=np.float64)
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
@@ -146,8 +178,6 @@ def gen_scalar_field(
         for c, (mu, sg) in enumerate(zip(means, sigmas)):
             mask = component == c
             s[mask] = rng.normal(mu, sg, size=int(mask.sum()))
-    else:
-        raise ValueError(f"unknown scalar field kind {kind!r}")
     return GridDataset(
         dims=dims, fields={("s", t): s[t] for t in range(dims.nt)},
         input_vars=["s"], output_vars=["s"], cluster_var="s",
@@ -156,14 +186,16 @@ def gen_scalar_field(
 
 def generate(kind: str, dims, seed: int = 0, t: float = 0.0,
              params: dict | None = None) -> GridDataset:
-    """Dispatch on generator kind."""
+    """Dispatch on generator kind, once ``check_params`` passes its params."""
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}; valid: {', '.join(GENERATOR_KINDS)}")
+    params = params or {}
+    check_params(kind, params)
     if kind == "taylor_green":
-        return gen_taylor_green(dims, t=t, **(params or {}))
+        return gen_taylor_green(dims, t=t, **params)
     if kind == "cylinder_wake":
-        return gen_cylinder_wake(dims, seed=seed, t=t, **(params or {}))
-    if kind in ("lognormal_field", "bimodal_field", "gaussian_field"):
-        return gen_scalar_field(kind.removesuffix("_field"), dims, params, seed)
-    raise ValueError(f"unknown generator kind {kind!r}; valid: {', '.join(GENERATOR_KINDS)}")
+        return gen_cylinder_wake(dims, seed=seed, t=t, **params)
+    return gen_scalar_field(kind.removesuffix("_field"), dims, params, seed)
 
 
 def save_dataset(dataset: GridDataset, path) -> list[Path]:

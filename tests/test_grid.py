@@ -422,6 +422,28 @@ class TestLoadDataset:
         assert ds.dims.nz == 1 and ds.dims.dims == 2
         assert ds.fields["u", 0][2, 1, 0] == 12.0
 
+    @pytest.mark.parametrize("skip", [1, 2])
+    def test_csv_and_raw_load_to_the_same_dataset(self, tmp_path, skip):
+        nx, ny = 5, 4
+        rng = np.random.default_rng(0)
+        snap = {var: rng.normal(size=(nx, ny, 1)) for var in ("u", "v")}
+        for var, arr in snap.items():
+            self._write_raw(tmp_path / f"{var}_0.bin", arr)
+        columns = zip(*(arr.reshape(-1, order="F").tolist() for arr in snap.values()))
+        (tmp_path / "pts.csv").write_text(
+            "u,v\n" + "".join(f"{u!r},{v!r}\n" for u, v in columns))
+        shared = dict(dims=2, nx=nx, ny=ny, nxskip=skip, nyskip=skip, input_vars=["u", "v"],
+                      output_vars=["v"], cluster_var="u", nxsl=1, nysl=1, nzsl=1)
+        raw = load_dataset(RunConfig(dtype="sst-binary", path=str(tmp_path), **shared))
+        csv = load_dataset(RunConfig(dtype="csv", path=str(tmp_path / "pts.csv"), **shared))
+        assert csv.dims == raw.dims == GridDims(nx=len(range(0, nx, skip)),
+                                                ny=len(range(0, ny, skip)), dims=2)
+        assert csv.timestep_ids == raw.timestep_ids == [0]
+        assert grid.role_vars(csv) == grid.role_vars(raw) and csv.cluster_var == "u"
+        assert csv.fields.keys() == raw.fields.keys()
+        for key, field in raw.fields.items():
+            np.testing.assert_array_equal(csv.fields[key], field)
+
     def test_csv_nan_rejected_with_index(self, tmp_path):
         (tmp_path / "pts.csv").write_text("x,y,u\n0,0,1\n1,0,2\n0,1,3\n1,1,nan\n")
         cfg = RunConfig(
@@ -543,6 +565,11 @@ class TestTimestepPositions:
     def test_unknown_id_is_named(self):
         with pytest.raises(ConfigError, match=r"timestep 3 not in the dataset \[4, 9, 11\]"):
             self._dataset([4, 9, 11]).positions([9, 3])
+
+    def test_ids_must_not_repeat(self):
+        # [4, 4, 9] was accepted: position 1 had no id of its own, and its rows read t = 4
+        with pytest.raises(ConfigError, match=r"timestep_ids must not repeat, got \[4, 4, 9\]"):
+            self._dataset([4, 4, 9])
 
     def test_id_count_must_match_nt(self):
         with pytest.raises(ValueError, match="2 timestep ids for 3 timesteps"):

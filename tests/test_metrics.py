@@ -384,6 +384,14 @@ class TestCompareMethods:
         ]
         assert mean_row["kl_nats"] == pytest.approx(np.mean(cell_kls))
 
+    def test_rows_carry_the_seed_each_cell_ran(self):
+        # 'unseeded' passed the seed rule and then failed int(); "2" was written as a string
+        cfg = RunConfig(nx=8, ny=8, nz=8, input_vars=["u"], output_vars=["u"], cluster_var="u",
+                        nxsl=4, nysl=4, nzsl=4, num_hypercubes=2, num_samples=8)
+        rows, _, _ = compare_methods(cfg, make_dataset(), ["random"], ["unseeded", "2"])
+        drawn, two = (r["seed"] for r in rows[:2])
+        assert isinstance(drawn, int) and two == 2
+
     def test_cell_result_carries_no_sample(self):
         # a cell returns scores and one histogram, not its rows' values
         ds = make_dataset(nx=32)
@@ -551,8 +559,11 @@ class TestRunChecksBeforePhase1:
     @pytest.mark.parametrize("methods, seeds, message", [
         (["random", "random"], [0], r"methods must not repeat, got \['random', 'random'\]"),
         (["random"], [0, 1, 0], r"seeds must not repeat, got \[0, 1, 0\]"),
-        (["random"], [0, -1], "seed must be an integer >= 0 or 'unseeded', got -1"),
-    ], ids=["repeated-method", "repeated-seed", "negative-seed"])
+        (["random"], [0, -1], "seeds must be an integer >= 0 or 'unseeded', got -1"),
+        # int() once ran first: 3.7 sampled seed 3 and True seed 1, with rows that said 3.7, True
+        (["random"], [3.7], "seeds must be an integer >= 0 or 'unseeded', got 3.7"),
+        (["random"], [True], "seeds must be an integer >= 0 or 'unseeded', got True"),
+    ], ids=["repeated-method", "repeated-seed", "negative-seed", "float-seed", "bool-seed"])
     def test_methods_and_seeds_are_checked_before_any_work(self, work_calls, methods, seeds,
                                                            message):
         # a repeated method once wrote each of its rows twice (24 rows for 12), and a

@@ -140,6 +140,27 @@ class TestScalarFields:
         assert a.fields["s", 0].tobytes() == b.fields["s", 0].tobytes()
 
 
+class TestParamRules:
+    # the library once took each: mu ignored, a third mean dropped, a string sigma used
+    @pytest.mark.parametrize("kind, params, message", [
+        ("gaussian", {"mu": 3.0}, "params.mu is not a param of kind gaussian_field"),
+        ("bimodal", {"means": [0, 1, 2], "sigmas": [1, 1]},
+         r"params.means, params.sigmas, params.weights must be of one length, got \[3, 2, 2\]"),
+        ("gaussian", {"sigma": "2"}, "params.sigma must be a number, got '2'"),
+    ], ids=["unknown-param", "lengths", "string"])
+    def test_scalar_field_checks_its_params(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            gen_scalar_field(kind, (4, 4, 4), params)
+        with pytest.raises(ValueError, match=message):
+            generate(f"{kind}_field", (4, 4, 4), params=params)
+
+    def test_cylinder_wake_rejects_nz_other_than_1(self):
+        # (8, 8, 5) once gave an 8 x 8 x 1 grid
+        with pytest.raises(ValueError, match="nz must be 1 for kind cylinder_wake, got 5"):
+            generate("cylinder_wake", (8, 8, 5))
+        assert generate("cylinder_wake", (8, 8, 1)).dims.nz == 1
+
+
 class TestGenerateDispatch:
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_every_kind_produces_dataset(self, kind):
