@@ -193,8 +193,14 @@ def kmeans_fit(
 def assign(centroids: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Label each value with the index of its nearest centroid; centroids
     must be ascending.  A value exactly midway between two centroids gets
-    the lower index."""
-    return np.searchsorted(_midpoints(centroids), values, side="left")
+    the lower index.  Float32 values are searched in float32, against the
+    midpoints cut as ``search_sorted`` cuts them: x > key exactly where x
+    is above the midpoint, so no float64 copy of the values is made."""
+    x = np.asarray(values)
+    keys = _midpoints(centroids)
+    if x.dtype == np.float32:
+        keys = _cut_keys(keys, x.dtype, "right")
+    return np.searchsorted(keys, x, side="left")
 
 
 def cell_counts(centroids: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:

@@ -38,12 +38,9 @@ from .grid import (
 _PHASE1_TAG = 0x51C1E
 # shared value bins of each cluster's histogram in sample_maxent_points
 _MAXENT_BINS = 100
-# rows per formatting call in SampleSet.to_csv; bounds the Python cell
-# list and the formatted string held at once, and each block builds its
-# own coordinate string tables, so the writer's extra memory is O(block)
+# rows per csvtext.format_block call in SampleSet.to_csv; bounds the slot
+# arrays and the text held at once, so the writer's extra memory is O(block)
 _CSV_BLOCK_ROWS = 4096
-# format of the coordinate columns t, i, j, k, x, y, z
-_COORD_SPECS = ("%d",) * 4 + ("%.17g",) * 3
 
 
 @dataclass
@@ -80,25 +77,18 @@ class SampleSet:
 
     def to_csv(self, path) -> None:
         """Write the payload with byte-stable formatting: ``%d`` for
-        t,i,j,k and ``%.17g`` for every other column.
+        t,i,j,k and ``%.17g`` for every other column, as CPython prints
+        them.  ``csvtext.format_block`` formats each block of rows in numpy:
+        the 17 digits of a value come from Dekker's exact product, and a
+        row holding a value it cannot prove those digits for (an exponent
+        outside [-6, 16], inf, NaN, an integer of 10^10 or more) is printed
+        with the ``%`` row template instead."""
+        from .csvtext import format_block  # here, so that a run imports it after its peak
 
-        The coordinate columns t..z repeat few values, so each block
-        formats each distinct bit pattern of a column once (bits, not
-        values, so -0.0 and 0.0 stay apart) and fills its ``%s`` slots
-        from that table."""
-        n_coord = len(_COORD_SPECS)
-        row = ",".join(["%s"] * n_coord + ["%.17g"] * (len(self.columns) - n_coord)) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(self.columns) + "\n").encode())
             for start in range(0, len(self), _CSV_BLOCK_ROWS):
-                block = self.data[start:start + _CSV_BLOCK_ROWS]
-                cells = np.empty(block.shape, dtype=object)
-                for c, spec in enumerate(_COORD_SPECS):
-                    bits, inverse = np.unique(block[:, c].view(np.uint64), return_inverse=True)
-                    table = np.array([spec % v for v in bits.view(np.float64).tolist()], dtype=object)
-                    cells[:, c] = table[inverse]
-                cells[:, n_coord:] = block[:, n_coord:]
-                fh.write((row * len(block)) % tuple(cells.ravel().tolist()))
+                fh.write(format_block(self.data[start:start + _CSV_BLOCK_ROWS], int_columns=4))
 
 
 def rate_to_count(rate: float, volume: int) -> int:

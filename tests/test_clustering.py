@@ -156,6 +156,25 @@ class TestAssign:
         centroids = kmeans_fit(values, k=3, seed=0)
         np.testing.assert_array_equal(assign(centroids, values), assign(centroids, values))
 
+    def test_float32_values_label_as_if_widened(self):
+        # float32 values on, and one float32 step either side of, each
+        # midpoint, with midpoints that float32 cannot hold exactly and
+        # midpoints past float32's range
+        big = float(np.finfo(np.float32).max)
+        centroids = np.array([-4 * big, -2 * big, -1.0, 1 / 3, 0.5, 1e-30, 0.7, 3 * big])
+        centroids.sort()
+        with np.errstate(over="ignore"):  # the midpoints past the range round to infinities
+            mids = ((centroids[:-1] + centroids[1:]) / 2).astype(np.float32)
+            near = np.concatenate([mids, np.nextafter(mids, np.float32(np.inf)),
+                                   np.nextafter(mids, np.float32(-np.inf))])
+        values = np.concatenate([near, np.float32([-np.inf, np.inf, -big, big, 0.0, -0.0])])
+        values = np.concatenate([values, np.random.default_rng(4).normal(size=500).astype(np.float32)])
+        assert values.dtype == np.float32
+        want = np.searchsorted((centroids[:-1] + centroids[1:]) / 2, values.astype(np.float64),
+                               side="left")
+        np.testing.assert_array_equal(assign(centroids, values), want)
+        np.testing.assert_array_equal(assign(centroids, values.astype(np.float64)), want)
+
 
 class TestCellCounts:
     def test_a_float32_part_is_counted_in_float32(self):
