@@ -1,11 +1,13 @@
 """One-dimensional k-means over the cluster variable, and the two rules
 under it.  Each nearest-centroid cell is the interval between the
-midpoints of neighbouring centroids; a value on a midpoint joins the
-lower cell.  A float64 cut is found in sorted data of its own dtype by
-rounding the cut into that dtype (``search_sorted``): the Lloyd loop,
-``cell_counts`` and the compare reference all cut this way.  Centroids
-are seeded by k-means++ on a random subset of the values, so the result
-is deterministic given the seed.
+midpoints of neighbouring centroids (``cell_bounds``); a value on a
+midpoint joins the lower cell.  A float64 cut is found in sorted data of
+its own dtype by rounding the cut into that dtype (``search_sorted``): the
+Lloyd loop, ``cell_counts``, ``cell_histograms`` and the compare reference
+all cut this way.  ``kmeans_fit_rows`` fits many equal-length rows at once,
+one Lloyd loop over (rows, k) arrays; ``kmeans_fit`` is its one-row case.
+Centroids are seeded by k-means++ on a random subset of each row's values,
+so the result is deterministic given the seed.
 """
 from __future__ import annotations
 
@@ -25,10 +27,11 @@ _DENSE_PREFIX_MAX = 1 << 16  # a fit of at most this many values keeps every pre
 _PREFIX_STEP = 64  # a larger fit keeps every 64th prefix sum
 
 
-def _midpoints(centroids: np.ndarray) -> np.ndarray:
-    """The cell bounds of ascending centroids, in float64: the cell rule."""
+def cell_bounds(centroids: np.ndarray) -> np.ndarray:
+    """The cell bounds of ascending centroids, in float64: the cell rule.
+    Along the last axis, so a 2-d array gives each row's bounds."""
     c = np.asarray(centroids, dtype=np.float64)
-    return (c[:-1] + c[1:]) / 2
+    return (c[..., :-1] + c[..., 1:]) / 2
 
 
 def _cut_keys(keys, dtype, side: str) -> np.ndarray:
@@ -139,55 +142,89 @@ def kmeans_fit(
     all n + 1 (``_sparse_prefix``), so it holds about one copy of its input.
     With ``overwrite_input`` a contiguous float32 or float64 ``values`` is
     sorted in place instead of copied, as ``np.percentile``'s flag allows.
+    The one-row case of ``kmeans_fit_rows``.
     """
     x = np.asarray(values)
     x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False).ravel()
     if not overwrite_input:
         x = x.copy()  # as np.sort copies before it sorts
-    x.sort()
-    n = x.size
+    return kmeans_fit_rows(x.reshape(1, -1), k, [seed])[0]
+
+
+def kmeans_fit_rows(x: np.ndarray, k: int, seeds: list) -> list[np.ndarray]:
+    """Fit k-means to each row of the C-contiguous float32 or float64 2-d x,
+    sorting the rows in place; returns each row's centroids in ascending
+    order, row r's seeded by ``seeds[r]``, by ``kmeans_fit``'s rules.  A
+    row whose centroids repeated is a fixed point of the Lloyd step, so it
+    waits unchanged while the other rows go on."""
+    x.sort(axis=1)
+    rows, n = x.shape
     if n == 0:
         raise ValueError("empty clustering input")
-    if not (np.isfinite(x[0]) and np.isfinite(x[-1])):  # NaN sorts last
+    if not (np.isfinite(x[:, 0]).all() and np.isfinite(x[:, -1]).all()):  # NaN sorts last
         raise ValueError("non-finite values in clustering input")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    distinct = _count_distinct(x, stop=k)
-    if distinct < k:
-        warnings.warn(
-            f"only {distinct} distinct values; reducing cluster count from {k}",
-            stacklevel=2,
-        )
-        k = distinct
+    ks = []
+    for row in x:
+        distinct = _count_distinct(row, stop=k)
+        if distinct < k:
+            warnings.warn(
+                f"only {distinct} distinct values; reducing cluster count from {k}",
+                stacklevel=2,
+            )
+        ks.append(min(k, distinct))
 
-    centroids = _kmeanspp_init(x, k, np.random.default_rng(seed))
+    # a row whose k shrank pads its centroids with inf: those cells start at n
+    # and stay empty, so they keep their place and never move the row
+    centroids = np.full((rows, max(ks)), np.inf)
+    for row, c, kr, seed in zip(x, centroids, ks, seeds):
+        c[:kr] = _kmeanspp_init(row, kr, np.random.default_rng(seed))
     if n > _DENSE_PREFIX_MAX:
-        prefix_at = _sparse_prefix(x, k + 1)
+        lookups = [_sparse_prefix(row, centroids.shape[1] + 1) for row in x]
+        looked_up = np.empty((rows, centroids.shape[1] + 1))
+
+        def prefix_at(bounds):
+            for lookup, b, out in zip(lookups, bounds, looked_up):
+                out[:] = lookup(b)
+            return looked_up
     else:  # a lookup in the sparse prefix costs about 100 times this one
-        prefix = np.empty(n + 1)
-        prefix[0] = 0.0
-        np.cumsum(x, dtype=np.float64, out=prefix[1:])
-        prefix_at = prefix.take
-    # cell c holds x[bounds[c]:bounds[c + 1]]; the inner bounds are the cuts
-    bounds = np.empty(k + 1, dtype=np.intp)
-    bounds[0], bounds[-1] = 0, n
-    lo, hi = bounds[:-1], bounds[1:]
+        prefix = np.empty((rows, n + 1))
+        prefix[:, 0] = 0.0
+        np.cumsum(x, axis=1, dtype=np.float64, out=prefix[:, 1:])
+        offsets = np.arange(0, prefix.size, n + 1)[:, None]
+
+        def prefix_at(bounds):
+            return prefix.take(bounds + offsets)
+    # cell c of row r holds x[r, bounds[r, c]:bounds[r, c + 1]]; the inner
+    # bounds are the cuts, and starts turns them into indices of the flat x
+    flat, starts = x.reshape(-1), np.arange(0, x.size, n)[:, None]
+    bounds = np.empty((rows, centroids.shape[1] + 1), dtype=np.intp)
+    bounds[:, 0], bounds[:, -1] = 0, n
+    lo, hi = bounds[:, :-1], bounds[:, 1:]
+    moved = range(rows)  # the rows whose centroids the last step changed
     for _ in range(_MAX_ITERS):
-        bounds[1:-1] = search_sorted(x, _midpoints(centroids), "right")
+        keys = _cut_keys(cell_bounds(centroids), x.dtype, "right")  # search_sorted's keys
+        for r in moved:
+            bounds[r, 1:-1] = x[r].searchsorted(keys[r], side="right")
         sizes = hi - lo
         sums = prefix_at(bounds)
-        means = sums[1:] - sums[:-1]
+        means = sums[:, 1:] - sums[:, :-1]
         means /= np.maximum(sizes, 1)
         # a prefix-sum difference can round past the cell's own values;
         # clipping keeps the centroids sorted.  The clip bounds differ from
-        # x[lo] and x[hi - 1] only in empty cells, which keep their centroid.
-        np.maximum(means, x.take(lo, mode="clip"), out=means)
-        np.minimum(means, x.take(hi - 1, mode="clip"), out=means)
+        # x[r, lo] and x[r, hi - 1] only in empty cells, which keep their centroid.
+        at = bounds + starts
+        np.maximum(means, flat.take(at[:, :-1], mode="clip"), out=means)
+        at -= 1
+        np.minimum(means, flat.take(at[:, 1:], mode="clip"), out=means)
         updated = np.where(sizes > 0, means, centroids)
-        if (updated == centroids).all():
+        changed = (updated != centroids).any(axis=1)
+        moved = changed.nonzero()[0].tolist()
+        if not moved:
             break
-        centroids = updated
-    return centroids
+        np.copyto(centroids, updated, where=changed[:, None])
+    return [c[:kr] for c, kr in zip(centroids, ks)]
 
 
 def assign(centroids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -197,10 +234,22 @@ def assign(centroids: np.ndarray, values: np.ndarray) -> np.ndarray:
     midpoints cut as ``search_sorted`` cuts them: x > key exactly where x
     is above the midpoint, so no float64 copy of the values is made."""
     x = np.asarray(values)
-    keys = _midpoints(centroids)
+    keys = cell_bounds(centroids)
     if x.dtype == np.float32:
         keys = _cut_keys(keys, x.dtype, "right")
     return np.searchsorted(keys, x, side="left")
+
+
+def cell_histograms(x: np.ndarray, centroids: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The k x bins counts of the sorted 1-d x's values per (cell of
+    ``centroids``, bin of ``edges``), read off x: cell c holds
+    x[cells[c]:cells[c + 1]], and bin b, under np.histogram's rule,
+    x[starts[b]:starts[b + 1]].  So the counts are ``np.bincount(assign(
+    centroids, x) * bins + entropy.bin_index(edges, x))``, with no label."""
+    cells = np.concatenate(([0], search_sorted(x, cell_bounds(centroids), "right"), [x.size]))
+    starts = np.concatenate(([0], search_sorted(x, edges[1:-1], "left"), [x.size]))
+    hist = np.minimum.outer(cells[1:], starts[1:]) - np.maximum.outer(cells[:-1], starts[:-1])
+    return np.maximum(hist, 0, out=hist)
 
 
 def cell_counts(centroids: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
@@ -212,7 +261,7 @@ def cell_counts(centroids: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
     for p in parts:
         x = flat_copy([p]).reshape(-1, np.prod(p.shape[:3]))
         x.sort(axis=1)
-        cuts = _cut_keys(_midpoints(centroids), x.dtype, "right")  # search_sorted's keys
+        cuts = _cut_keys(cell_bounds(centroids), x.dtype, "right")  # search_sorted's keys
         ends = [row.searchsorted(cuts, side="right") for row in x]
         counts.append(np.diff(ends, prepend=0, append=x.shape[1], axis=1))
     # stacked after the loop: a counts array made first cost 0.4 MB of peak RSS

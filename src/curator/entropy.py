@@ -4,7 +4,8 @@ KL graph, node strengths, entropy-weighted selection, proportional allocation.
 time and memory, without the n x n matrix that ``adjacency_matrix``
 builds; Phase 1 weights its cubes with it.
 ``bin_edges`` and ``bin_index`` are the pipeline's one histogram rule,
-np.histogram's; the samplers and ``metrics`` bin with nothing else.
+np.histogram's; the samplers and ``metrics`` bin with nothing else, and
+``clustering.cell_histograms`` counts the same bins off sorted values.
 
 All divergences use the natural logarithm (nats).  Zero bins are handled
 by smoothing with renormalization, (v + EPSILON) / (1 + k*EPSILON), so

@@ -7,11 +7,13 @@ pairwise-KL graph in closed form, then a draw of cubes without replacement
 weighted by node strength; it yields each timestep's selected cube
 indices.  Phase 2 samples points within each selected cube with one of:
 full, random, stratified, lhs, uips, maxent; maxent runs the same
-one-dimensional k-means on the cube's own cluster-variable values.  It
-keeps the k x k KL matrix: ``allocate_counts`` splits by its strengths,
-and where two of them tie exactly, the closed form's last bits can break
-the tie the other way.  A Phase 2 work unit builds the blocks of its own
-cubes, so only indices cross a pool.
+one-dimensional k-means on the cube's own cluster-variable values, for
+all of a work unit's cubes in one batch (``sample_maxent_blocks``), and
+reads each cube's cluster x value-bin histogram off its sorted values.
+It keeps the k x k KL matrix: ``allocate_counts`` splits by its
+strengths, and where two of them tie exactly, the closed form's last bits
+can break the tie the other way.  A Phase 2 work unit builds the blocks
+of its own cubes, so only indices cross a pool.
 
 Every per-cube random stream is seeded from (run seed, time-axis
 position, cube index), so output is bit-identical regardless of worker
@@ -399,36 +401,54 @@ def sample_maxent_points(
     members over shared value bins, build the pairwise-KL graph over the
     cluster histograms, allocate the sample budget across clusters by
     node strength (capped at cluster size), then sample uniformly
-    without replacement inside each cluster.
+    without replacement inside each cluster.  The one-block case of
+    ``sample_maxent_blocks``.
     """
-    if n > block.volume:
-        raise ValueError(f"cannot sample {n} of {block.volume} points")
-    rng = np.random.default_rng(seed)
-    values = block.flat_values(cluster_var)
-    centroids = clustering.kmeans_fit(values, num_clusters, seed=int(rng.integers(2**63)))
-    labels = clustering.assign(centroids, values)
-    k = centroids.size
+    return sample_maxent_blocks([block], cluster_var, num_clusters, n, [seed])[0]
 
-    bins = entropy.bin_index(entropy.bin_edges(values, _MAXENT_BINS), values)
-    hist = np.bincount(labels * _MAXENT_BINS + bins, minlength=k * _MAXENT_BINS).reshape(k, -1)
-    sizes = hist.sum(axis=1)
-    graph = entropy.adjacency_matrix(hist / np.maximum(sizes, 1)[:, None])
 
-    strengths = graph.strengths
-    if strengths.sum() == 0.0:
-        warnings.warn(
-            "all node strengths zero; allocating samples uniformly", stacklevel=2
-        )
-    counts = entropy.allocate_counts(strengths, n, capacities=sizes)
-    # each cluster's members in ascending index order; numpy radix-sorts
-    # labels cast to the smallest unsigned type that holds k - 1
-    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
-    members = np.split(order, np.cumsum(sizes)[:-1])
-    chosen = [
-        rng.choice(members[c], size=int(counts[c]), replace=False)
-        for c in range(k) if counts[c]
-    ]
-    return np.sort(np.concatenate(chosen)).astype(np.int64)
+def sample_maxent_blocks(
+    blocks: list[HypercubeBlock],
+    cluster_var: str,
+    num_clusters: int,
+    n: int,
+    seeds: list,
+) -> list[np.ndarray]:
+    """``sample_maxent_points`` of each of ``blocks``, cubes of one extent,
+    block b from ``seeds[b]``'s stream.  The cubes' values are the rows of one
+    array, fitted in one batch (``clustering.kmeans_fit_rows``); each cube's
+    histograms are read off its sorted row, and its graph, allocation, labels
+    and draws follow in cube order."""
+    volume = blocks[0].volume
+    if n > volume:
+        raise ValueError(f"cannot sample {n} of {volume} points")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x = np.stack([block.flat_values(cluster_var) for block in blocks])
+    fits = clustering.kmeans_fit_rows(x, num_clusters, [int(rng.integers(2**63)) for rng in rngs])
+    picks = []
+    for block, row, centroids, rng in zip(blocks, x, fits, rngs):
+        k = centroids.size
+        edges = entropy.bin_edges(row[[0, -1]], _MAXENT_BINS)  # the sorted row's min and max
+        hist = clustering.cell_histograms(row, centroids, edges)
+        sizes = hist.sum(axis=1)
+        graph = entropy.adjacency_matrix(hist / np.maximum(sizes, 1)[:, None])
+        strengths = graph.strengths
+        if strengths.sum() == 0.0:
+            warnings.warn(
+                "all node strengths zero; allocating samples uniformly", stacklevel=2
+            )
+        counts = entropy.allocate_counts(strengths, n, capacities=sizes)
+        labels = clustering.assign(centroids, block.flat_values(cluster_var))
+        # each cluster's members in ascending index order; numpy radix-sorts
+        # labels cast to the smallest unsigned type that holds k - 1
+        order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+        ends = np.cumsum(sizes)
+        chosen = [
+            rng.choice(order[ends[c] - sizes[c]:ends[c]], size=int(counts[c]), replace=False)
+            for c in range(k) if counts[c]
+        ]
+        picks.append(np.sort(np.concatenate(chosen)).astype(np.int64))
+    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +495,23 @@ def _sample_layer(config: RunConfig, dataset: GridDataset,
     ts, cubes = unit
     blocks = partition_hypercubes(dataset, config.cube_extents, ts, cubes)
     method, n = config.method, config.num_samples
-    picks = []
-    for block in blocks:
-        rng = cube_rng(config.seed, ts, block.index)
-        if method == "full":
-            flat_idx = sample_full(block)
-        elif method == "random":
-            flat_idx = sample_random(block, n, rng)
-        elif method == "stratified":
-            flat_idx = sample_stratified(block, n, tuple(config.strata), rng)
-        elif method == "lhs":
-            flat_idx = sample_lhs(block, n, rng)
-        elif method == "uips":
-            flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
-        else:  # maxent, the last of RunConfig's VALID_METHODS
-            flat_idx = sample_maxent_points(block, config.cluster_var, config.num_clusters, n, rng)
-        picks.append(flat_idx)
+    rngs = [cube_rng(config.seed, ts, block.index) for block in blocks]
+    if method == "maxent":  # the last of RunConfig's VALID_METHODS, all cubes at once
+        picks = sample_maxent_blocks(blocks, config.cluster_var, config.num_clusters, n, rngs)
+    else:
+        picks = []
+        for block, rng in zip(blocks, rngs):
+            if method == "full":
+                flat_idx = sample_full(block)
+            elif method == "random":
+                flat_idx = sample_random(block, n, rng)
+            elif method == "stratified":
+                flat_idx = sample_stratified(block, n, tuple(config.strata), rng)
+            elif method == "lhs":
+                flat_idx = sample_lhs(block, n, rng)
+            else:
+                flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
+            picks.append(flat_idx)
     sizes = [flat_idx.size for flat_idx in picks]
     local = np.unravel_index(np.concatenate(picks), config.cube_extents, order="F")
     ijk = np.stack(local, axis=1) + np.repeat([b.origin for b in blocks], sizes, axis=0)

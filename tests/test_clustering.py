@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curator import clustering
-from curator.clustering import _kmeanspp_init, assign, cell_counts, kmeans_fit, search_sorted
+from curator.clustering import (
+    _kmeanspp_init, assign, cell_counts, kmeans_fit, kmeans_fit_rows, search_sorted,
+)
 
 
 def two_blobs(seed=0, n=1000, sep=10.0, sigma=0.1):
@@ -383,6 +385,151 @@ class TestSparsePrefix:
         dense = np.concatenate(([0.0], np.cumsum(x)))
         prefix_at = clustering._sparse_prefix(x, n + 1)
         assert prefix_at(np.arange(n + 1)).tobytes() == dense.tobytes()
+
+
+def fit_rows(x, k, seeds):
+    """kmeans_fit_rows of a copy of x, and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = kmeans_fit_rows(x.copy(), k, seeds)
+    return fits, [str(w.message) for w in caught]
+
+
+def assert_rows_fit_one_by_one(x, k, seeds):
+    """Each row of the batch equals kmeans_fit and ref_kmeans_fit of that row,
+    bit for bit, and the batch warns once for each row whose k shrank.  A
+    float32 row equals ref_kmeans_fit of its widened values up to the sign of
+    a zero: numpy's float64 sort may turn 0.0 into -0.0 among equal zeros
+    (np.sort([0.0] * 9 + [-0.0, 0.0, 0.0]) holds three), and its float32 sort
+    may not, so the two sorts can seed from zeros of different signs."""
+    fits, caught = fit_rows(x, k, seeds)
+    shrunk = []
+    for row, seed, got in zip(x, seeds, fits):
+        with warnings.catch_warnings(record=True) as one:
+            warnings.simplefilter("always")
+            assert got.tobytes() == kmeans_fit(row, k, seed).tobytes()
+        shrunk += [str(w.message) for w in one]
+        want = ref_kmeans_fit(row.astype(np.float64), k, seed)[0]
+        if x.dtype == np.float64:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.array_equal(got, want)
+    assert caught == shrunk
+    return fits, caught
+
+
+def count_lloyd_steps(monkeypatch):
+    """A list that grows by one for each Lloyd step: the loop rounds its keys
+    into the data's dtype once per step, for every row at once."""
+    steps, cut_keys = [], clustering._cut_keys
+
+    def counting(*args):
+        steps.append(1)
+        return cut_keys(*args)
+
+    monkeypatch.setattr(clustering, "_cut_keys", counting)
+    return steps
+
+
+class TestKmeansFitRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 5),
+        n=st.integers(1, 120),
+        k=st.integers(1, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_each_row_is_its_own_fit(self, data, rows, n, k, dtype):
+        # tied values and ±0 crowd the rows, so k shrinks and cells empty
+        values = st.lists(_TIED | st.floats(-1e6, 1e6), min_size=n, max_size=n)
+        x = np.array([data.draw(values) for _ in range(rows)], dtype=dtype)
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
+        assert_rows_fit_one_by_one(x, k, seeds)
+
+    def test_rows_stop_at_different_steps(self, monkeypatch):
+        # k = 20 on 8192 lognormal values: the cap stops some fits, the
+        # others converge after 35 to 72 steps
+        x = np.stack([np.random.default_rng(s).lognormal(size=8192) for s in range(6)])
+        seeds = list(range(6))
+        steps = count_lloyd_steps(monkeypatch)
+        for dtype in (np.float64, np.float32):
+            alone = []
+            for row, seed in zip(x.astype(dtype), seeds):
+                steps.clear()
+                kmeans_fit(row, 20, seed)
+                alone.append(len(steps))
+            assert min(alone) < clustering._MAX_ITERS == max(alone)
+            assert len(set(alone)) > 2
+            steps.clear()
+            fit_rows(x.astype(dtype), 20, seeds)
+            assert len(steps) == max(alone)  # one rounding per step for all rows
+            assert_rows_fit_one_by_one(x.astype(dtype), 20, seeds)
+
+    def test_a_lower_cap_stops_every_row_there(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_MAX_ITERS", 3)
+        x = np.stack([np.random.default_rng(s).normal(size=3000) for s in range(4)])
+        fits, _ = fit_rows(x, 8, [0, 1, 2, 3])
+        for row, seed, got in zip(x, range(4), fits):
+            assert got.tobytes() == kmeans_fit(row, 8, seed).tobytes()
+
+    def test_fallbacks_and_shrunk_rows(self):
+        n, k = 3000, 5
+        rng = np.random.default_rng(0)
+        sparse = np.zeros(n)
+        sparse[rng.choice(n, size=8, replace=False)] = np.arange(1.0, 9.0)
+        tiny = rng.choice([0.0, 1e-170, 2e-170, 3e-170, 4e-170, 5e-170], size=n)
+        x = np.stack([
+            rng.normal(size=n),
+            sparse,  # the 1024-value subset holds fewer than k distinct values
+            tiny,  # every squared distance underflows to 0
+            np.full(n, -2.5),  # one distinct value: k shrinks to 1
+            np.repeat([1.0, 4.0], n // 2),  # two: k shrinks to 2
+        ])
+        pool = np.sort(sparse)[np.random.default_rng(1).choice(n, size=1024, replace=False)]
+        assert np.unique(pool).size < k <= np.unique(sparse).size
+        fits, caught = assert_rows_fit_one_by_one(x, k, [0, 1, 2, 3, 4])
+        assert [f.size for f in fits] == [5, 5, 5, 1, 2]
+        assert caught == ["only 1 distinct values; reducing cluster count from 5",
+                          "only 2 distinct values; reducing cluster count from 5"]
+        assert (5e-170 - 0.0) ** 2 == 0.0  # so the tiny row seeds by the underflow rule
+
+    def test_empty_cells_keep_their_centroids(self):
+        # neighbouring floats: a midpoint rounds onto the upper centroid,
+        # whose values then join the lower cell and leave its own empty
+        x = np.stack([np.random.default_rng(s).choice(1.0 + np.arange(12) * np.spacing(1.0),
+                                                      size=300) for s in range(4)])
+        emptied = [ref_kmeans_fit(row, 20, seed)[1] for seed, row in enumerate(x)]
+        assert any(emptied)
+        assert_rows_fit_one_by_one(x, 20, [0, 1, 2, 3])
+
+    def test_a_converged_row_keeps_its_signed_zero(self):
+        # the first row's fit converges at its first step with the centroid
+        # -0.0, whose cell mean is 0.0; the second row goes on for more
+        # steps, and the first must still return -0.0
+        zeros = np.random.default_rng(1).choice([-0.0, 0.0, 1.0, 3.0], size=40)
+        x = np.stack([zeros, np.random.default_rng(1).lognormal(size=40)])
+        fits, _ = assert_rows_fit_one_by_one(x, 3, [1, 0])
+        assert np.signbit(fits[0][0]) and fits[0][0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sparse_prefix_rows(self, dtype, monkeypatch):
+        # rows of more than _DENSE_PREFIX_MAX values each keep a sparse prefix
+        monkeypatch.setattr(clustering, "_DENSE_PREFIX_MAX", 0)
+        monkeypatch.setattr(clustering, "_SLAB", clustering._PREFIX_STEP)
+        rng = np.random.default_rng(3)
+        x = np.stack([rng.lognormal(size=301), rng.normal(size=301),
+                      np.where(rng.random(301) < 0.4, -0.0, rng.random(301))]).astype(dtype)
+        for k in (1, 3, 20):
+            fits, _ = fit_rows(x, k, [k, k + 1, k + 2])
+            for row, seed, got in zip(x, (k, k + 1, k + 2), fits):
+                assert got.tobytes() == ref_kmeans_fit(row.astype(np.float64), k, seed)[0].tobytes()
+
+    def test_rows_are_sorted_in_place(self):
+        x = np.random.default_rng(0).normal(size=(3, 50))
+        want = np.sort(x, axis=1)
+        kmeans_fit_rows(x, 4, [0, 1, 2])
+        assert np.array_equal(x, want)
 
 
 def test_distinct_count_needs_no_array_of_the_input_length(monkeypatch):

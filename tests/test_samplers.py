@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curator import bench, clustering, entropy, grid, metrics, samplers
-from curator.clustering import assign, kmeans_fit
-from curator.entropy import adjacency_matrix, allocate_counts, kl_divergence, weighted_sample
+from curator.clustering import assign, cell_histograms, kmeans_fit
+from curator.entropy import (
+    adjacency_matrix, allocate_counts, bin_edges, bin_index, kl_divergence, weighted_sample,
+)
 from curator.grid import (
     ConfigError, GridDataset, GridDims, RunConfig, extract_block, load_dataset, num_blocks,
     parse_config, partition_hypercubes,
@@ -29,6 +31,7 @@ from curator.samplers import (
     run_pipeline,
     sample_full,
     sample_lhs,
+    sample_maxent_blocks,
     sample_maxent_points,
     sample_random,
     sample_stratified,
@@ -677,6 +680,114 @@ class TestSamplersMatchReference:
             assert np.array_equal(fast, ref)
 
 
+@st.composite
+def cube_rows(draw):
+    """1 to 6 cubes of one extent from one field of normal draws or a few
+    repeated levels, float32 or float64, with a seed each."""
+    extents = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    counts = tuple(draw(st.integers(1, 2)) for _ in range(3))
+    shape = tuple(e * c for e, c in zip(extents, counts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.normal(size=shape)
+    else:
+        values = rng.integers(0, draw(st.integers(1, 4)), size=shape).astype(float)
+    values = values.astype(draw(st.sampled_from([np.float32, np.float64])))
+    ds = GridDataset(dims=GridDims(*shape, nt=1, dims=3), fields={("u", 0): values},
+                     input_vars=["u"], output_vars=["u"], cluster_var="u")
+    cubes = draw(st.lists(st.integers(0, np.prod(counts) - 1), min_size=1, max_size=6,
+                          unique=True))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(cubes), max_size=len(cubes)))
+    return partition_hypercubes(ds, extents, 0, sorted(cubes)), seeds
+
+
+class TestSampleMaxentBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(cube_rows(), st.data())
+    def test_picks_equal_the_one_block_case(self, case, data):
+        blocks, seeds = case
+        n = data.draw(st.integers(1, blocks[0].volume))
+        k = data.draw(st.integers(1, 8))
+        bins = data.draw(st.integers(1, 12))
+        with warnings.catch_warnings(), mock.patch.object(samplers, "_MAXENT_BINS", bins):
+            warnings.simplefilter("ignore")  # k shrinks, strengths all zero
+            got = sample_maxent_blocks(blocks, "u", k, n, seeds)
+            one = [sample_maxent_points(b, "u", k, n, s) for b, s in zip(blocks, seeds)]
+            ref = [ref_sample_maxent_points(b, "u", k, n, s, num_bins=bins)
+                   for b, s in zip(blocks, seeds)]
+        assert len(got) == len(blocks)
+        for g, o, r in zip(got, one, ref):
+            assert np.array_equal(g, o) and np.array_equal(g, r)
+
+    def test_generators_go_on_from_their_draws(self):
+        # each block draws from its own generator, in the one-block order
+        blocks = partition_hypercubes(make_dataset(8, 8, 8), (4, 4, 4), 0, [0, 1, 5])
+        batch = [np.random.default_rng(s) for s in (3, 4, 5)]
+        alone = [np.random.default_rng(s) for s in (3, 4, 5)]
+        sample_maxent_blocks(blocks, "u", 4, 20, batch)
+        for b, rng in zip(blocks, alone):
+            sample_maxent_points(b, "u", 4, 20, rng)
+        assert [r.bit_generator.state for r in batch] == [r.bit_generator.state for r in alone]
+
+
+def bincount_histograms(values, centroids, bins):
+    """The cluster x bin counts from per-value labels and bins."""
+    k = centroids.size
+    labels = assign(centroids, values)
+    cells = bin_index(bin_edges(values, bins), values)
+    return np.bincount(labels * bins + cells, minlength=k * bins).reshape(k, bins)
+
+
+class TestClusterHistograms:
+    @staticmethod
+    def assert_equal_to_bincount(values, centroids, bins=100):
+        got = cell_histograms(np.sort(values), centroids, bin_edges(values, bins))
+        assert got.shape == (centroids.size, bins)
+        assert np.array_equal(got, bincount_histograms(values, centroids, bins))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_values_on_bin_edges_and_midpoints(self, dtype):
+        rng = np.random.default_rng(0)
+        centroids = np.sort(rng.normal(size=7))
+        edges = bin_edges(np.array([-3.0, 3.0]), 100)
+        mids = (centroids[:-1] + centroids[1:]) / 2
+        on = np.concatenate([edges, mids, [-3.0, 3.0]]).astype(dtype)
+        near = np.concatenate([on, np.nextafter(on, dtype(np.inf)),
+                               np.nextafter(on, dtype(-np.inf))]).clip(-3, 3)
+        values = np.concatenate([near, rng.normal(size=500).clip(-3, 3).astype(dtype)])
+        assert np.array_equal(bin_edges(values, 100), edges)  # values on the cube's own edges
+        self.assert_equal_to_bincount(values, centroids)
+        for bins in (1, 2, 7):
+            self.assert_equal_to_bincount(values, centroids, bins)
+
+    def test_a_constant_cube(self):
+        # bin_edges' fallback span [lo, lo + 1]: every value in bin 0
+        values = np.full(64, -1.25)
+        with pytest.warns(UserWarning, match="distinct"):
+            centroids = kmeans_fit(values, 4, seed=0)
+        assert centroids.size == 1
+        self.assert_equal_to_bincount(values, centroids)
+        self.assert_equal_to_bincount(values.astype(np.float32), centroids)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_row_whose_k_shrank(self, dtype):
+        values = np.random.default_rng(2).choice([0.0, -0.0, 1.5, 7.25], size=300).astype(dtype)
+        with pytest.warns(UserWarning, match="distinct"):
+            centroids = kmeans_fit(values, 8, seed=1)
+        assert centroids.size == 3
+        self.assert_equal_to_bincount(values, centroids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(), st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([np.float32, np.float64]))
+    def test_any_cube(self, block, k, bins, seed, dtype):
+        values = block.flat_values("u").astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k shrinks
+            centroids = kmeans_fit(values, k, seed)
+        self.assert_equal_to_bincount(values, centroids, bins)
+
+
 class TestSampleMaxentPoints:
     def test_exact_unique_sorted(self):
         block = make_block(8)
@@ -1154,6 +1265,25 @@ class TestRunPipeline:
         # one unit per (timestep, z-layer) that holds a selected cube; a
         # z-layer of this 8^3 grid's 4^3 cubes holds 4 of them
         assert calls == [len({(t, c // 4) for t, c in keys})]
+
+    def test_each_maxent_unit_fits_its_cubes_in_one_batch(self, monkeypatch):
+        # 12 of 64 cubes in 4 z-layers: one batched fit per (timestep,
+        # z-layer) unit, with a row for each of the unit's cubes
+        cfg = base_config(method="maxent", hypercubes="random", nxsl=4, nysl=4, nzsl=4,
+                          nx=16, ny=16, nz=16, num_hypercubes=12, num_samples=10,
+                          num_clusters=3)
+        ds = make_dataset(16, 16, 16, nt=2)
+        units = [(ts, c // 16) for ts, cubes in select_cubes(cfg, ds) for c in cubes]
+        rows, fit_rows = [], clustering.kmeans_fit_rows
+
+        def counting(x, k, seeds):
+            rows.append(x.shape[0])
+            return fit_rows(x, k, seeds)
+
+        monkeypatch.setattr(clustering, "kmeans_fit_rows", counting)
+        run_pipeline(cfg, ds, workers=1)
+        assert rows == [units.count(u) for u in dict.fromkeys(units)]
+        assert sum(rows) == 24 and len(rows) > 2
 
     def test_units_per_worker_at_the_scaling_geometry(self, monkeypatch):
         # test_09_scaling_speedup's geometry: 2048 of 4096 8^3 cubes of a
