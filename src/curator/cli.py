@@ -37,7 +37,7 @@ from .grid import (
 )
 from .samplers import config_digest, run_pipeline
 
-DEFAULT_COMPARE_METHODS = ["random", "stratified", "lhs", "uips", "maxent"]
+DEFAULT_COMPARE_METHODS = [m for m in VALID_METHODS if m != "full"]
 _GENERATE_KEYS = "kind name nx ny nz t params seed".split()
 
 

@@ -157,8 +157,10 @@ def kmeans_fit_rows(x: np.ndarray, k: int, seeds: list) -> list[np.ndarray]:
     order, row r's seeded by ``seeds[r]``, by ``kmeans_fit``'s rules.  A
     row whose centroids repeated is a fixed point of the Lloyd step, so it
     waits unchanged while the other rows go on."""
-    x.sort(axis=1)
     rows, n = x.shape
+    if len(seeds) != rows:
+        raise ValueError(f"{len(seeds)} seeds for {rows} rows")
+    x.sort(axis=1)
     if n == 0:
         raise ValueError("empty clustering input")
     if not (np.isfinite(x[:, 0]).all() and np.isfinite(x[:, -1]).all()):  # NaN sorts last

@@ -84,6 +84,12 @@ def bin_index(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     return idx
 
 
+def check_nonnegative(name: str, values: np.ndarray) -> None:
+    """Reject a NaN, an infinity or a negative entry of ``values``."""
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def smooth(p: np.ndarray) -> np.ndarray:
     """Smooth by EPSILON and renormalize each distribution along the last axis."""
     return (p + EPSILON) / (1.0 + p.shape[-1] * EPSILON)
@@ -96,6 +102,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    check_nonnegative("p", p)
+    check_nonnegative("q", q)
     return float(kl_rows(smooth(p), smooth(q)))
 
 
@@ -118,7 +126,9 @@ def adjacency_matrix(dists: list[np.ndarray]) -> EntropyGraph:
     for i, d in enumerate(dists):
         if np.asarray(d).size != length:
             raise ValueError(f"distribution {i} has length {np.asarray(d).size}, expected {length}")
-    S = smooth(np.stack([np.asarray(d, dtype=np.float64) for d in dists]))
+    D = np.stack([np.asarray(d, dtype=np.float64) for d in dists])
+    check_nonnegative("distributions", D)
+    S = smooth(D)
     A = np.empty((len(dists), len(dists)))
     # one row at a time keeps the temporaries at n*L, not n*n*L
     for i, s in enumerate(S):
@@ -136,7 +146,9 @@ def node_strengths(dists: np.ndarray) -> np.ndarray:
     bits only, except where every row equals the first: there the matrix
     is exactly zero, and so are these strengths.
     """
-    S = smooth(np.asarray(dists, dtype=np.float64))
+    D = np.asarray(dists, dtype=np.float64)
+    check_nonnegative("distributions", D)
+    S = smooth(D)
     if (S == S[0]).all():
         return np.zeros(S.shape[0])
     log_s = np.log(S)
@@ -154,8 +166,7 @@ def weighted_sample(
     weight is left the draws go on uniformly; all-zero weights warn.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
+    check_nonnegative("weights", w)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     N = w.size
@@ -206,19 +217,20 @@ def allocate_counts(
     strength.
     """
     s = np.asarray(strengths, dtype=np.float64)
+    check_nonnegative("strengths", s)
     k = s.size
-    counts = np.zeros(k, dtype=np.int64)
-    if n_total <= 0:
-        return counts
-    if np.any(s < 0.0):
-        raise ValueError("strengths must be nonnegative")
-    if s.sum() == 0.0:
-        s = np.ones(k)
     caps = (
         np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
         if capacities is None
         else np.asarray(capacities, dtype=np.int64)
     )
+    if np.any(caps < 0):
+        raise ValueError("capacities must be nonnegative")
+    counts = np.zeros(k, dtype=np.int64)
+    if n_total <= 0:
+        return counts
+    if s.sum() == 0.0:
+        s = np.ones(k)
 
     remaining = n_total
     while remaining > 0:

@@ -334,12 +334,16 @@ class RunConfig:
             (self.nx, self.nxskip), (self.ny, self.nyskip), (self.nz, self.nzskip),
         )), dims=self.dims)
 
-    def check_run(self, dims: GridDims, methods: list[str]) -> int:
+    def check_run(self, dims: GridDims, methods: list[str], roles: list[str] | None = None,
+                  cluster: bool = False) -> int:
         """The whole cubes per timestep of the grid ``dims``, once the config
         passes what a run of each of ``methods`` needs before any work: the
         method's own settings (``replace`` checks them), num_samples for
         every method but full, extents within ``dims`` and num_hypercubes
-        within its cubes.  A failure is a ConfigError that names its key."""
+        within its cubes.  Given the dataset's ``roles``, each variable the
+        run reads by name is one of them: cluster_var if ``cluster`` or the
+        cubes or one of ``methods`` is maxent, every input_vars entry if one
+        is uips.  A failure is a ConfigError that names its key."""
         for method in methods:
             replace(self, method=method)
             if method != "full" and self.num_samples is None:
@@ -352,6 +356,13 @@ class RunConfig:
             raise ConfigError(
                 f"num_hypercubes {self.num_hypercubes} exceeds the {cubes} cubes per timestep"
             )
+        if roles is not None:
+            reads = [("input_vars", v) for v in self.input_vars if "uips" in methods]
+            if cluster or "maxent" in (self.hypercubes, *methods):
+                reads.append(("cluster_var", self.cluster_var))
+            for key, var in reads:
+                if var not in roles:
+                    raise ConfigError(f"{key} {var!r} is not a role variable of the dataset {roles}")
         return cubes
 
     def format_fileprefix(self) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from . import clustering, entropy
 from .bench import parallel_map
 from .grid import GridDataset, RunConfig, check_distinct, check_seed, flat_copy, role_vars
-from .samplers import SampleSet, check_run, sample_cubes, select_cubes
+from .samplers import SampleSet, sample_cubes, select_cubes
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,8 @@ def compare_methods(
     seeded = [replace(config, seed=seed) for seed in seeds]
     seeds = [c.seed for c in seeded]  # settled: 'unseeded' becomes the seed it drew
     check_distinct("seeds", seeds)
-    check_run(config, dataset, methods, cluster=True)  # its histograms are cluster_var's
+    # its histograms are cluster_var's
+    config.check_run(dataset.dims, methods, role_vars(dataset), cluster=True)
     positions = dataset.positions(config.timesteps)
     # every cell is scored against the same full data, so its side is built
     # once, from one copy of the snapshots in use
@@ -271,13 +272,13 @@ def histogram_comparison_csv(h_full: PdfHistogram, h_sample: PdfHistogram, path)
     """Per-method histogram CSV: bin_lo, bin_hi, density_full, density_sample.
 
     The sample histogram is on the full-data histogram's bins."""
-    with open(path, "w") as fh:
-        fh.write("bin_lo,bin_hi,density_full,density_sample\n")
-        for b in range(h_full.densities.size):
-            fh.write(
-                f"{h_full.edges[b]:.17g},{h_full.edges[b + 1]:.17g},"
-                f"{h_full.densities[b]:.17g},{h_sample.densities[b]:.17g}\n"
-            )
+    from .csvtext import format_block  # as SampleSet.to_csv imports it
+
+    table = np.column_stack([h_full.edges[:-1], h_full.edges[1:], h_full.densities,
+                             h_sample.densities])
+    with open(path, "wb") as fh:
+        fh.write(b"bin_lo,bin_hi,density_full,density_sample\n")
+        fh.write(format_block(table, 0))
 
 
 def cost_estimate(

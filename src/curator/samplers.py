@@ -33,7 +33,7 @@ import numpy as np
 
 from . import clustering, entropy
 from .grid import (
-    ConfigError, GridDataset, HypercubeBlock, RunConfig, block_counts, cube_layers, flat_copy,
+    GridDataset, HypercubeBlock, RunConfig, block_counts, cube_layers, flat_copy,
     num_blocks, partition_hypercubes, release_pages, role_vars,
 )
 
@@ -422,6 +422,8 @@ def sample_maxent_blocks(
     volume = blocks[0].volume
     if n > volume:
         raise ValueError(f"cannot sample {n} of {volume} points")
+    if len(seeds) != len(blocks):
+        raise ValueError(f"{len(seeds)} seeds for {len(blocks)} blocks")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x = np.stack([block.flat_values(cluster_var) for block in blocks])
     fits = clustering.kmeans_fit_rows(x, num_clusters, [int(rng.integers(2**63)) for rng in rngs])
@@ -537,22 +539,6 @@ def config_digest(config: RunConfig) -> str:
     ).hexdigest()
 
 
-def check_run(config: RunConfig, dataset: GridDataset, methods: list[str],
-              cluster: bool = False) -> None:
-    """``config.check_run`` on the dataset's grid, and each variable a run
-    of ``methods`` reads by name is a role variable of the dataset, or a
-    ConfigError names its key: cluster_var if ``cluster`` or the cubes or
-    one of ``methods`` is maxent, every input_vars entry if one is uips."""
-    config.check_run(dataset.dims, methods)
-    names = role_vars(dataset)
-    reads = [("input_vars", v) for v in config.input_vars if "uips" in methods]
-    if cluster or "maxent" in (config.hypercubes, *methods):
-        reads.append(("cluster_var", config.cluster_var))
-    for key, var in reads:
-        if var not in names:
-            raise ConfigError(f"{key} {var!r} is not a role variable of the dataset {names}")
-
-
 def select_cubes(config: RunConfig, dataset: GridDataset) -> list[tuple[int, np.ndarray]]:
     """Phase 1: for each timestep position in use, the sorted int64 indices of
     its selected cubes.  The draw depends on ``config.seed``, not on the method."""
@@ -608,11 +594,11 @@ def sample_cubes(config: RunConfig, dataset: GridDataset,
 def run_pipeline(
     config: RunConfig, dataset: GridDataset, workers: int | None = None
 ) -> SampleSet:
-    """check_run, then partition, Phase-1 cube selection, Phase-2 point
-    sampling, merge.  ``workers``, if given, replaces ``config.workers``."""
+    """``config.check_run`` on the dataset, then Phase-1 cube selection, Phase-2
+    point sampling, merge.  ``workers``, if given, replaces ``config.workers``."""
     if workers is not None:
         config = replace(config, workers=workers)
-    check_run(config, dataset, [config.method])
+    config.check_run(dataset.dims, [config.method], role_vars(dataset))
     t0 = time.perf_counter()
     selection = select_cubes(config, dataset)
     phase1 = time.perf_counter() - t0

@@ -69,6 +69,15 @@ class TestKmeansFit:
             with pytest.raises(ValueError, match="non-finite"):
                 kmeans_fit(np.array([1.0, bad]), k=1)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty clustering input"):
+            kmeans_fit(np.array([]), k=1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            kmeans_fit(np.array([1.0, 2.0]), k=k)
+
     def test_deterministic_given_seed(self):
         values = np.random.default_rng(7).normal(size=400)
         a = kmeans_fit(values, k=5, seed=11)
@@ -432,6 +441,13 @@ def count_lloyd_steps(monkeypatch):
 
 
 class TestKmeansFitRows:
+    @pytest.mark.parametrize("seeds", [[1, 2], [1, 2, 3, 4]])
+    def test_one_seed_per_row(self, seeds):
+        # zip once dropped the third row's fit, or the fourth seed
+        x = np.random.default_rng(0).normal(size=(3, 50))
+        with pytest.raises(ValueError, match=f"^{len(seeds)} seeds for 3 rows$"):
+            kmeans_fit_rows(x, 4, seeds)
+
     @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),

@@ -59,6 +59,11 @@ class TestBinning:
             edges = bin_edges(np.full(5, v), bins)
             assert np.array_equal(edges, np.linspace(v, v + abs(v), bins + 1))
 
+    @pytest.mark.parametrize("values", [[np.nan], [-np.inf, 0.0], [0.0, np.inf]])
+    def test_no_equal_width_span_rejected(self, values):
+        with pytest.raises(ValueError, match="no 4 bins of equal width span"):
+            bin_edges(np.array(values), 4)
+
     def test_out_of_range_values_clip_to_the_end_bins(self):
         assert bin_index(np.linspace(0.0, 1.0, 5), np.array([-1.0, 2.0])).tolist() == [0, 3]
 
@@ -191,6 +196,17 @@ class TestKlDivergence:
         with pytest.raises(ValueError, match="mismatch"):
             kl_divergence([0.5, 0.5], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p, q, name", [
+        ([1.0, -0.5], [0.5, 0.5], "p"),
+        ([0.5, 0.5], [np.nan, 1.0], "q"),
+        ([np.inf, 0.0], [0.5, 0.5], "p"),
+    ])
+    def test_nonfinite_or_negative_rejected(self, p, q, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an error, not a RuntimeWarning and a NaN
+            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
+                kl_divergence(p, q)
+
 
 class TestAdjacencyMatrix:
     def test_identical_distributions(self):
@@ -226,6 +242,15 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError, match=r"^distribution 2 has length 3, expected 2$"):
             adjacency_matrix(dists)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one distribution"):
+            adjacency_matrix([])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -0.5])
+    def test_nonfinite_or_negative_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            adjacency_matrix([np.array([bad, 1.0]), np.array([0.5, 0.5])])
+
     @given(
         st.integers(min_value=1, max_value=70),
         st.integers(min_value=1, max_value=120),
@@ -254,6 +279,11 @@ class TestAdjacencyMatrix:
 
 
 class TestNodeStrengths:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -0.5])
+    def test_nonfinite_or_negative_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            node_strengths(np.array([[bad, 1.0], [0.5, 0.5]]))
+
     @given(
         st.integers(min_value=1, max_value=70),
         st.integers(min_value=1, max_value=120),
@@ -358,6 +388,15 @@ class TestWeightedSample:
         with pytest.raises(ValueError, match="without replacement"):
             weighted_sample([1.0, 1.0], 3)
 
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            weighted_sample([1.0, 1.0], 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            weighted_sample([bad, 1.0, 1.0], 2)
+
 
 class TestAllocateCounts:
     def test_symmetric_split(self):
@@ -384,6 +423,21 @@ class TestAllocateCounts:
         # and past the total capacity nothing more is placed
         np.testing.assert_array_equal(
             allocate_counts([1.0, 0.0, 0.0], 9, capacities=[1, 3, 3]), [1, 3, 3])
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_nonfinite_or_negative_strength_rejected(self, bad):
+        with pytest.raises(ValueError, match="strengths must be finite and nonnegative"):
+            allocate_counts([bad, 1.0], 10)
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacities must be nonnegative"):
+            allocate_counts([1.0, 1.0], 4, capacities=[-1, -1])
+
+    def test_bad_input_rejected_with_nothing_to_split(self):
+        with pytest.raises(ValueError, match="strengths must be finite and nonnegative"):
+            allocate_counts([np.nan, -1.0], 0)
+        with pytest.raises(ValueError, match="capacities must be nonnegative"):
+            allocate_counts([1.0, 1.0], 0, capacities=[-1, 1])
 
     def test_capacity_redistribution(self):
         counts = allocate_counts([10.0, 1.0, 1.0], 10, capacities=[3, 10, 10])

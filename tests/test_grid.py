@@ -80,6 +80,10 @@ class TestGridDims:
         with pytest.raises(ValueError, match=field):
             GridDims(**kwargs)
 
+    def test_dims_other_than_2_or_3_rejected(self):
+        with pytest.raises(ValueError, match="dims must be 2 or 3, got 4"):
+            GridDims(nx=2, ny=2, nz=2, dims=4)
+
 
 STRATIFIED_4CUBES = dict(method="stratified", nxsl=4, nysl=4, nzsl=4)
 
@@ -470,11 +474,59 @@ def all_blocks(ds, extents, timestep=0):
     return partition_hypercubes(ds, extents, timestep, range(num_blocks(ds.dims, extents)))
 
 
+class TestCheckRun:
+    DIMS = GridDims(nx=8, ny=8, nz=8)
+
+    def config(self, **kw):
+        return RunConfig(**{**dict(nx=8, ny=8, nz=8, nxsl=4, nysl=4, nzsl=4, num_hypercubes=2,
+                                   num_samples=10), **kw})
+
+    def test_returns_the_cubes_per_timestep(self):
+        assert self.config().check_run(self.DIMS, ["random"], ["u"]) == 8
+
+    def test_no_roles_skips_the_role_rule(self):
+        # the CLI checks before it loads, when no role is known yet
+        config = self.config(hypercubes="maxent", method="uips", input_vars=["p"])
+        assert config.check_run(self.DIMS, ["maxent", "uips"]) == 8
+
+    @pytest.mark.parametrize("named, overrides, methods, cluster", [
+        ("cluster_var 'p'", dict(hypercubes="maxent", cluster_var="p"), ["random"], False),
+        ("cluster_var 'p'", dict(cluster_var="p"), ["maxent"], False),
+        ("cluster_var 'p'", dict(cluster_var="p"), ["random"], True),
+        ("input_vars 'p'", dict(input_vars=["u", "p"]), ["uips"], False),
+    ], ids=["maxent-cubes", "maxent-points", "histogrammed", "uips"])
+    def test_a_role_the_dataset_lacks_is_named(self, named, overrides, methods, cluster):
+        config = self.config(**overrides)
+        with pytest.raises(ConfigError, match=f"^{named} is not a role variable of the "
+                                              r"dataset \['u', 'v'\]$"):
+            config.check_run(self.DIMS, methods, ["u", "v"], cluster=cluster)
+
+    def test_unread_roles_are_not_checked(self):
+        # random cubes and points read no variable by name
+        config = self.config(input_vars=["p"], cluster_var="p")
+        assert config.check_run(self.DIMS, ["random", "lhs"], ["u"]) == 8
+
+    def test_input_vars_come_before_cluster_var(self):
+        config = self.config(hypercubes="maxent", input_vars=["p"], cluster_var="q")
+        with pytest.raises(ConfigError, match="^input_vars 'p'"):
+            config.check_run(self.DIMS, ["uips"], ["u"])
+
+    def test_the_grid_rules_come_before_the_roles(self):
+        config = self.config(cluster_var="p", num_hypercubes=9)
+        with pytest.raises(ConfigError, match="num_hypercubes 9 exceeds the 8 cubes"):
+            config.check_run(self.DIMS, ["maxent"], ["u"])
+
+
 class TestPartition:
     def test_exact_tiling_64(self):
         ds = ramp_dataset(8, 8, 8)
         blocks = all_blocks(ds, (4, 4, 4))
         assert len(blocks) == 8
+
+    @pytest.mark.parametrize("extents", [(0, 4, 4), (4, 4, 0)])
+    def test_zero_extent_rejected(self, extents):
+        with pytest.raises(ValueError, match="extents must be >= 1 per axis"):
+            grid.block_counts(GridDims(nx=8, ny=8, nz=8), extents)
 
     def test_block_count_residual(self):
         # residual planes along x are dropped, mirroring 514 vs 512

@@ -400,6 +400,10 @@ class TestFloat32Blocks:
 
 
 class TestSampleUips:
+    def test_oversample_rejected(self):
+        with pytest.raises(ValueError, match="cannot sample 513 of 512 points"):
+            sample_uips(make_block(8), 513, 20, ["u"], seed=0)
+
     def test_exact_unique_sorted(self):
         block = make_block(8)
         idx = sample_uips(block, 100, 20, ["u"], seed=0)
@@ -702,6 +706,13 @@ def cube_rows(draw):
 
 
 class TestSampleMaxentBlocks:
+    @pytest.mark.parametrize("seeds", [[1], [1, 2, 3, 4]])
+    def test_one_seed_per_block(self, seeds):
+        # zip once returned one pick array for three blocks
+        blocks = partition_hypercubes(make_dataset(8, 8, 8), (4, 4, 4), 0, [0, 1, 5])
+        with pytest.raises(ValueError, match=f"^{len(seeds)} seeds for 3 blocks$"):
+            sample_maxent_blocks(blocks, "u", 4, 20, seeds)
+
     @settings(max_examples=100, deadline=None)
     @given(cube_rows(), st.data())
     def test_picks_equal_the_one_block_case(self, case, data):

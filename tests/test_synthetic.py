@@ -128,6 +128,16 @@ class TestScalarFields:
         with pytest.raises(ValueError, match="unknown"):
             gen_scalar_field("cauchy", (4, 4, 4))
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_lognormal_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be positive, got {sigma}"):
+            gen_scalar_field("lognormal", (4, 4, 4), {"sigma": sigma})
+
+    @pytest.mark.parametrize("sigmas", [(1.0, 0.0), (-0.5, 1.0)])
+    def test_bimodal_sigmas_must_be_positive(self, sigmas):
+        with pytest.raises(ValueError, match="sigmas must be positive"):
+            gen_scalar_field("bimodal", (4, 4, 4), {"sigmas": sigmas})
+
     def test_timesteps_split_one_draw(self):
         ds = gen_scalar_field("gaussian", GridDims(nx=4, ny=3, nz=2, nt=2), seed=5)
         draw = np.random.default_rng(5).normal(0.0, 1.0, size=(2, 4, 3, 2))
