@@ -4,8 +4,9 @@ Phase 2 selects points within each.  The package exports exactly README's
 Library API; every other name is imported from its module.
 """
 
-# in pipeline order: importing bench (and multiprocessing) first raised a
-# compare run's peak RSS by 0.2 MB
+# in pipeline order.  Only a bench.parallel_map that starts a pool imports
+# multiprocessing: imported here, before grid, it raised a compare run's
+# peak RSS by 0.2 MB
 from .grid import load_dataset, parse_config
 from .clustering import assign, kmeans_fit
 from .entropy import adjacency_matrix, allocate_counts, kl_divergence

@@ -5,7 +5,10 @@ worker the work function, so no start method needs fork's inherited
 memory.  Phase 1 (``samplers.select_cubes``) and the merge run in the
 parent, and hand the pool cube indices only: a unit is a timestep's cubes
 in one z-layer, whose blocks it builds itself, or a comparison's (method,
-seed) cell with its seed's indices, sampled in one worker.
+seed) cell with its seed's indices, sampled in one worker.  A unit returns
+its points' grid indices, their role values and each cube's point count,
+not rows of the output table; a cell returns its scores and one histogram.
+``multiprocessing`` is imported only by a map that may start a pool.
 Correctness precedes performance: scaling timings are only reported
 after the outputs at every worker count are verified identical to the
 single-worker run.  A warning raised in a work unit reaches the caller
@@ -13,7 +16,6 @@ once per distinct (category, message), whichever process ran the unit.
 """
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 import warnings
 from dataclasses import dataclass
@@ -56,6 +58,8 @@ def parallel_map(fn, items: list, workers: int) -> list:
     case, each distinct (category, message) once in the order first seen.
     """
     workers = min(workers, len(items))
+    if workers > 1:
+        import multiprocessing as mp  # here, so that a map that starts no pool never imports it
     if workers <= 1 or mp.current_process().daemon:
         outcomes = [_recorded(fn, item) for item in items]
     else:

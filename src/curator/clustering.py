@@ -158,6 +158,8 @@ def kmeans_fit_rows(x: np.ndarray, k: int, seeds: list) -> list[np.ndarray]:
     row whose centroids repeated is a fixed point of the Lloyd step, so it
     waits unchanged while the other rows go on."""
     rows, n = x.shape
+    if rows == 0:
+        raise ValueError(f"no rows to cluster: x has shape {x.shape}")
     if len(seeds) != rows:
         raise ValueError(f"{len(seeds)} seeds for {rows} rows")
     x.sort(axis=1)

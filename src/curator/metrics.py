@@ -22,7 +22,7 @@ import numpy as np
 from . import clustering, entropy
 from .bench import parallel_map
 from .grid import GridDataset, RunConfig, check_distinct, check_seed, flat_copy, role_vars
-from .samplers import SampleSet, sample_cubes, select_cubes
+from .samplers import SampleSet, sample_units, select_cubes
 
 
 @dataclass(frozen=True)
@@ -176,11 +176,17 @@ COMPARISON_COLUMNS = [
 def _score_cell(config: RunConfig, dataset: GridDataset, references: dict[str, FullReference],
                 cell: tuple[str, int, list[tuple[int, np.ndarray]], float]):
     """Comparison work unit: a cell is a method, a seed, that seed's
-    ``select_cubes`` and its seconds.  Returns the sample's rows, one per
-    variable, and its cluster-variable histogram; no sample values cross the pipe."""
+    ``select_cubes`` and its seconds.  It samples with ``sample_units``, as
+    ``sample_cubes`` does, and scores a sample of the role columns alone: the
+    scores read nothing else, so no coordinate table is built.  Returns the
+    sample's rows, one per variable, and its cluster-variable histogram; no
+    sample values cross the pipe."""
     method, seed, selection, phase1_seconds = cell
-    sample = sample_cubes(replace(config, method=method, seed=int(seed)), dataset, selection)
-    elapsed = phase1_seconds + sample.provenance["phase_seconds"]["phase2"]
+    _, results, phase2_seconds = sample_units(replace(config, method=method, seed=int(seed)),
+                                              dataset, selection)
+    sample = SampleSet(columns=role_vars(dataset),
+                       data=np.concatenate([values for _, values, _ in results]))
+    elapsed = phase1_seconds + phase2_seconds
     report = score_sample(sample, references)
     rows = [
         {
@@ -204,7 +210,8 @@ def compare_methods(
     config settles it.  Phase 1 runs here, once per seed.  The cells
     share one pool of at most ``config.workers`` processes, and each
     samples its seed's cubes in one worker; a lone cell runs in this
-    process and keeps the cube pool.  A cell's
+    process and keeps the cube pool.  A cell scores its points' role
+    values and builds no ``t,i,j,k,x,y,z`` table.  A cell's
     ``sampling_seconds`` adds its seed's Phase 1 time to its own.
 
     Returns three things.  The rows: one per (method, seed, variable)

@@ -13,7 +13,9 @@ reads each cube's cluster x value-bin histogram off its sorted values.
 It keeps the k x k KL matrix: ``allocate_counts`` splits by its
 strengths, and where two of them tie exactly, the closed form's last bits
 can break the tie the other way.  A Phase 2 work unit builds the blocks
-of its own cubes, so only indices cross a pool.
+of its own cubes, so only indices cross into a pool, and it returns its
+points' grid indices and role values; ``sample_cubes`` builds the output
+table from them in its merge.
 
 Every per-cube random stream is seeded from (run seed, time-axis
 position, cube index), so output is bit-identical regardless of worker
@@ -419,6 +421,8 @@ def sample_maxent_blocks(
     array, fitted in one batch (``clustering.kmeans_fit_rows``); each cube's
     histograms are read off its sorted row, and its graph, allocation, labels
     and draws follow in cube order."""
+    if not blocks:
+        raise ValueError("no blocks to sample: blocks is empty")
     volume = blocks[0].volume
     if n > volume:
         raise ValueError(f"cannot sample {n} of {volume} points")
@@ -488,12 +492,14 @@ def temporal_select(snapshot_pdfs: np.ndarray, budget: int) -> list[int]:
 # Pipeline
 
 
-def _sample_layer(config: RunConfig, dataset: GridDataset,
-                  unit: tuple[int, np.ndarray]) -> tuple[np.ndarray, list[int]]:
-    """Phase 2 work unit: one array of the rows sampled from ``unit``'s cubes,
-    one z-layer's at one timestep, and each cube's row count.  After sampling,
-    each role field (those the sampler read first) fills its column from its
-    z-slab view, which then gives its pages back before the next is read."""
+def _sample_layer(config: RunConfig, dataset: GridDataset, unit: tuple[int, np.ndarray]
+                  ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, list[int]]:
+    """Phase 2 work unit: the grid indices (i, j, k) of the points sampled from
+    ``unit``'s cubes, one z-layer's at one timestep, their float64 role values
+    (one row per point, one column per ``role_vars`` entry) and each cube's
+    point count.  After sampling, each role field (those the sampler read
+    first) fills its column from its z-slab view, which then gives its pages
+    back before the next is read."""
     ts, cubes = unit
     blocks = partition_hypercubes(dataset, config.cube_extents, ts, cubes)
     method, n = config.method, config.num_samples
@@ -515,20 +521,19 @@ def _sample_layer(config: RunConfig, dataset: GridDataset,
                 flat_idx = sample_uips(block, n, config.uips_bins, list(config.input_vars), rng)
             picks.append(flat_idx)
     sizes = [flat_idx.size for flat_idx in picks]
-    local = np.unravel_index(np.concatenate(picks), config.cube_extents, order="F")
-    ijk = np.stack(local, axis=1) + np.repeat([b.origin for b in blocks], sizes, axis=0)
+    # the cubes share their z origin, so k stays slab-local until it is returned
+    i, j, k = np.unravel_index(np.concatenate(picks), config.cube_extents, order="F")
+    i += np.repeat([b.origin[0] for b in blocks], sizes)
+    j += np.repeat([b.origin[1] for b in blocks], sizes)
     names = role_vars(dataset)
-    rows = np.empty((len(ijk), 7 + len(names)))
-    rows[:, 0] = dataset.timestep_ids[ts]
-    rows[:, 1:4] = ijk
-    rows[:, 4:7] = ijk / np.maximum(np.array(dataset.dims.shape[1:]) - 1, 1)
+    values = np.empty((i.size, len(names)))
     read = {"maxent": [config.cluster_var], "uips": list(config.input_vars)}.get(method, [])
     k0, sz = blocks[0].origin[2], config.cube_extents[2]
     for var in dict.fromkeys([*read, *names]):
         slab = dataset.fields[var, ts][:, :, k0:k0 + sz]
-        rows[:, 7 + names.index(var)] = slab[ijk[:, 0], ijk[:, 1], local[2]]  # widens to float64
+        values[:, names.index(var)] = slab[i, j, k]  # widens to float64
         release_pages(slab)
-    return rows, sizes
+    return (i, j, k + k0), values, sizes
 
 
 def config_digest(config: RunConfig) -> str:
@@ -556,25 +561,46 @@ def select_cubes(config: RunConfig, dataset: GridDataset) -> list[tuple[int, np.
     return selection
 
 
-def sample_cubes(config: RunConfig, dataset: GridDataset,
-                 selection: list[tuple[int, np.ndarray]]) -> SampleSet:
-    """Phase 2: a pool of ``config.workers`` samples every cube of ``selection``
-    (``select_cubes``'s) with ``config.method``, one unit per (timestep,
-    z-layer) of selected cubes.  Output is invariant to worker count and unit
-    order; the merge is an ordered concatenation by (timestep, cube index)."""
+def sample_units(config: RunConfig, dataset: GridDataset,
+                 selection: list[tuple[int, np.ndarray]]) -> tuple[list, list, float]:
+    """Phase 2's sampling: a pool of ``config.workers`` samples every cube of
+    ``selection`` (``select_cubes``'s) with ``config.method``, one unit per
+    (timestep, z-layer) of selected cubes.  Returns the units, each unit's
+    ``_sample_layer`` result in unit order, and the seconds taken; both are
+    invariant to worker count."""
     from .bench import parallel_map
 
     t0 = time.perf_counter()
     bx, by, _ = block_counts(dataset.dims, config.cube_extents)
     units = [(ts, layer) for ts, cubes in selection
              for layer in np.split(cubes, np.flatnonzero(np.diff(cubes // (bx * by))) + 1)]
-    rows, sizes = zip(*parallel_map(partial(_sample_layer, config, dataset), units, config.workers))
-    phase2_seconds = time.perf_counter() - t0
+    results = parallel_map(partial(_sample_layer, config, dataset), units, config.workers)
+    return units, results, time.perf_counter() - t0
 
+
+def sample_cubes(config: RunConfig, dataset: GridDataset,
+                 selection: list[tuple[int, np.ndarray]]) -> SampleSet:
+    """Phase 2: ``sample_units``, then the merge, which builds the one
+    ``t,i,j,k,x,y,z,<vars>`` table of the run from the units' indices and role
+    values, ordered by (timestep, cube index)."""
+    units, results, phase2_seconds = sample_units(config, dataset, selection)
+    ijks, values, sizes = zip(*results)
     ends = np.cumsum([size for unit in sizes for size in unit]).tolist()
     cubes = [(dataset.timestep_ids[ts], int(c)) for ts, layer in units for c in layer]
     cube_ranges = [[t, c, start, end] for (t, c), start, end in zip(cubes, [0, *ends], ends)]
-    columns = ["t", "i", "j", "k", "x", "y", "z", *role_vars(dataset)]
+    names = role_vars(dataset)
+    data = np.empty((ends[-1], 7 + len(names)))
+    scale = np.maximum(np.array(dataset.dims.shape[1:]) - 1, 1)
+    start = 0
+    for (ts, _), ijk, unit_values in zip(units, ijks, values):
+        # one unit's rows at a time, a block small enough to stay in cache
+        rows = data[start:start + len(unit_values)]
+        start += len(rows)
+        rows[:, 0] = dataset.timestep_ids[ts]
+        for axis in range(3):
+            rows[:, 1 + axis] = ijk[axis]
+            rows[:, 4 + axis] = ijk[axis] / scale[axis]
+        rows[:, 7:] = unit_values
     provenance = {
         "method": config.method,
         "hypercube_method": config.hypercubes,
@@ -588,7 +614,8 @@ def sample_cubes(config: RunConfig, dataset: GridDataset,
         "phase_seconds": {"phase2": phase2_seconds},
         "workers": config.workers,
     }
-    return SampleSet(columns=columns, data=np.concatenate(rows), provenance=provenance)
+    return SampleSet(columns=["t", "i", "j", "k", "x", "y", "z", *names], data=data,
+                     provenance=provenance)
 
 
 def run_pipeline(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -38,6 +41,34 @@ def make_config(**kw):
 
 def _square(x):
     return x * x
+
+
+ONE_WORKER_RUN = """
+import sys
+
+import curator.cli
+from curator.grid import RunConfig
+from curator.samplers import run_pipeline
+from curator.synthetic import gen_taylor_green
+
+config = RunConfig(
+    nx=8, ny=8, nz=8, input_vars=["u", "v", "w"], output_vars=["wz"], cluster_var="wz",
+    nxsl=4, nysl=4, nzsl=4, hypercubes="maxent", num_hypercubes=4, method="maxent",
+    num_samples=8, num_clusters=2, seed=0, workers=1,
+)
+assert len(run_pipeline(config, gen_taylor_green((8, 8, 8)))) == 4 * 8
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "multiprocessing"))
+"""
+
+
+def test_a_one_worker_run_never_imports_multiprocessing():
+    # parallel_map imports it only to start a pool, so a 1-worker run's
+    # memory holds none of it; a fresh interpreter sees every import
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", ONE_WORKER_RUN],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestParallelMap:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from curator import bench, cli, samplers
+from curator import cli, samplers
 from curator.cli import main
 from curator.grid import _SECTIONS, GridDataset, GridDims
 from curator.synthetic import gen_taylor_green, save_dataset, dataset_config
@@ -118,13 +118,13 @@ def unstable_provenance() -> set[str]:
 def pools(monkeypatch):
     """The start method of every worker pool forked in the parent process."""
     started = []
-    get_context = bench.mp.get_context
+    get_context = multiprocessing.get_context
 
     def counting(method=None):
         started.append(method)
         return get_context(method)
 
-    monkeypatch.setattr(bench.mp, "get_context", counting)
+    monkeypatch.setattr(multiprocessing, "get_context", counting)
     return started
 
 
@@ -513,13 +513,13 @@ class TestStartMethod:
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{method} is not available on this platform")
         started = []
-        get_context = bench.mp.get_context
+        get_context = multiprocessing.get_context
 
         def substitute(_fork=None):
             started.append(method)
             return get_context(method)
 
-        monkeypatch.setattr(bench.mp, "get_context", substitute)
+        monkeypatch.setattr(multiprocessing, "get_context", substitute)
         return started
 
     def test_subsample_golden_csv(self, case, tmp_path, started):

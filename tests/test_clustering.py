@@ -448,6 +448,12 @@ class TestKmeansFitRows:
         with pytest.raises(ValueError, match=f"^{len(seeds)} seeds for 3 rows$"):
             kmeans_fit_rows(x, 4, seeds)
 
+    @pytest.mark.parametrize("n", [0, 50])
+    def test_no_rows(self, n):
+        # an empty batch once raised "max() arg is an empty sequence"
+        with pytest.raises(ValueError, match=rf"^no rows to cluster: x has shape \(0, {n}\)$"):
+            kmeans_fit_rows(np.empty((0, n)), 4, [])
+
     @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),

@@ -392,6 +392,36 @@ class TestCompareMethods:
         drawn, two = (r["seed"] for r in rows[:2])
         assert isinstance(drawn, int) and two == 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["random", "stratified", "lhs", "uips", "maxent"])
+    def test_cell_scores_as_the_full_table_does(self, method, workers):
+        # a cell scores its role columns alone: the same rows, point count and
+        # histogram as score_sample of sample_cubes' whole table
+        rng = np.random.default_rng(3)
+        fields = {(var, t): rng.lognormal(size=(8, 8, 8)) for var in "uv" for t in range(2)}
+        ds = GridDataset(dims=GridDims(nx=8, ny=8, nz=8, nt=2, dims=3), fields=fields,
+                         input_vars=["u"], output_vars=["v"], cluster_var="u",
+                         timestep_ids=[4, 6])
+        cfg = RunConfig(
+            nx=8, ny=8, nz=8, input_vars=["u"], output_vars=["v"], cluster_var="u",
+            nxsl=4, nysl=4, nzsl=4, hypercubes="maxent", num_hypercubes=5, num_samples=16,
+            num_clusters=3, strata=[2, 2, 2], seed=11, workers=workers,
+        )
+        references = {var: full_reference([ds.fields[var, t] for t in range(2)]) for var in "uv"}
+        selection = select_cubes(cfg, ds)
+        rows, histogram = _score_cell(cfg, ds, references, (method, 11, selection, 0.0))
+        table = samplers.sample_cubes(replace(cfg, method=method), ds, selection)
+        report = score_sample(table, references)
+        scores = ["occupied_bin_fraction", "span_ratio", "tail_capture"]
+        assert [{c: r[c] for c in ["method", "seed", "variable", "kl_nats", *scores, "points"]}
+                for r in rows] == [
+            {"method": method, "seed": 11, "variable": var, "kl_nats": m["kl_full_to_sample"],
+             **{c: m[c] for c in scores}, "points": len(table)}
+            for var, m in report.per_variable.items()
+        ]
+        assert np.array_equal(histogram.densities, report.histograms["u"].densities)
+        assert histogram.count == len(table) == 2 * 5 * 16
+
     def test_cell_result_carries_no_sample(self):
         # a cell returns scores and one histogram, not its rows' values
         ds = make_dataset(nx=32)

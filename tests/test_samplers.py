@@ -713,6 +713,11 @@ class TestSampleMaxentBlocks:
         with pytest.raises(ValueError, match=f"^{len(seeds)} seeds for 3 blocks$"):
             sample_maxent_blocks(blocks, "u", 4, 20, seeds)
 
+    def test_no_blocks(self):
+        # an empty list once raised a bare IndexError
+        with pytest.raises(ValueError, match="^no blocks to sample: blocks is empty$"):
+            sample_maxent_blocks([], "u", 4, 20, [])
+
     @settings(max_examples=100, deadline=None)
     @given(cube_rows(), st.data())
     def test_picks_equal_the_one_block_case(self, case, data):
@@ -1173,6 +1178,46 @@ class TestReleaseAsRead:
             slab_kib = np.prod(shape) * 8 // 4 // 1024
             assert max(readings) <= slab_kib + 2 * FOLIO_KIB, (method, readings)
             assert mapped_rss_kib(tmp_path) == 0
+
+
+class TestSampleCubes:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["full", "random", "uips"])
+    def test_each_row_holds_the_field_at_its_point(self, method, workers):
+        # the merge builds t, i, j, k, x, y, z from the units' grid indices:
+        # two timesteps, units of 4, 1 and 3 cubes, a float32 and a float64 field
+        shape, nx, ny, nz = (12, 8, 8), 12, 8, 8
+        rng = np.random.default_rng(7)
+        fields = {("u", t): rng.normal(size=shape).astype(np.float32) for t in range(2)}
+        fields.update({("v", t): rng.normal(size=shape) for t in range(2)})
+        ds = GridDataset(dims=GridDims(nx, ny, nz, nt=2, dims=3), fields=fields,
+                         input_vars=["u"], output_vars=["v"], cluster_var="u",
+                         timestep_ids=[3, 8])
+        config = RunConfig(nx=nx, ny=ny, nz=nz, input_vars=["u"], output_vars=["v"],
+                           cluster_var="u", nxsl=4, nysl=4, nzsl=4, num_hypercubes=4,
+                           method=method, num_samples=10, seed=5, workers=workers)
+        selection = [(0, np.array([0, 1, 2, 4, 7])), (1, np.array([6, 9, 11]))]
+        sample = samplers.sample_cubes(config, ds, selection)
+        assert sample.columns == ["t", "i", "j", "k", "x", "y", "z", "u", "v"]
+        ranges = sample.provenance["cube_ranges"]
+        assert [(t, c) for t, c, _, _ in ranges] == [
+            (3, 0), (3, 1), (3, 2), (3, 4), (3, 7), (8, 6), (8, 9), (8, 11)]
+        per_cube = 64 if method == "full" else 10
+        assert [end - start for *_, start, end in ranges] == [per_cube] * 8
+        assert len(sample) == 8 * per_cube
+        for t, c, start, end in ranges:
+            rows = sample.data[start:end]
+            ijk = rows[:, 1:4].astype(np.int64)
+            assert np.array_equal(ijk, rows[:, 1:4])
+            origin = np.array([c % 3, c // 3 % 2, c // 6]) * 4  # 3 x 2 cubes a layer
+            assert ((ijk >= origin) & (ijk < origin + 4)).all()
+            assert len({tuple(p) for p in ijk}) == per_cube
+            assert (rows[:, 0] == t).all()
+            assert np.array_equal(rows[:, 4:7], ijk / [nx - 1, ny - 1, nz - 1])
+            i, j, k = ijk.T
+            for column, var in ((7, "u"), (8, "v")):
+                field = ds.fields[var, ds.timestep_ids.index(t)]
+                assert np.array_equal(rows[:, column], field[i, j, k].astype(np.float64))
 
 
 class TestRunPipeline:
